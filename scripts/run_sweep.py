@@ -20,7 +20,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-genus", type=int, default=2)
     ap.add_argument("--max-crosscaps", type=int, default=3)
-    ap.add_argument("--window", type=int, default=8)
     ap.add_argument("--no-oracle", action="store_true")
     ap.add_argument("--paper-check", action="store_true")
     ap.add_argument("--format", choices=("json", "md"), default="md", dest="output_format")
@@ -35,7 +34,6 @@ def main() -> int:
     cfg = RunConfig(
         surfaces=tuple(("kind", label) for label in labels),
         oracle_enabled=not args.no_oracle,
-        window=args.window,
         output_format=args.output_format,
         paper_check=args.paper_check,
     )

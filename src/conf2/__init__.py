@@ -5,12 +5,13 @@ Two independent pipelines compute the same invariants:
 * a symbolic one, working in the cohomology ring of the surface square
   and dividing out the image of the diagonal pushforward, and
 * a simplicial oracle, running over the deleted product of an actual
-  triangulation, its free swap involution, and the associated
-  equivariant cochain complex.
+  triangulation, its free swap involution, and the orbit complex of
+  that involution.
 
-On top of the unordered quotient the package extracts the polynomial
-generator action degree by degree, decomposes the result into truncated
-towers, and reads off the Stiefel-Whitney height.
+On the orbit complex the package takes the polynomial generator action
+as the connecting map of the transfer (Smith-Gysin) sequence of the
+double cover, decomposes the result into exact truncated towers, and
+reads off the Stiefel-Whitney height.
 """
 
 from __future__ import annotations
@@ -66,13 +67,14 @@ from .cells import (
     cohomology_f2,
     deleted_product,
     induced_involution,
+    orbit_representatives,
     quotient_complex,
 )
 from .borel import (
     AlphaModule,
-    EquivariantComplex,
     SWHeight,
     Tower,
+    check_smith_gysin,
     equivariant_cochain_complex,
     equivariant_cohomology_with_alpha,
     module_decompose,
@@ -136,11 +138,12 @@ __all__ = [
     "cohomology_f2",
     "deleted_product",
     "induced_involution",
+    "orbit_representatives",
     "quotient_complex",
     "AlphaModule",
-    "EquivariantComplex",
     "SWHeight",
     "Tower",
+    "check_smith_gysin",
     "equivariant_cochain_complex",
     "equivariant_cohomology_with_alpha",
     "module_decompose",

@@ -1,12 +1,15 @@
-"""Equivariant cohomology of a free involution, its polynomial action, towers.
+"""The alpha-action of a free involution from its transfer sequence; towers.
 
-The homotopy quotient of a complex with free involution is modeled by a
-bicomplex: one copy of the cochains per resolution level, the cochain
-differential one way and the norm (one plus the involution) the other.
-Collapsing to the total complex gives H*(quotient); the degree shift
-between resolution levels realizes multiplication by the degree-one
-polynomial generator, and composite ranks of that action cut the module
-into truncated polynomial towers, whose head tower measures the height.
+For a complex C with a free involution and orbit complex Q, pulling back
+along the quotient map and summing over each orbit give the exact
+sequence 0 -> C*(Q) -> C*(C) -> C*(Q) -> 0.  Over F2 its connecting map
+H^n(Q) -> H^{n+1}(Q) is multiplication by alpha, the first
+Stiefel-Whitney class of the double cover.  On cochains it is Phi_n: lift
+a Q-cochain onto one representative cell per orbit, take the coboundary
+in C, and read the result back on the representatives.  Composite ranks
+of alpha cut H*(Q) into truncated polynomial towers, whose head tower
+measures the height.  Q has no cells above its top dimension, so the
+towers are exact.
 """
 
 from __future__ import annotations
@@ -15,103 +18,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import CellComplex, cohomology_f2
+from .cells import CellComplex, CohomologyResult, orbit_representatives
 from .gf2 import Mat2, rank, solve_many
 
 __all__ = [
-    "EquivariantComplex",
     "AlphaModule",
     "Tower",
     "SWHeight",
     "equivariant_cochain_complex",
     "equivariant_cohomology_with_alpha",
+    "check_smith_gysin",
     "module_decompose",
     "sw_height",
 ]
-
-
-class EquivariantComplex:
-    """Total complex of the resolution-by-cochain bicomplex.
-
-    Degree n holds one cochain block per q with q <= min(top, n),
-    ordered by ascending q; the block at q sits at resolution level
-    n - q.  The total differential carries a block to its coboundary
-    (same level, q+1) plus its norm image (next level, same q).  The
-    level shift embeds T^n into T^{n+1} blockwise and realizes the
-    polynomial action.
-    """
-
-    def __init__(self, base: CellComplex, window: int):
-        if window < 4:
-            raise ValueError("window must be at least 4")
-        if base.involution is None:
-            raise ValueError("equivariant complex needs an involution")
-        if not base.is_free():
-            raise ValueError("involution has a fixed cell")
-        self.base = base
-        self.window = window
-        top = base.top_dim
-        self.block_dims = [base.n_cells(q) for q in range(top + 1)]
-
-        deltas: list[np.ndarray] = []
-        norms: list[np.ndarray] = []
-        for q in range(top + 1):
-            n = self.block_dims[q]
-            if q < top:
-                deltas.append(base.boundaries[q + 1].to_dense().T)
-            else:
-                deltas.append(np.zeros((0, n), dtype=np.uint8))
-            perm = base.involution[q]
-            sigma = np.zeros((n, n), dtype=np.uint8)
-            if n:
-                sigma[np.arange(n), perm] = 1
-            norms.append((sigma ^ np.eye(n, dtype=np.uint8)))
-
-        self.differentials: list[Mat2] = []
-        self.shifts: list[Mat2] = []
-        for n in range(window + 1):
-            src = self._blocks(n)
-            tgt = self._blocks(n + 1)
-            src_off = self._offsets(src)
-            tgt_off = self._offsets(tgt)
-            dense = np.zeros((self.total_dim(n + 1), self.total_dim(n)), dtype=np.uint8)
-            shift = np.zeros_like(dense)
-            for q in src:
-                o = src_off[q]
-                w = self.block_dims[q]
-                t0 = tgt_off[q]
-                dense[t0 : t0 + w, o : o + w] = norms[q]
-                shift[t0 : t0 + w, o : o + w] = np.eye(w, dtype=np.uint8)
-                if q + 1 <= top:
-                    d0 = tgt_off[q + 1]
-                    dense[d0 : d0 + deltas[q].shape[0], o : o + w] = deltas[q]
-            self.differentials.append(Mat2.from_dense(dense))
-            self.shifts.append(Mat2.from_dense(shift))
-        self.verify()
-
-    def _blocks(self, n: int) -> list[int]:
-        return list(range(min(self.base.top_dim, n) + 1))
-
-    def _offsets(self, blocks: list[int]) -> dict[int, int]:
-        out = {}
-        pos = 0
-        for q in blocks:
-            out[q] = pos
-            pos += self.block_dims[q]
-        return out
-
-    def total_dim(self, n: int) -> int:
-        return sum(self.block_dims[q] for q in self._blocks(n))
-
-    def verify(self) -> None:
-        """Differential squares to zero; the shift is a chain map."""
-        for n in range(self.window):
-            if not self.differentials[n + 1].mul(self.differentials[n]).is_zero():
-                raise RuntimeError(f"total differential fails to square to zero at degree {n}")
-            left = self.differentials[n + 1].mul(self.shifts[n])
-            right = self.shifts[n + 1].mul(self.differentials[n])
-            if left != right:
-                raise RuntimeError(f"level shift fails to commute with the differential at degree {n}")
 
 
 @dataclass(frozen=True)
@@ -120,14 +39,16 @@ class Tower:
 
     start: int
     length: int
-    truncated: bool = False
 
 
 @dataclass
 class AlphaModule:
-    """Graded module: dims per degree, the degree-raising maps, towers."""
+    """Graded module: dims per degree, the degree-raising maps, towers.
 
-    window: int
+    alpha_maps[n] maps degree n to degree n+1 in the representative
+    bases; the module vanishes above its last degree.
+    """
+
     dims: list[int]
     alpha_maps: list[Mat2]
     towers: list[Tower] = field(default_factory=list)
@@ -142,61 +63,60 @@ class SWHeight:
     """Largest power of the polynomial generator not killing the unit."""
 
     value: int
-    truncated: bool = False
 
     def __str__(self) -> str:
-        return f">={self.value}" if self.truncated else str(self.value)
+        return str(self.value)
 
 
-def equivariant_cochain_complex(C: CellComplex, window: int = 8) -> EquivariantComplex:
-    """Bicomplex total complex for a free involution; window >= 4."""
-    return EquivariantComplex(C, window)
+def equivariant_cochain_complex(C: CellComplex, Q: CellComplex) -> list[Mat2]:
+    """Connecting maps Phi_n : C^n(Q) -> C^{n+1}(Q) of the transfer sequence.
+
+    Q is the orbit complex `quotient_complex(C)`.  Entry n is the boundary
+    of C restricted to the degree-n representative rows and the
+    degree-(n+1) representative columns, so a row cochain z maps to
+    z.mul(entry n).  Raises ValueError when the involution of C is
+    missing or has a fixed cell, and RuntimeError when Phi fails to
+    commute with the coboundary of Q.
+    """
+    reps = orbit_representatives(C)
+    phi = [
+        Mat2.from_dense(C.boundaries[n + 1].to_dense()[np.ix_(reps[n], reps[n + 1])])
+        for n in range(C.top_dim)
+    ]
+    for n in range(C.top_dim - 1):
+        if phi[n].mul(Q.boundaries[n + 2]) != Q.boundaries[n + 1].mul(phi[n + 1]):
+            raise RuntimeError(f"connecting map fails to commute with the coboundary at degree {n}")
+    return phi
 
 
-def equivariant_cohomology_with_alpha(E: EquivariantComplex) -> AlphaModule:
-    """Total cohomology on the window with the shift action and towers."""
-    N = E.window
-    cells = [[("t", n, i) for i in range(E.total_dim(n))] for n in range(N + 2)]
-    boundaries = [Mat2.zeros(0, E.total_dim(0))]
-    boundaries.extend(E.differentials[n].transpose() for n in range(N + 1))
-    total = CellComplex(cells, boundaries)
-    result = cohomology_f2(total, with_involution=False)
-    dims = result.dims[: N + 1]
+def equivariant_cohomology_with_alpha(phi: list[Mat2], H: CohomologyResult) -> AlphaModule:
+    """H*(Q) with the action alpha_n = [Phi_n] and its towers.
 
+    H is the cohomology of the orbit complex and phi its connecting maps.
+    Each image Phi_n z of a cocycle representative is solved against the
+    degree-(n+1) cocycle and coboundary bases; no solution means Phi_n z
+    is not a cocycle and raises RuntimeError.
+    """
     alpha_maps: list[Mat2] = []
-    for n in range(N):
-        reps = result.cocycle_basis[n]
-        k = reps.rows
-        nxt = result.dims[n + 1]
-        if k == 0 or nxt == 0:
-            alpha_maps.append(Mat2.zeros(nxt, k))
-            continue
-        # the shift is a blockwise prefix embedding: pad with zeros
-        dense = reps.to_dense()
-        mapped = np.zeros((k, E.total_dim(n + 1)), dtype=np.uint8)
-        mapped[:, : dense.shape[1]] = dense
-        delta = E.differentials[n + 1]
-        for row in mapped:
-            if delta.mul_vec(row).any():
-                raise RuntimeError(f"shifted representative is not a cocycle in degree {n}")
-        system = Mat2.vstack(
-            [result.cocycle_basis[n + 1], result.coboundary_basis[n + 1]]
-        ).transpose()
-        sols = solve_many(system, Mat2.from_dense(mapped))
-        cols = np.zeros((nxt, k), dtype=np.uint8)
+    for n in range(len(H.dims) - 1):
+        reps = H.cocycle_basis[n]
+        nxt = H.dims[n + 1]
+        system = Mat2.vstack([H.cocycle_basis[n + 1], H.coboundary_basis[n + 1]]).transpose()
+        sols = solve_many(system, reps.mul(phi[n]))
+        cols = np.zeros((nxt, reps.rows), dtype=np.uint8)
         for j, sol in enumerate(sols):
             if sol is None:
-                raise RuntimeError(f"shifted representative left the span in degree {n}")
+                raise RuntimeError(f"connecting map sends a degree-{n} cocycle off the cocycles")
             cols[:, j] = sol[:nxt]
         alpha_maps.append(Mat2.from_dense(cols))
 
-    module = AlphaModule(window=N, dims=dims, alpha_maps=alpha_maps)
+    module = AlphaModule(dims=list(H.dims), alpha_maps=alpha_maps)
     module.towers = module_decompose(module)
     return module
 
 
 def _rank_lookup(A: AlphaModule):
-    N = A.window
+    N = len(A.dims) - 1
     table: dict[tuple[int, int], int] = {}
     for n in range(N + 1):
         table[(n, 0)] = A.dims[n]
@@ -219,10 +139,9 @@ def module_decompose(A: AlphaModule) -> list[Tower]:
 
     The count of towers of exact length ell starting in degree n is
     determined by the rank table; a negative count means the maps are
-    not the action of a graded module and raises RuntimeError.  Towers
-    reaching the window edge carry the truncated flag.
+    not the action of a graded module and raises RuntimeError.
     """
-    N = A.window
+    N = len(A.dims) - 1
     r = _rank_lookup(A)
     towers: list[Tower] = []
     for n in range(N + 1):
@@ -232,8 +151,7 @@ def module_decompose(A: AlphaModule) -> list[Tower]:
                 raise RuntimeError(
                     f"negative tower count at start {n} length {ell}: inconsistent action maps"
                 )
-            truncated = n + ell - 1 >= N
-            towers.extend(Tower(n, ell, truncated) for _ in range(count))
+            towers.extend(Tower(n, ell) for _ in range(count))
     for n in range(N + 1):
         covering = sum(1 for t in towers if t.start <= n < t.start + t.length)
         if covering != A.dims[n]:
@@ -241,10 +159,33 @@ def module_decompose(A: AlphaModule) -> list[Tower]:
     return sorted(towers, key=lambda t: (t.start, t.length))
 
 
+def check_smith_gysin(A: AlphaModule, cover_dims: list[int], free: list[int]) -> None:
+    """Raise RuntimeError unless the cover's cohomology fits the transfer sequence.
+
+    Exactness gives, with a_n the rank of alpha_n,
+    dim H^n(cover) = 2 dim H^n(Q) - a_{n-1} - a_n, and the number of free
+    summands of H^n(cover) under the involution equals the number of
+    towers of length one starting in degree n.
+    """
+    r = _rank_lookup(A)
+    for n, h in enumerate(A.dims):
+        expected = 2 * h - r(n - 1, 1) - r(n, 1)
+        if cover_dims[n] != expected:
+            raise RuntimeError(
+                f"Smith-Gysin count fails in degree {n}: cover has dimension {cover_dims[n]}, "
+                f"the transfer sequence gives {expected}"
+            )
+        singles = sum(1 for t in A.towers if t.start == n and t.length == 1)
+        if free[n] != singles:
+            raise RuntimeError(
+                f"Smith-Gysin free count fails in degree {n}: {free[n]} free summands, "
+                f"{singles} towers of length one"
+            )
+
+
 def sw_height(A: AlphaModule) -> SWHeight:
     """Height of the unit class under the polynomial action."""
     if not A.dims or A.dims[0] != 1:
         raise ValueError("height needs a connected degree zero")
     r = _rank_lookup(A)
-    value = max(ell for ell in range(A.window + 1) if r(0, ell) >= 1)
-    return SWHeight(value=value, truncated=value == A.window)
+    return SWHeight(max(ell for ell in range(len(A.dims)) if r(0, ell) >= 1))

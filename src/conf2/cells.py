@@ -29,6 +29,7 @@ __all__ = [
     "deleted_product",
     "cohomology_f2",
     "induced_involution",
+    "orbit_representatives",
     "quotient_complex",
 ]
 
@@ -228,28 +229,37 @@ def induced_involution(C: CellComplex, H: CohomologyResult) -> list[Mat2]:
     return out
 
 
+def orbit_representatives(C: CellComplex) -> list[np.ndarray]:
+    """Per dimension, the cells i with i < involution(i), ascending.
+
+    One cell of each orbit of a free involution; the orbit complex and
+    the transfer sequence both number the orbits in this order.  Raises
+    ValueError without an involution or on a fixed cell.
+    """
+    if C.involution is None:
+        raise ValueError("complex has no involution")
+    reps = []
+    for d, perm in enumerate(C.involution):
+        ids = np.arange(len(perm))
+        if np.any(perm == ids):
+            raise ValueError(f"free action violated: fixed cell in dimension {d}")
+        reps.append(np.flatnonzero(ids < perm))
+    return reps
+
+
 def quotient_complex(C: CellComplex) -> CellComplex:
     """One cell per involution orbit; boundary descends orbitwise.
 
     Requires a fixed-point-free involution; computing cohomology of the
     result gives the unordered-space Betti numbers.
     """
-    if C.involution is None:
-        raise ValueError("complex has no involution")
+    rep_lists = orbit_representatives(C)
     orbit_of: list[np.ndarray] = []
-    rep_lists: list[list[int]] = []
-    for d in range(C.top_dim + 1):
-        perm = C.involution[d]
-        n = len(perm)
-        if n and np.any(perm == np.arange(n)):
-            raise ValueError(f"free action violated: fixed cell in dimension {d}")
-        reps = [i for i in range(n) if i < perm[i]]
-        idx = np.empty(n, dtype=np.int64)
-        for q, i in enumerate(reps):
-            idx[i] = q
-            idx[perm[i]] = q
+    for perm, reps in zip(C.involution, rep_lists):
+        idx = np.empty(len(perm), dtype=np.int64)
+        idx[reps] = np.arange(len(reps))
+        idx[perm[reps]] = np.arange(len(reps))
         orbit_of.append(idx)
-        rep_lists.append(reps)
     cells = [[C.cells[d][i] for i in rep_lists[d]] for d in range(C.top_dim + 1)]
     boundaries = [Mat2.zeros(0, len(cells[0]))]
     for d in range(1, C.top_dim + 1):

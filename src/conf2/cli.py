@@ -46,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="triangulation file (repeatable)",
     )
     parser.add_argument("--no-oracle", action="store_true", help="skip the triangulation pipeline")
-    parser.add_argument("--window", type=int, default=8, help="equivariant window, at least 4 (default 8)")
     parser.add_argument("--format", choices=("json", "md"), default="json", dest="output_format")
     parser.add_argument(
         "--paper-check",
@@ -66,7 +65,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = RunConfig(
             surfaces=tuple(args.surfaces),
             oracle_enabled=not args.no_oracle,
-            window=args.window,
             output_format=args.output_format,
             paper_check=args.paper_check,
         )
@@ -75,7 +73,11 @@ def main(argv: list[str] | None = None) -> int:
     reports = run_pipeline(cfg)
     text = emit_report(reports, cfg.output_format)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            print(f"conf2: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return exit_code(reports)

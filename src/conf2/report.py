@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .borel import (
     SWHeight,
     Tower,
+    check_smith_gysin,
     equivariant_cochain_complex,
     equivariant_cohomology_with_alpha,
     sw_height,
@@ -28,6 +29,9 @@ from .simplicial import SimplicialComplex, builtin_triangulation, read_triangula
 from .surfaces import SurfaceKind
 
 SCHEMA = "conf2-report/1"
+# The uconf-top-degree-vanishes record of conf2-report/1 lists H^4..H^8 of
+# the unordered space; the orbit complex has no cells above degree 4.
+UCONF_TAIL_DEGREES = range(TOP_DEGREE, 9)
 
 
 @dataclass(frozen=True)
@@ -36,7 +40,6 @@ class RunConfig:
 
     surfaces: tuple[tuple[str, str], ...]
     oracle_enabled: bool = True
-    window: int = 8
     output_format: str = "json"
     paper_check: bool = False
 
@@ -47,8 +50,6 @@ class RunConfig:
         for source, _ in self.surfaces:
             if source not in ("kind", "file"):
                 raise ValueError(f"unknown surface source: {source!r}")
-        if self.window < 4:
-            raise ValueError(f"window must be at least 4, got {self.window}")
         if self.output_format not in ("json", "md", "markdown"):
             raise ValueError(f"unknown output format: {self.output_format!r}")
 
@@ -154,7 +155,7 @@ def _surface_report(source: str, value: str, cfg: RunConfig) -> SurfaceReport:
             f"{value}: Betti numbers (1, {b1}, 1) fit both orientable:{b1 // 2} "
             f"and nonorientable:{b1}; nothing to report with the oracle disabled"
         )
-    return _ambiguous_report(value, K, b1, cfg)
+    return _ambiguous_report(value, K, b1)
 
 
 def _kind_report(kind: SurfaceKind, label: str, K: SimplicialComplex | None, cfg: RunConfig) -> SurfaceReport:
@@ -170,7 +171,7 @@ def _kind_report(kind: SurfaceKind, label: str, K: SimplicialComplex | None, cfg
     if cfg.oracle_enabled:
         if K is None:
             K = builtin_triangulation(kind)
-        oracle_rows, uconf, oracle_checks = _oracle_side(K, chi, cfg.window)
+        oracle_rows, uconf, oracle_checks = _oracle_side(K, chi)
         checks.extend(oracle_checks)
         sym_dims = [r.dim for r in rows]
         ora_dims = [r.dim for r in oracle_rows]
@@ -179,7 +180,7 @@ def _kind_report(kind: SurfaceKind, label: str, K: SimplicialComplex | None, cfg
         ora_tf = [[r.t, r.f] for r in oracle_rows]
         checks.append(CheckRecord("oracle-conf-decomposition", ora_tf == sym_tf, sym_tf, ora_tf))
         expected_h = 2 if kind.family in ("sphere", "orientable") else 3
-        got_h = _height_value(uconf.height)
+        got_h = uconf.height.value
         checks.append(CheckRecord("sw-height-by-family", got_h == expected_h, expected_h, got_h))
 
     return SurfaceReport(
@@ -192,9 +193,9 @@ def _kind_report(kind: SurfaceKind, label: str, K: SimplicialComplex | None, cfg
     )
 
 
-def _ambiguous_report(label: str, K: SimplicialComplex, b1: int, cfg: RunConfig) -> SurfaceReport:
+def _ambiguous_report(label: str, K: SimplicialComplex, b1: int) -> SurfaceReport:
     chi = K.euler
-    oracle_rows, uconf, checks = _oracle_side(K, chi, cfg.window)
+    oracle_rows, uconf, checks = _oracle_side(K, chi)
     note = (
         f"Betti numbers (1, {b1}, 1) fit both orientable:{b1 // 2} and "
         f"nonorientable:{b1}; closed-form comparison skipped"
@@ -222,15 +223,14 @@ def _symbolic_checks(sym: ConfCohomology, chi: int) -> list[CheckRecord]:
     return checks
 
 
-def _oracle_side(
-    K: SimplicialComplex, chi: int, window: int
-) -> tuple[list[ConfRow], UConfSummary, list[CheckRecord]]:
+def _oracle_side(K: SimplicialComplex, chi: int) -> tuple[list[ConfRow], UConfSummary, list[CheckRecord]]:
     dp = deleted_product(K)
     conf_chi = chi * chi - chi
     checks = [CheckRecord("deleted-product-euler", dp.euler == conf_chi, conf_chi, dp.euler)]
 
     H = cohomology_f2(dp)
-    assert H.induced_involution is not None
+    if H.induced_involution is None:
+        raise RuntimeError("cohomology of the deleted product carries no induced swap")
     rows = []
     for q in range(TOP_DEGREE + 1):
         if q < len(H.dims):
@@ -244,11 +244,12 @@ def _oracle_side(
     Q = cohomology_f2(quotient, with_involution=False)
     qdims = [Q.dims[q] if q < len(Q.dims) else 0 for q in range(TOP_DEGREE + 1)]
 
-    A = equivariant_cohomology_with_alpha(equivariant_cochain_complex(dp, window))
+    A = equivariant_cohomology_with_alpha(equivariant_cochain_complex(dp, quotient), Q)
+    check_smith_gysin(A, [r.dim for r in rows], [r.f for r in rows])
     height = sw_height(A)
     dims = A.dims[: TOP_DEGREE + 1]
     checks.append(CheckRecord("uconf-dims-match-quotient", dims == qdims, qdims, dims))
-    tail = A.dims[TOP_DEGREE:]
+    tail = [A.dims[n] if n < len(A.dims) else 0 for n in UCONF_TAIL_DEGREES]
     checks.append(CheckRecord("uconf-top-degree-vanishes", not any(tail), [0] * len(tail), tail))
     coverage = [sum(1 for t in A.towers if t.start <= n < t.start + t.length) for n in range(TOP_DEGREE + 1)]
     checks.append(CheckRecord("tower-reconstruction", coverage == dims, dims, coverage))
@@ -279,7 +280,7 @@ def paper_check(report: SurfaceReport) -> list[MismatchRecord]:
         if towers is not None:
             comparisons.append(("sphere-module-head", "F_2[alpha] (no truncation)", 3, _head_length(towers)))
         if report.uconf is not None:
-            comparisons.append(("corollary-sw-height", 2, 2, _height_value(report.uconf.height)))
+            comparisons.append(("corollary-sw-height", 2, 2, report.uconf.height.value))
     elif report.kind.family == "orientable":
         g = report.kind.param
         comparisons += [
@@ -298,7 +299,7 @@ def paper_check(report: SurfaceReport) -> list[MismatchRecord]:
             if zdeg is not None:
                 comparisons.append(("theorem-1.2-z-degree", 3, 2, zdeg))
         if report.uconf is not None:
-            comparisons.append(("corollary-sw-height", 2, 2, _height_value(report.uconf.height)))
+            comparisons.append(("corollary-sw-height", 2, 2, report.uconf.height.value))
     else:
         k = report.kind.param
         comparisons += [
@@ -316,7 +317,7 @@ def paper_check(report: SurfaceReport) -> list[MismatchRecord]:
                 ("theorem-1.4-z-count", k - 1, k - 1, _tower_count(towers, length=2)),
             ]
         if report.uconf is not None:
-            comparisons.append(("corollary-sw-height", 3, 3, _height_value(report.uconf.height)))
+            comparisons.append(("corollary-sw-height", 3, 3, report.uconf.height.value))
 
     return [
         MismatchRecord(name=name, stated=stated, consistent=consistent, computed=computed)
@@ -347,10 +348,6 @@ def _length_two_start(towers: list[Tower]):
 # -- emission ----------------------------------------------------------------
 
 
-def _height_value(height: SWHeight):
-    return str(height) if height.truncated else height.value
-
-
 def _plain(value):
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
@@ -368,8 +365,8 @@ def report_to_dict(report: SurfaceReport) -> dict:
     if report.uconf is not None:
         d["uconf"] = {
             "dims": list(report.uconf.dims),
-            "towers": [_tower_dict(t) for t in report.uconf.towers],
-            "sw_height": _height_value(report.uconf.height),
+            "towers": [{"start": t.start, "len": t.length} for t in report.uconf.towers],
+            "sw_height": report.uconf.height.value,
         }
     else:
         d["uconf"] = None
@@ -389,13 +386,6 @@ def report_to_dict(report: SurfaceReport) -> dict:
         ]
     if report.notes:
         d["notes"] = list(report.notes)
-    return d
-
-
-def _tower_dict(t: Tower) -> dict:
-    d = {"start": t.start, "len": t.length}
-    if t.truncated:
-        d["truncated"] = True
     return d
 
 
@@ -460,10 +450,10 @@ def _markdown(reports: list[SurfaceReport]) -> str:
 def _grouped_towers(towers: tuple[Tower, ...]) -> str:
     if not towers:
         return "none"
-    counts = Counter((t.start, t.length, t.truncated) for t in towers)
+    counts = Counter((t.start, t.length) for t in towers)
     parts = []
-    for (start, length, truncated), n in sorted(counts.items()):
-        label = f"(start {start}, length {length}{', truncated' if truncated else ''})"
+    for (start, length), n in sorted(counts.items()):
+        label = f"(start {start}, length {length})"
         parts.append(label if n == 1 else f"{label} x{n}")
     return "; ".join(parts)
 

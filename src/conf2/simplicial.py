@@ -226,8 +226,8 @@ def parse_triangulation(text: str) -> SimplicialComplex:
 
 def read_triangulation(path) -> SimplicialComplex:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read triangulation file {path}: {exc}") from exc
     return parse_triangulation(text)
 

@@ -26,10 +26,10 @@ ALL_KINDS = (
 _CACHE: dict[str, tuple] = {}
 
 
-def _report(label: str, window: int = 8):
+def _report(label: str):
     """Run the full pipeline for one surface once, keeping its wall time."""
     if label not in _CACHE:
-        cfg = RunConfig(surfaces=(("kind", label),), window=window, paper_check=True)
+        cfg = RunConfig(surfaces=(("kind", label),), paper_check=True)
         start = time.perf_counter()
         (report,) = run_pipeline(cfg)
         elapsed = time.perf_counter() - start
@@ -49,12 +49,13 @@ def test_criterion_1_sphere():
     assert dp.euler == 2
     H = cohomology_f2(dp)
     assert H.dims[:3] == [1, 0, 1] and not any(H.dims[3:])
-    Q = cohomology_f2(quotient_complex(dp), with_involution=False)
+    quotient = quotient_complex(dp)
+    Q = cohomology_f2(quotient, with_involution=False)
     assert Q.dims[:3] == [1, 1, 1] and not any(Q.dims[3:])
-    A = equivariant_cohomology_with_alpha(equivariant_cochain_complex(dp, 8))
+    A = equivariant_cohomology_with_alpha(equivariant_cochain_complex(dp, quotient), Q)
     assert A.dims[:4] == [1, 1, 1, 0] and not any(A.dims[4:])
     height = sw_height(A)
-    assert height.value == 2 and not height.truncated
+    assert height.value == 2
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(f"criterion 1: PASS (sphere pipeline, {elapsed:.2f}s < 1s)")
@@ -75,7 +76,7 @@ def test_criterion_2_torus():
     assert sorted((t.start, t.length) for t in report.uconf.towers) == [
         (0, 3), (1, 1), (1, 1), (2, 1), (2, 2), (2, 2),
     ]
-    assert report.uconf.height.value == 2 and not report.uconf.height.truncated
+    assert report.uconf.height.value == 2
     assert elapsed < 5.0
     print(f"criterion 2: PASS (torus, {elapsed:.2f}s < 5s)")
 
@@ -86,8 +87,8 @@ def test_criterion_3_projective_plane():
     assert [(r.t, r.f) for r in report.conf] == [(1, 0), (0, 1), (0, 1), (1, 0), (0, 0)]
     assert report.uconf.dims[:4] == (1, 2, 2, 1)
     heads = [t for t in report.uconf.towers if t.start == 0]
-    assert len(heads) == 1 and heads[0].length == 4 and not heads[0].truncated
-    assert report.uconf.height.value == 3 and not report.uconf.height.truncated
+    assert len(heads) == 1 and heads[0].length == 4
+    assert report.uconf.height.value == 3
     assert elapsed < 5.0
     print(f"criterion 3: PASS (projective plane, {elapsed:.2f}s < 5s)")
 
@@ -127,7 +128,7 @@ def test_criterion_5_heights():
     for label, value in expected.items():
         report, _ = _report(label)
         height = report.uconf.height
-        assert height.value == value and not height.truncated, label
+        assert height.value == value, label
     print("criterion 5: PASS (heights 2/3 by orientability, exact)")
 
 
@@ -175,8 +176,7 @@ def test_criterion_8_stated_table_mismatches():
         "nonorientable:3": {"theorem-1.3-degree-2-free"},
     }
     for label, names in expected_sets.items():
-        window = 4 if label == "orientable:3" else 8
-        report, _ = _report(label, window=window)
+        report, _ = _report(label)
         assert report.paper_checked
         assert {m.name for m in report.discrepancies} == names, label
         for m in report.discrepancies:

@@ -1,4 +1,4 @@
-"""Equivariant pipeline: bicomplex, polynomial action, towers, height."""
+"""Equivariant pipeline: transfer sequence, polynomial action, towers, height."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from conf2.borel import (
     AlphaModule,
     SWHeight,
     Tower,
+    check_smith_gysin,
     equivariant_cochain_complex,
     equivariant_cohomology_with_alpha,
     module_decompose,
@@ -16,6 +17,16 @@ from conf2.cells import CellComplex, cohomology_f2, deleted_product, quotient_co
 from conf2.gf2 import Mat2, rank
 from conf2.simplicial import SimplicialComplex, builtin_triangulation
 from conf2.surfaces import SurfaceKind
+
+
+def borel_module(C: CellComplex):
+    """The alpha-module of a free involution through its orbit complex."""
+    Q = quotient_complex(C)
+    phi = equivariant_cochain_complex(C, Q)
+    return equivariant_cohomology_with_alpha(phi, cohomology_f2(Q, with_involution=False))
+
+
+POINT = CellComplex([["p"]], [Mat2.zeros(0, 1)])
 
 
 def antipodal_circle() -> CellComplex:
@@ -30,25 +41,17 @@ def antipodal_circle() -> CellComplex:
 
 def test_point_pair_has_contractible_quotient():
     C = deleted_product(SimplicialComplex(2, [(0, 1)]))
-    module = equivariant_cohomology_with_alpha(equivariant_cochain_complex(C, 4))
-    assert module.dims == [1, 0, 0, 0, 0]
+    module = borel_module(C)
+    assert module.dims == [1, 0, 0]
     assert module.towers == [Tower(0, 1)]
     assert str(sw_height(module)) == "0"
 
 
 def test_antipodal_circle_gives_circle():
-    module = equivariant_cohomology_with_alpha(
-        equivariant_cochain_complex(antipodal_circle(), 4)
-    )
-    assert module.dims == [1, 1, 0, 0, 0]
+    module = borel_module(antipodal_circle())
+    assert module.dims == [1, 1]
     assert module.towers == [Tower(0, 2)]
     assert sw_height(module).value == 1
-
-
-def test_window_below_four_rejected():
-    C = deleted_product(SimplicialComplex(2, [(0, 1)]))
-    with pytest.raises(ValueError):
-        equivariant_cochain_complex(C, 3)
 
 
 def test_fixed_point_action_rejected():
@@ -58,29 +61,27 @@ def test_fixed_point_action_rejected():
         involution=[np.array([0, 1])],
     )
     with pytest.raises(ValueError):
-        equivariant_cochain_complex(fixed, 4)
+        equivariant_cochain_complex(fixed, POINT)
 
 
 def test_missing_involution_rejected():
-    C = CellComplex([["p"]], [Mat2.zeros(0, 1)])
     with pytest.raises(ValueError):
-        equivariant_cochain_complex(C, 4)
+        equivariant_cochain_complex(POINT, POINT)
 
 
 def test_sphere_borel_module():
     C = deleted_product(builtin_triangulation(SurfaceKind.sphere()))
-    module = equivariant_cohomology_with_alpha(equivariant_cochain_complex(C, 8))
-    assert module.dims == [1, 1, 1, 0, 0, 0, 0, 0, 0]
+    module = borel_module(C)
+    assert module.dims == [1, 1, 1, 0, 0]
     assert [rank(m) for m in module.alpha_maps[:3]] == [1, 1, 0]
     assert module.towers == [Tower(0, 3)]
-    height = sw_height(module)
-    assert height.value == 2 and not height.truncated
+    assert sw_height(module).value == 2
 
 
 def test_torus_borel_module():
     C = deleted_product(builtin_triangulation(SurfaceKind.orientable(1)))
-    module = equivariant_cohomology_with_alpha(equivariant_cochain_complex(C, 8))
-    assert module.dims == [1, 3, 4, 2, 0, 0, 0, 0, 0]
+    module = borel_module(C)
+    assert module.dims == [1, 3, 4, 2, 0]
     assert module.towers == [
         Tower(0, 3),
         Tower(1, 1),
@@ -94,49 +95,68 @@ def test_torus_borel_module():
 
 def test_projective_plane_borel_module():
     C = deleted_product(builtin_triangulation(SurfaceKind.nonorientable(1)))
-    module = equivariant_cohomology_with_alpha(equivariant_cochain_complex(C, 8))
-    assert module.dims == [1, 2, 2, 1, 0, 0, 0, 0, 0]
+    module = borel_module(C)
+    assert module.dims == [1, 2, 2, 1, 0]
     assert module.towers == [Tower(0, 4), Tower(1, 1), Tower(2, 1)]
-    height = sw_height(module)
-    assert height.value == 3 and not height.truncated
+    assert sw_height(module).value == 3
 
 
 def test_module_dims_match_quotient_betti():
     for kind in (SurfaceKind.sphere(), SurfaceKind.orientable(1), SurfaceKind.nonorientable(1)):
         C = deleted_product(builtin_triangulation(kind))
-        module = equivariant_cohomology_with_alpha(equivariant_cochain_complex(C, 6))
         quotient = cohomology_f2(quotient_complex(C), with_involution=False)
-        padded = quotient.dims + [0] * (len(module.dims) - len(quotient.dims))
-        assert module.dims == padded
+        assert borel_module(C).dims == quotient.dims
 
 
 def test_euler_identity_on_module():
     for kind in (SurfaceKind.sphere(), SurfaceKind.orientable(1), SurfaceKind.nonorientable(1)):
         chi = kind.euler
         C = deleted_product(builtin_triangulation(kind))
-        module = equivariant_cohomology_with_alpha(equivariant_cochain_complex(C, 6))
-        assert module.euler == (chi * chi - chi) // 2
+        assert borel_module(C).euler == (chi * chi - chi) // 2
+
+
+def test_connecting_map_rejects_a_relabelled_quotient():
+    C = deleted_product(builtin_triangulation(SurfaceKind.orientable(1)))
+    Q = quotient_complex(C)
+    order = np.arange(Q.n_cells(0))[::-1]
+    relabelled = CellComplex(
+        [Q.cells[0][::-1]] + Q.cells[1:],
+        [Q.boundaries[0], Mat2.from_dense(Q.boundaries[1].to_dense()[order])] + Q.boundaries[2:],
+    )
+    with pytest.raises(RuntimeError):
+        equivariant_cochain_complex(C, relabelled)
+
+
+def test_alpha_rejects_an_image_off_the_cocycles():
+    C = deleted_product(builtin_triangulation(SurfaceKind.sphere()))
+    Q = quotient_complex(C)
+    phi = equivariant_cochain_complex(C, Q)
+    # the unit cocycle goes to a single edge, and an edge of a triangle is no cocycle
+    bad = np.zeros(phi[0].shape, dtype=np.uint8)
+    bad[0, 0] = 1
+    with pytest.raises(RuntimeError):
+        equivariant_cohomology_with_alpha([Mat2.from_dense(bad)] + phi[1:], cohomology_f2(Q, with_involution=False))
+
+
+def test_smith_gysin_check_rejects_wrong_counts():
+    module = borel_module(deleted_product(builtin_triangulation(SurfaceKind.orientable(1))))
+    dims, free = [1, 4, 5, 2, 0], [0, 2, 1, 0, 0]
+    check_smith_gysin(module, dims, free)
+    with pytest.raises(RuntimeError):
+        check_smith_gysin(module, [1, 4, 6, 2, 0], free)
+    with pytest.raises(RuntimeError):
+        check_smith_gysin(module, dims, [0, 1, 1, 0, 0])
 
 
 def test_decompose_full_tower():
     maps = [Mat2.identity(1), Mat2.identity(1), Mat2.zeros(0, 1), Mat2.zeros(0, 0)]
-    module = AlphaModule(window=4, dims=[1, 1, 1, 0, 0], alpha_maps=maps)
+    module = AlphaModule(dims=[1, 1, 1, 0, 0], alpha_maps=maps)
     assert module_decompose(module) == [Tower(0, 3)]
-
-
-def test_decompose_flags_window_edge():
-    maps = [Mat2.identity(1) for _ in range(4)]
-    module = AlphaModule(window=4, dims=[1, 1, 1, 1, 1], alpha_maps=maps)
-    towers = module_decompose(module)
-    assert towers == [Tower(0, 5, truncated=True)]
-    height = sw_height(module)
-    assert height.truncated and height.value == 4
-    assert str(height) == ">=4"
 
 
 def test_decompose_rejects_inconsistent_maps():
     # the map claims rank two out of a one-dimensional degree
-    module = AlphaModule(window=4, dims=[1, 1, 0, 0, 0], alpha_maps=[
+    module = AlphaModule(dims=[1, 1, 0, 0, 0], alpha_maps=[
         Mat2.identity(2),
         Mat2.zeros(0, 2),
         Mat2.zeros(0, 0),
@@ -147,7 +167,7 @@ def test_decompose_rejects_inconsistent_maps():
 
 
 def test_height_requires_connected_degree_zero():
-    module = AlphaModule(window=4, dims=[2, 0, 0, 0, 0], alpha_maps=[
+    module = AlphaModule(dims=[2, 0, 0, 0, 0], alpha_maps=[
         Mat2.zeros(0, 2), Mat2.zeros(0, 0), Mat2.zeros(0, 0), Mat2.zeros(0, 0),
     ])
     with pytest.raises(ValueError):

@@ -48,11 +48,6 @@ def test_config_requires_surfaces():
         RunConfig(surfaces=())
 
 
-def test_config_requires_window_at_least_four():
-    with pytest.raises(ValueError):
-        RunConfig(surfaces=(("kind", "sphere"),), window=3)
-
-
 def test_config_rejects_unknown_format():
     with pytest.raises(ValueError):
         RunConfig(surfaces=(("kind", "sphere"),), output_format="xml")
@@ -71,7 +66,7 @@ def test_sphere_report_values(sphere_reports):
     assert r.error is None
     assert [row.dim for row in r.conf] == [1, 0, 1, 0, 0]
     assert r.uconf.dims == (1, 1, 1, 0, 0)
-    assert r.uconf.height.value == 2 and not r.uconf.height.truncated
+    assert r.uconf.height.value == 2
     assert all(c.passed for c in r.checks)
 
 
@@ -119,6 +114,22 @@ def test_unreadable_file_is_error_record(tmp_path):
     reports = _run(("file", missing))
     assert reports[0].error is not None and missing in reports[0].error
     assert exit_code(reports) == 2
+
+
+def test_non_utf8_file_error_names_the_file(tmp_path):
+    path = tmp_path / "binary.tri"
+    path.write_bytes(b"vertices 4\n\xff\xfe f 0 1 2\n")
+    (r,) = _run(("file", str(path)))
+    assert r.error is not None and str(path) in r.error
+
+
+def test_missing_induced_swap_is_error_record(monkeypatch):
+    from conf2 import report as report_module
+
+    plain = report_module.cohomology_f2
+    monkeypatch.setattr(report_module, "cohomology_f2", lambda C, with_involution=True: plain(C, False))
+    (r,) = _run(("kind", "sphere"))
+    assert r.error is not None and "induced swap" in r.error
 
 
 def test_open_surface_file_rejected(tmp_path):
@@ -361,7 +372,11 @@ def test_cli_requires_surfaces():
     assert exc.value.code == 2
 
 
-def test_cli_rejects_small_window():
-    with pytest.raises(SystemExit) as exc:
-        main(["--surface", "sphere", "--window", "3"])
-    assert exc.value.code == 2
+def test_cli_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "r.json"
+    code = main(["--surface", "sphere", "--no-oracle", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("conf2: ") and str(target) in lines[0]
