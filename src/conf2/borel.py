@@ -1,15 +1,18 @@
-"""The alpha-action of a free involution from its transfer sequence; towers.
+"""The alpha-action of the swap on the orbit complex, from its transfer sequence; towers.
 
-For a complex C with a free involution and orbit complex Q, pulling back
-along the quotient map and summing over each orbit give the exact
-sequence 0 -> C*(Q) -> C*(C) -> C*(Q) -> 0.  Over F2 its connecting map
-H^n(Q) -> H^{n+1}(Q) is multiplication by alpha, the first
-Stiefel-Whitney class of the double cover.  On cochains it is Phi_n: lift
-a Q-cochain onto one representative cell per orbit, take the coboundary
-in C, and read the result back on the representatives.  Composite ranks
-of alpha cut H*(Q) into truncated polynomial towers, whose head tower
-measures the height.  Q has no cells above its top dimension, so the
-towers are exact.
+For the deleted product dp of a triangulation K and its orbit complex Q,
+pulling back along the quotient map and summing over each orbit give
+the exact sequence 0 -> C*(Q) -> C*(dp) -> C*(Q) -> 0.  Over F2 its
+connecting map H^n(Q) -> H^{n+1}(Q) is multiplication by alpha, the
+first Stiefel-Whitney class of the double cover.  On cochains it is
+Phi_n: lift a Q-cochain onto the representative pair (s, t) of each
+orbit, take the coboundary in dp, and read the result back on the
+representatives.  Q's cells are those representatives, so Phi comes
+from Q alone.  Composite ranks of alpha cut H*(Q) into truncated
+polynomial towers, whose head tower measures the height; Q has no cells
+above its top dimension, so the towers are exact.  Exactness also gives
+the cohomology of dp with its swap (`cover_counts`), and the norm map
+from H*(K) x H*(K) checks alpha without using Phi (`check_norm_map`).
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import CellComplex, CohomologyResult, orbit_representatives
+from .cells import CellComplex, CohomologyResult, product_faces
 from .gf2 import Mat2, rank, solve_many
+from .simplicial import SimplicialComplex
 
 __all__ = [
     "AlphaModule",
@@ -27,7 +31,8 @@ __all__ = [
     "SWHeight",
     "equivariant_cochain_complex",
     "equivariant_cohomology_with_alpha",
-    "check_smith_gysin",
+    "cover_counts",
+    "check_norm_map",
     "module_decompose",
     "sw_height",
 ]
@@ -68,22 +73,26 @@ class SWHeight:
         return str(self.value)
 
 
-def equivariant_cochain_complex(C: CellComplex, Q: CellComplex) -> list[Mat2]:
+def equivariant_cochain_complex(Q: CellComplex) -> list[Mat2]:
     """Connecting maps Phi_n : C^n(Q) -> C^{n+1}(Q) of the transfer sequence.
 
-    Q is the orbit complex `quotient_complex(C)`.  Entry n is the boundary
-    of C restricted to the degree-n representative rows and the
-    degree-(n+1) representative columns, so a row cochain z maps to
-    z.mul(entry n).  Raises ValueError when the involution of C is
-    missing or has a fixed cell, and RuntimeError when Phi fails to
-    commute with the coboundary of Q.
+    Q is `quotient_complex(K)`, whose cells are the representative pairs
+    (s, t).  Entry n has a 1 in row i, column j when the degree-n
+    representative i is itself a face of the degree-(n+1) representative
+    j, so a row cochain z maps to z.mul(entry n).  Raises RuntimeError
+    when Phi fails to commute with the coboundary of Q.
     """
-    reps = orbit_representatives(C)
-    phi = [
-        Mat2.from_dense(C.boundaries[n + 1].to_dense()[np.ix_(reps[n], reps[n + 1])])
-        for n in range(C.top_dim)
-    ]
-    for n in range(C.top_dim - 1):
+    phi = []
+    for n in range(Q.top_dim):
+        index = {c: i for i, c in enumerate(Q.cells[n])}
+        rows, cols = [], []
+        for j, (s, t) in enumerate(Q.cells[n + 1]):
+            for face in product_faces(s, t):
+                if face in index:
+                    rows.append(index[face])
+                    cols.append(j)
+        phi.append(Mat2.from_entries(Q.n_cells(n), Q.n_cells(n + 1), rows, cols))
+    for n in range(Q.top_dim - 1):
         if phi[n].mul(Q.boundaries[n + 2]) != Q.boundaries[n + 1].mul(phi[n + 1]):
             raise RuntimeError(f"connecting map fails to commute with the coboundary at degree {n}")
     return phi
@@ -159,28 +168,71 @@ def module_decompose(A: AlphaModule) -> list[Tower]:
     return sorted(towers, key=lambda t: (t.start, t.length))
 
 
-def check_smith_gysin(A: AlphaModule, cover_dims: list[int], free: list[int]) -> None:
-    """Raise RuntimeError unless the cover's cohomology fits the transfer sequence.
+def cover_counts(A: AlphaModule) -> list[tuple[int, int]]:
+    """Per degree n, dim H^n of the double cover and its free summands under the deck swap.
 
-    Exactness gives, with a_n the rank of alpha_n,
-    dim H^n(cover) = 2 dim H^n(Q) - a_{n-1} - a_n, and the number of free
-    summands of H^n(cover) under the involution equals the number of
-    towers of length one starting in degree n.
+    Exactness of the transfer sequence gives, with a_n the rank of
+    alpha_n, dim H^n(cover) = 2 dim H^n(Q) - a_{n-1} - a_n.  The free
+    summands of H^n(cover) are the image of the norm, the towers of
+    length one starting in degree n.
     """
     r = _rank_lookup(A)
-    for n, h in enumerate(A.dims):
-        expected = 2 * h - r(n - 1, 1) - r(n, 1)
-        if cover_dims[n] != expected:
+    return [
+        (2 * h - r(n - 1, 1) - r(n, 1), sum(1 for t in A.towers if t.start == n and t.length == 1))
+        for n, h in enumerate(A.dims)
+    ]
+
+
+def check_norm_map(
+    K: SimplicialComplex, HK: CohomologyResult, Q: CellComplex, HQ: CohomologyResult, A: AlphaModule
+) -> list[int]:
+    """Per degree, the rank of the norm classes; RuntimeError unless they span ker alpha.
+
+    HK is the cohomology of `simplicial_cell_complex(K)`, Q the orbit
+    complex and HQ its cohomology.  Cocycles a, b of K give the Q-cochain
+    {s, t} -> a(s)b(t) + a(t)b(s), the transfer of the cross product a x b
+    restricted to the deleted product.  Restriction from K x K onto the
+    deleted product is onto in cohomology and the image of the transfer
+    is ker alpha, so these classes span ker alpha_n in every degree n.
+    Each one is solved against the cocycle and coboundary bases of HQ;
+    no solution means it is no cocycle.  Phi is not used.
+    """
+    r = _rank_lookup(A)
+    reps = [HK.cocycle_basis[p].to_dense() for p in range(len(HK.dims))]
+    ranks = [0] * len(Q.cells)
+    for n, cells in enumerate(Q.cells):
+        if not cells:
+            continue
+        ds = np.array([len(s) - 1 for s, _ in cells])
+        si = np.array([K.simplex_index(s) for s, _ in cells])
+        ti = np.array([K.simplex_index(t) for _, t in cells])
+        blocks = []
+        # norm(a, b) = norm(b, a) and norm(a, a) = 0: take p <= n - p, and i < j when p = n - p.
+        for p in range(max(0, n - len(reps) + 1), n // 2 + 1):
+            a, b = reps[p], reps[n - p]
+            norm = np.zeros((len(a), len(b), len(cells)), dtype=np.uint8)
+            here = ds == p  # a on s, b on t
+            norm[:, :, here] ^= a[:, None, si[here]] & b[None, :, ti[here]]
+            swapped = ds == n - p  # a on t, b on s
+            norm[:, :, swapped] ^= a[:, None, ti[swapped]] & b[None, :, si[swapped]]
+            if p == n - p:
+                blocks.append(norm[np.triu_indices(len(a), k=1)])
+            else:
+                blocks.append(norm.reshape(-1, len(cells)))
+        system = Mat2.vstack([HQ.cocycle_basis[n], HQ.coboundary_basis[n]]).transpose()
+        sols = solve_many(system, Mat2.from_dense(np.vstack(blocks)))
+        if any(sol is None for sol in sols):
+            raise RuntimeError(f"a norm class of degree {n} is not a cocycle of the orbit complex")
+        classes = np.array([sol[: HQ.dims[n]] for sol in sols], dtype=np.uint8)
+        got = rank(Mat2.from_dense(classes.reshape(len(sols), HQ.dims[n])))
+        expected = HQ.dims[n] - r(n, 1)
+        if got != expected:
             raise RuntimeError(
-                f"Smith-Gysin count fails in degree {n}: cover has dimension {cover_dims[n]}, "
-                f"the transfer sequence gives {expected}"
+                f"norm map check fails in degree {n}: the norm classes span {got} dimensions, "
+                f"ker alpha has {expected}"
             )
-        singles = sum(1 for t in A.towers if t.start == n and t.length == 1)
-        if free[n] != singles:
-            raise RuntimeError(
-                f"Smith-Gysin free count fails in degree {n}: {free[n]} free summands, "
-                f"{singles} towers of length one"
-            )
+        ranks[n] = got
+    return ranks
 
 
 def sw_height(A: AlphaModule) -> SWHeight:

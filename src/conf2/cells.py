@@ -1,10 +1,12 @@
-"""Cell complexes over F2: deleted products, cohomology, quotients.
+"""Cell complexes over F2: orbit complexes, deleted products, cohomology.
 
 The deleted product of a triangulated surface has one cell per ordered
-pair of disjoint simplices; the factor swap is a cellwise free
-involution.  Cohomology is computed with explicit cocycle
-representatives so the involution can be pushed onto cohomology and the
-quotient complex gives an independent count for the unordered space.
+pair of disjoint simplices, and the factor swap is a cellwise free
+involution.  Its orbit complex Q, with one cell per unordered pair, is
+what the oracle computes with: `quotient_complex` builds it straight
+from the triangulation.  Cohomology is computed with explicit cocycle
+representatives.  The deleted product itself, with the swap pushed onto
+its cohomology, stays as the reference route the tests compare with.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from .simplicial import SimplicialComplex
 __all__ = [
     "CellComplex",
     "CohomologyResult",
+    "product_faces",
+    "quotient_complex",
     "deleted_product",
+    "deleted_product_euler",
+    "simplicial_cell_complex",
     "cohomology_f2",
     "induced_involution",
-    "orbit_representatives",
-    "quotient_complex",
 ]
 
 
@@ -67,8 +71,10 @@ class CellComplex:
                 if n and not np.array_equal(perm[perm], np.arange(n)):
                     raise ValueError(f"involution at dimension {d} does not square to the identity")
             for d in range(1, len(self.cells)):
-                Bd = self.boundaries[d].to_dense()
-                if not np.array_equal(Bd[:, involution[d]], Bd[involution[d - 1], :]):
+                # The ones of the boundary, as a set, must be fixed by the involution on rows and columns.
+                i, j = self.boundaries[d].entries()
+                moved = np.sort(involution[d - 1][i] * len(self.cells[d]) + involution[d][j])
+                if not np.array_equal(moved, i * len(self.cells[d]) + j):
                     raise RuntimeError(f"involution does not commute with the boundary at dimension {d}")
             self.involution = involution
 
@@ -100,49 +106,107 @@ class CellComplex:
         return f"CellComplex(counts={self.cell_counts()}, involution={self.involution is not None})"
 
 
+def product_faces(s: tuple, t: tuple) -> list[tuple]:
+    """Codimension-one faces of the product cell s x t, as ordered pairs.
+
+    Over F2 no signs appear: the faces are (f, t) for each facet f of s
+    and (s, f) for each facet f of t; a vertex factor has none.
+    """
+    faces = [(f, t) for f in combinations(s, len(s) - 1)] if len(s) > 1 else []
+    if len(t) > 1:
+        faces.extend((s, f) for f in combinations(t, len(t) - 1))
+    return faces
+
+
+def _top_dim(K: SimplicialComplex) -> int:
+    return max((len(f) for f in K.facets), default=1) - 1
+
+
+def _disjoint_pairs(K: SimplicialComplex, d: int):
+    """Ordered pairs (s, t) of disjoint simplices with dim s + dim t = d.
+
+    Listed by (dim s, index s, index t), the cell order of the deleted
+    product.
+    """
+    top = _top_dim(K)
+    for ds in range(max(0, d - top), min(d, top) + 1):
+        for s in K.simplices(ds):
+            sset = set(s)
+            for t in K.simplices(d - ds):
+                if sset.isdisjoint(t):
+                    yield s, t
+
+
+def _pair_boundaries(cells: list[list[tuple]]) -> list[Mat2]:
+    """Boundary matrices of pair cells by the product face rule.
+
+    A face (a, b) that is not a cell of the degree below is looked up as
+    (b, a), which folds the faces of a deleted product onto swap orbits.
+    """
+    index = {c: i for level in cells for i, c in enumerate(level)}
+    boundaries = [Mat2.zeros(0, len(cells[0]))]
+    for d in range(1, len(cells)):
+        rows, cols = [], []
+        for j, (s, t) in enumerate(cells[d]):
+            for a, b in product_faces(s, t):
+                rows.append(index[(a, b)] if (a, b) in index else index[(b, a)])
+                cols.append(j)
+        boundaries.append(Mat2.from_entries(len(cells[d - 1]), len(cells[d]), rows, cols))
+    return boundaries
+
+
+def quotient_complex(K: SimplicialComplex) -> CellComplex:
+    """Orbit complex of the deleted product, built from K alone.
+
+    One cell per unordered pair {s, t} of disjoint simplices, stored as
+    the ordered pair with (dim s, index s) < (dim t, index t): the member
+    of its swap orbit the deleted product lists first.  The boundary of
+    a cell is the image of the product-cell boundary, each face replaced
+    by its orbit.  Cells and boundaries equal the orbit complex of
+    `deleted_product(K)` under its swap.  Computing cohomology of the
+    result gives the unordered-space Betti numbers.
+    """
+
+    def first(s, t) -> bool:
+        return (len(s), K.simplex_index(s)) < (len(t), K.simplex_index(t))
+
+    cells = [
+        [(s, t) for s, t in _disjoint_pairs(K, d) if first(s, t)] for d in range(2 * _top_dim(K) + 1)
+    ]
+    return CellComplex(cells, _pair_boundaries(cells))
+
+
+def deleted_product_euler(K: SimplicialComplex) -> int:
+    """Euler characteristic of the deleted product, counted over all ordered disjoint pairs of K."""
+    simplices = [s for d in range(_top_dim(K) + 1) for s in K.simplices(d)]
+    return sum((-1) ** (len(s) + len(t)) for s in simplices for t in simplices if set(s).isdisjoint(t))
+
+
 def deleted_product(K: SimplicialComplex) -> CellComplex:
     """Cells are ordered pairs of disjoint simplices; swap is free.
 
-    The boundary of a product cell is the product rule applied to the
-    two factors; over F2 no signs appear.
+    The reference route: the oracle runs on `quotient_complex(K)`, which
+    never builds this complex.
     """
-    top = max((len(f) for f in K.facets), default=1) - 1
-    total = 2 * top
-    cells: list[list[tuple]] = []
-    index: list[dict] = []
-    for d in range(total + 1):
-        level = []
-        for ds in range(min(d, top) + 1):
-            dt = d - ds
-            if dt > top:
-                continue
-            for s in K.simplices(ds):
-                sset = set(s)
-                for t in K.simplices(dt):
-                    if sset.isdisjoint(t):
-                        level.append((s, t))
-        cells.append(level)
-        index.append({c: i for i, c in enumerate(level)})
-    boundaries = [Mat2.zeros(0, len(cells[0]))]
-    for d in range(1, total + 1):
-        dense = np.zeros((len(cells[d - 1]), len(cells[d])), dtype=np.uint8)
-        prev = index[d - 1]
-        for j, (s, t) in enumerate(cells[d]):
-            if len(s) > 1:
-                for face in combinations(s, len(s) - 1):
-                    dense[prev[(face, t)], j] ^= 1
-            if len(t) > 1:
-                for face in combinations(t, len(t) - 1):
-                    dense[prev[(s, face)], j] ^= 1
-        boundaries.append(Mat2.from_dense(dense))
+    cells = [list(_disjoint_pairs(K, d)) for d in range(2 * _top_dim(K) + 1)]
+    index = [{c: i for i, c in enumerate(level)} for level in cells]
     involution = [
         np.array([index[d][(t, s)] for (s, t) in cells[d]], dtype=np.int64)
-        for d in range(total + 1)
+        for d in range(len(cells))
     ]
-    out = CellComplex(cells, boundaries, involution)
+    out = CellComplex(cells, _pair_boundaries(cells), involution)
     if not out.is_free():
         raise RuntimeError("deleted product involution has a fixed cell")
     return out
+
+
+def simplicial_cell_complex(K: SimplicialComplex) -> CellComplex:
+    """K as a cell complex: cells are its simplices in K's own order."""
+    top = _top_dim(K)
+    cells = [K.simplices(d) for d in range(top + 1)]
+    boundaries = [Mat2.zeros(0, len(cells[0]))]
+    boundaries.extend(K.boundary_matrix(d) for d in range(1, top + 1))
+    return CellComplex(cells, boundaries)
 
 
 @dataclass
@@ -165,8 +229,8 @@ class CohomologyResult:
         return sum((-1) ** d * n for d, n in enumerate(self.dims))
 
 
-def cohomology_f2(C: CellComplex, with_involution: bool = True) -> CohomologyResult:
-    """Cohomology over F2 with representative cocycles per degree."""
+def cohomology_f2(C: CellComplex) -> CohomologyResult:
+    """Cohomology over F2 with representative cocycles per degree, and the induced swap when C has one."""
     dims: list[int] = []
     reps: list[Mat2] = []
     cobs: list[Mat2] = []
@@ -187,7 +251,7 @@ def cohomology_f2(C: CellComplex, with_involution: bool = True) -> CohomologyRes
         reps.append(rep)
         cobs.append(cob)
     result = CohomologyResult(dims=dims, cocycle_basis=reps, coboundary_basis=cobs)
-    if with_involution and C.involution is not None:
+    if C.involution is not None:
         result.induced_involution = induced_involution(C, result)
     return result
 
@@ -229,42 +293,3 @@ def induced_involution(C: CellComplex, H: CohomologyResult) -> list[Mat2]:
     return out
 
 
-def orbit_representatives(C: CellComplex) -> list[np.ndarray]:
-    """Per dimension, the cells i with i < involution(i), ascending.
-
-    One cell of each orbit of a free involution; the orbit complex and
-    the transfer sequence both number the orbits in this order.  Raises
-    ValueError without an involution or on a fixed cell.
-    """
-    if C.involution is None:
-        raise ValueError("complex has no involution")
-    reps = []
-    for d, perm in enumerate(C.involution):
-        ids = np.arange(len(perm))
-        if np.any(perm == ids):
-            raise ValueError(f"free action violated: fixed cell in dimension {d}")
-        reps.append(np.flatnonzero(ids < perm))
-    return reps
-
-
-def quotient_complex(C: CellComplex) -> CellComplex:
-    """One cell per involution orbit; boundary descends orbitwise.
-
-    Requires a fixed-point-free involution; computing cohomology of the
-    result gives the unordered-space Betti numbers.
-    """
-    rep_lists = orbit_representatives(C)
-    orbit_of: list[np.ndarray] = []
-    for perm, reps in zip(C.involution, rep_lists):
-        idx = np.empty(len(perm), dtype=np.int64)
-        idx[reps] = np.arange(len(reps))
-        idx[perm[reps]] = np.arange(len(reps))
-        orbit_of.append(idx)
-    cells = [[C.cells[d][i] for i in rep_lists[d]] for d in range(C.top_dim + 1)]
-    boundaries = [Mat2.zeros(0, len(cells[0]))]
-    for d in range(1, C.top_dim + 1):
-        dense = C.boundaries[d].to_dense()[:, rep_lists[d]]
-        acc = np.zeros((len(cells[d - 1]), dense.shape[1]), dtype=np.int64)
-        np.add.at(acc, orbit_of[d - 1], dense)
-        boundaries.append(Mat2.from_dense((acc & 1).astype(np.uint8)))
-    return CellComplex(cells, boundaries)

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _ONE = np.uint64(1)
+# Rows `Mat2.transpose` unpacks at once; a multiple of 64, so each block fills whole words.
+_TRANSPOSE_ROWS = 1024
 
 
 def _word_count(cols: int) -> int:
@@ -90,6 +92,16 @@ class Mat2:
         return cls(arr.shape[0], arr.shape[1], _pack_dense(arr))
 
     @classmethod
+    def from_entries(cls, rows: int, cols: int, i, j) -> "Mat2":
+        """The sum of the unit matrices at (i[k], j[k]): a position listed an even number of times is 0."""
+        m = cls(rows, cols)
+        flat = np.asarray(i, dtype=np.int64) * cols + np.asarray(j, dtype=np.int64)
+        pos, count = np.unique(flat, return_counts=True)
+        r, c = np.divmod(pos[count & 1 == 1], max(cols, 1))
+        np.bitwise_or.at(m.words, (r, c >> 6), _ONE << (c & 63).astype(np.uint64))
+        return m
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "Mat2":
         rows = [list(r) for r in rows]
         if cols is None:
@@ -136,6 +148,13 @@ class Mat2:
         bits = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
         return np.ascontiguousarray(bits[:, : self.cols])
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the ones, in row-major order; only nonzero words are unpacked."""
+        wi, wj = np.nonzero(self.words)
+        bits = np.unpackbits(self.words[wi, wj].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+        k, b = np.nonzero(bits)
+        return wi[k].astype(np.int64), wj[k].astype(np.int64) * 64 + b
+
     def take_rows(self, idx) -> "Mat2":
         idx = list(idx)
         return Mat2(len(idx), self.cols, self.words[idx].copy())
@@ -169,7 +188,13 @@ class Mat2:
         return Mat2(self.rows, self.cols, self.words ^ other.words)
 
     def transpose(self) -> "Mat2":
-        return Mat2.from_dense(self.to_dense().T)
+        """Unpacks `_TRANSPOSE_ROWS` rows at a time, so no dense copy of the whole matrix is made."""
+        out = Mat2(self.cols, self.rows)
+        for lo in range(0, self.rows, _TRANSPOSE_ROWS):
+            block = self.words[lo : lo + _TRANSPOSE_ROWS]
+            bits = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little")[:, : self.cols]
+            out.words[:, lo >> 6 : (lo >> 6) + _word_count(len(block))] = _pack_dense(bits.T)
+        return out
 
     def mul(self, other: "Mat2") -> "Mat2":
         """Matrix product over F2."""

@@ -3,10 +3,13 @@
 Runs the closed-form computation over a list of surfaces, optionally the
 triangulation-based oracle next to it, records named pass/fail checks
 for everything the two sides can compare, and renders the result as JSON
-or markdown.  `paper_check` additionally compares the computed
-multiplicities against the stated classification tables, encoded both as
-printed and as the accompanying generator lists imply; disagreements
-become first-class mismatch records, never silent corrections.
+or markdown.  The oracle works on the orbit complex Q of the deleted
+product alone: the unordered space is H*(Q) with alpha, and the ordered
+space's rows come from the transfer sequence.  `paper_check`
+additionally compares the computed multiplicities against the stated
+classification tables, encoded both as printed and as the accompanying
+generator lists imply; disagreements become first-class mismatch
+records, never silent corrections.
 """
 
 from __future__ import annotations
@@ -18,13 +21,20 @@ from dataclasses import dataclass, field
 from .borel import (
     SWHeight,
     Tower,
-    check_smith_gysin,
+    check_norm_map,
+    cover_counts,
     equivariant_cochain_complex,
     equivariant_cohomology_with_alpha,
     sw_height,
 )
-from .cells import cohomology_f2, deleted_product, quotient_complex
-from .conf_symbolic import TOP_DEGREE, ConfCohomology, conf_cohomology, kernel_ideal_check, rep_decompose
+from .cells import (
+    cohomology_f2,
+    deleted_product,  # not run here; kept importable under its traced name
+    deleted_product_euler,
+    quotient_complex,
+    simplicial_cell_complex,
+)
+from .conf_symbolic import TOP_DEGREE, ConfCohomology, conf_cohomology, kernel_ideal_check
 from .simplicial import SimplicialComplex, builtin_triangulation, read_triangulation, validate_surface
 from .surfaces import SurfaceKind
 
@@ -224,28 +234,27 @@ def _symbolic_checks(sym: ConfCohomology, chi: int) -> list[CheckRecord]:
 
 
 def _oracle_side(K: SimplicialComplex, chi: int) -> tuple[list[ConfRow], UConfSummary, list[CheckRecord]]:
-    dp = deleted_product(K)
+    """Conf rows, the unordered summary and the oracle's check records for a triangulation.
+
+    The deleted product is never built: its Euler characteristic is
+    counted from K's disjoint pairs.  Failed checks that raise (the
+    connecting map, alpha, the norm map) become the surface's error
+    record.
+    """
     conf_chi = chi * chi - chi
-    checks = [CheckRecord("deleted-product-euler", dp.euler == conf_chi, conf_chi, dp.euler)]
+    dp_euler = deleted_product_euler(K)
+    checks = [CheckRecord("deleted-product-euler", dp_euler == conf_chi, conf_chi, dp_euler)]
 
-    H = cohomology_f2(dp)
-    if H.induced_involution is None:
-        raise RuntimeError("cohomology of the deleted product carries no induced swap")
-    rows = []
-    for q in range(TOP_DEGREE + 1):
-        if q < len(H.dims):
-            dec = rep_decompose(H.dims[q], H.induced_involution[q])
-            rows.append(ConfRow(q, H.dims[q], dec.t, dec.f))
-        else:
-            rows.append(ConfRow(q, 0, 0, 0))
-
-    quotient = quotient_complex(dp)
+    quotient = quotient_complex(K)
     checks.append(CheckRecord("quotient-euler-halves", quotient.euler == conf_chi // 2, conf_chi // 2, quotient.euler))
-    Q = cohomology_f2(quotient, with_involution=False)
+    Q = cohomology_f2(quotient)
     qdims = [Q.dims[q] if q < len(Q.dims) else 0 for q in range(TOP_DEGREE + 1)]
 
-    A = equivariant_cohomology_with_alpha(equivariant_cochain_complex(dp, quotient), Q)
-    check_smith_gysin(A, [r.dim for r in rows], [r.f for r in rows])
+    A = equivariant_cohomology_with_alpha(equivariant_cochain_complex(quotient), Q)
+    check_norm_map(K, cohomology_f2(simplicial_cell_complex(K)), quotient, Q, A)
+    # The transfer sequence gives H*(Conf) with its swap from Q and alpha.
+    counts = cover_counts(A) + [(0, 0)] * (TOP_DEGREE + 1)
+    rows = [ConfRow(q, dim, dim - 2 * free, free) for q, (dim, free) in enumerate(counts[: TOP_DEGREE + 1])]
     height = sw_height(A)
     dims = A.dims[: TOP_DEGREE + 1]
     checks.append(CheckRecord("uconf-dims-match-quotient", dims == qdims, qdims, dims))

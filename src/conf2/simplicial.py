@@ -193,8 +193,13 @@ def validate_surface(K: SimplicialComplex) -> dict:
 
 
 def parse_triangulation(text: str) -> SimplicialComplex:
-    """Parse the plain-text format: `vertices N`, then `f i j k` lines."""
+    """Parse the plain-text format: `vertices N`, then `f i j k` lines.
+
+    The header must not declare vertices that no facet uses: a closed
+    surface has none, and a huge count would otherwise be allocated.
+    """
     vertex_count = None
+    header_line = 0
     facets = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -207,6 +212,7 @@ def parse_triangulation(text: str) -> SimplicialComplex:
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ValueError(f"line {lineno}: expected 'vertices N'")
             vertex_count = int(parts[1])
+            header_line = lineno
         elif parts[0] == "f":
             if vertex_count is None:
                 raise ValueError(f"line {lineno}: facet before vertices header")
@@ -218,6 +224,13 @@ def parse_triangulation(text: str) -> SimplicialComplex:
             raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
     if vertex_count is None:
         raise ValueError("missing vertices header")
+    # Ids out of range are left to SimplicialComplex, which rejects them before allocating.
+    used = {v for f in facets for v in f}
+    if len(used) < vertex_count and all(0 <= v < vertex_count for v in used):
+        raise ValueError(
+            f"line {header_line}: 'vertices {vertex_count}' declares vertices no facet uses"
+            f" (the facets use {len(used)})"
+        )
     try:
         return SimplicialComplex(vertex_count, facets)
     except ValueError as exc:
@@ -229,7 +242,10 @@ def read_triangulation(path) -> SimplicialComplex:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read triangulation file {path}: {exc}") from exc
-    return parse_triangulation(text)
+    try:
+        return parse_triangulation(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def format_triangulation(K: SimplicialComplex) -> str:

@@ -1,0 +1,140 @@
+"""The deleted-product route to the oracle's numbers, kept as a test-only reference.
+
+The oracle builds the orbit complex Q straight from the triangulation
+and reads the ordered space's cohomology off the transfer sequence.
+This module keeps the older route the tests compare it with: the
+deleted product dp with its swap, one representative cell per orbit,
+Q folded from dp's boundary, the connecting map Phi as dp's boundary
+on the representatives, and H*(dp) with the induced swap, which gives
+the conf rows and the Smith-Gysin counts.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+
+from conf2.borel import AlphaModule, equivariant_cohomology_with_alpha
+from conf2.cells import CellComplex, CohomologyResult, cohomology_f2, deleted_product
+from conf2.conf_symbolic import rep_decompose
+from conf2.gf2 import Mat2, rank
+from conf2.simplicial import builtin_triangulation
+from conf2.surfaces import SurfaceKind
+
+
+def orbit_representatives(C: CellComplex) -> list[np.ndarray]:
+    """Per dimension, the cells i with i < involution(i), ascending.
+
+    One cell of each orbit of a free involution; the orbit complex and
+    the transfer sequence both number the orbits in this order.  Raises
+    ValueError without an involution or on a fixed cell.
+    """
+    if C.involution is None:
+        raise ValueError("complex has no involution")
+    reps = []
+    for d, perm in enumerate(C.involution):
+        ids = np.arange(len(perm))
+        if np.any(perm == ids):
+            raise ValueError(f"free action violated: fixed cell in dimension {d}")
+        reps.append(np.flatnonzero(ids < perm))
+    return reps
+
+
+def _positions(reps: np.ndarray, n: int) -> np.ndarray:
+    """Position of each of n cells among reps, -1 off reps."""
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[reps] = np.arange(len(reps))
+    return pos
+
+
+def orbit_quotient(C: CellComplex) -> CellComplex:
+    """One cell per involution orbit; the boundary descends orbitwise.
+
+    Works on the ones of C's boundary, never on a dense copy, so that
+    deleted products of tens of thousands of cells fit in memory.
+    """
+    rep_lists = orbit_representatives(C)
+    orbit_of: list[np.ndarray] = []
+    for perm, reps in zip(C.involution, rep_lists):
+        idx = np.empty(len(perm), dtype=np.int64)
+        idx[reps] = np.arange(len(reps))
+        idx[perm[reps]] = np.arange(len(reps))
+        orbit_of.append(idx)
+    cells = [[C.cells[d][i] for i in rep_lists[d]] for d in range(C.top_dim + 1)]
+    boundaries = [Mat2.zeros(0, len(cells[0]))]
+    for d in range(1, C.top_dim + 1):
+        i, j = C.boundaries[d].entries()
+        col = _positions(rep_lists[d], C.n_cells(d))[j]
+        on_rep = col >= 0
+        boundaries.append(Mat2.from_entries(len(cells[d - 1]), len(cells[d]), orbit_of[d - 1][i[on_rep]], col[on_rep]))
+    return CellComplex(cells, boundaries)
+
+
+def transfer_phi(C: CellComplex, Q: CellComplex) -> list[Mat2]:
+    """Phi_n: the boundary of C on the degree-n and degree-(n+1) representatives.
+
+    Q is `orbit_quotient(C)`.  Raises ValueError when the involution of
+    C is missing or has a fixed cell, and RuntimeError when Phi fails to
+    commute with the coboundary of Q.
+    """
+    reps = orbit_representatives(C)
+    phi = []
+    for n in range(C.top_dim):
+        i, j = C.boundaries[n + 1].entries()
+        row = _positions(reps[n], C.n_cells(n))[i]
+        col = _positions(reps[n + 1], C.n_cells(n + 1))[j]
+        both = (row >= 0) & (col >= 0)
+        phi.append(Mat2.from_entries(len(reps[n]), len(reps[n + 1]), row[both], col[both]))
+    for n in range(C.top_dim - 1):
+        if phi[n].mul(Q.boundaries[n + 2]) != Q.boundaries[n + 1].mul(phi[n + 1]):
+            raise RuntimeError(f"connecting map fails to commute with the coboundary at degree {n}")
+    return phi
+
+
+def alpha_module(C: CellComplex) -> AlphaModule:
+    """The alpha-module of a free involution through its folded orbit complex."""
+    Q = orbit_quotient(C)
+    return equivariant_cohomology_with_alpha(transfer_phi(C, Q), cohomology_f2(Q))
+
+
+def conf_rows(H: CohomologyResult) -> list[tuple[int, int, int]]:
+    """(dim, t, f) per degree of a cohomology with its induced swap."""
+    rows = []
+    for dim, swap in zip(H.dims, H.induced_involution):
+        dec = rep_decompose(dim, swap)
+        rows.append((dim, dec.t, dec.f))
+    return rows
+
+
+def check_smith_gysin(A: AlphaModule, cover_dims: list[int], free: list[int]) -> None:
+    """Raise RuntimeError unless the cover's cohomology fits the transfer sequence.
+
+    Exactness gives, with a_n the rank of alpha_n,
+    dim H^n(cover) = 2 dim H^n(Q) - a_{n-1} - a_n, and the number of free
+    summands of H^n(cover) under the involution equals the number of
+    towers of length one starting in degree n.
+    """
+    ranks = [rank(m) for m in A.alpha_maps]
+
+    def a(n: int) -> int:
+        return ranks[n] if 0 <= n < len(ranks) else 0
+
+    for n, h in enumerate(A.dims):
+        expected = 2 * h - a(n - 1) - a(n)
+        if cover_dims[n] != expected:
+            raise RuntimeError(
+                f"Smith-Gysin count fails in degree {n}: cover has dimension {cover_dims[n]}, "
+                f"the transfer sequence gives {expected}"
+            )
+        singles = sum(1 for t in A.towers if t.start == n and t.length == 1)
+        if free[n] != singles:
+            raise RuntimeError(
+                f"Smith-Gysin free count fails in degree {n}: {free[n]} free summands, "
+                f"{singles} towers of length one"
+            )
+
+
+@lru_cache(maxsize=None)
+def builtin_reference(label: str) -> tuple[CellComplex, CohomologyResult]:
+    """The deleted product of a builtin surface and its cohomology with the swap."""
+    dp = deleted_product(builtin_triangulation(SurfaceKind.from_label(label)))
+    return dp, cohomology_f2(dp)

@@ -49,10 +49,10 @@ def test_criterion_1_sphere():
     assert dp.euler == 2
     H = cohomology_f2(dp)
     assert H.dims[:3] == [1, 0, 1] and not any(H.dims[3:])
-    quotient = quotient_complex(dp)
-    Q = cohomology_f2(quotient, with_involution=False)
+    quotient = quotient_complex(K)
+    Q = cohomology_f2(quotient)
     assert Q.dims[:3] == [1, 1, 1] and not any(Q.dims[3:])
-    A = equivariant_cohomology_with_alpha(equivariant_cochain_complex(dp, quotient), Q)
+    A = equivariant_cohomology_with_alpha(equivariant_cochain_complex(quotient), Q)
     assert A.dims[:4] == [1, 1, 1, 0] and not any(A.dims[4:])
     height = sw_height(A)
     assert height.value == 2

@@ -7,8 +7,11 @@ Its total cohomology on a window of degrees is H*(quotient), and the
 level shift realizes multiplication by alpha.  This route shares nothing
 with `conf2.borel` but the tower cutting, so equal dims, composite
 ranks, towers and heights check the connecting map of the transfer
-sequence independently.  The Smith-Gysin identities are asserted on
-every surface of the sweep.
+sequence independently: on the orbit complex built from the
+triangulation where there is one, else on the folded orbit complex of
+`dp_reference`.  The Smith-Gysin identities between the deleted
+product and the orbit complex are asserted on every surface of the
+sweep.
 """
 
 import numpy as np
@@ -16,17 +19,16 @@ import pytest
 
 from conf2.borel import (
     AlphaModule,
-    check_smith_gysin,
     equivariant_cochain_complex,
     equivariant_cohomology_with_alpha,
     module_decompose,
     sw_height,
 )
 from conf2.cells import CellComplex, cohomology_f2, deleted_product, quotient_complex
-from conf2.conf_symbolic import rep_decompose
 from conf2.gf2 import Mat2, rank, solve_many
 from conf2.simplicial import SimplicialComplex, builtin_triangulation
 from conf2.surfaces import SurfaceKind
+from dp_reference import alpha_module, builtin_reference, check_smith_gysin, conf_rows
 
 SWEEP = ("sphere", "orientable:1", "orientable:2", "nonorientable:1", "nonorientable:2", "nonorientable:3")
 
@@ -99,7 +101,7 @@ def bicomplex_alpha_module(C: CellComplex, window: int) -> AlphaModule:
     cells = [[("t", n, i) for i in range(E.total_dim(n))] for n in range(window + 2)]
     boundaries = [Mat2.zeros(0, E.total_dim(0))]
     boundaries.extend(E.differentials[n].transpose() for n in range(window + 1))
-    result = cohomology_f2(CellComplex(cells, boundaries), with_involution=False)
+    result = cohomology_f2(CellComplex(cells, boundaries))
 
     alpha_maps: list[Mat2] = []
     for n in range(window):
@@ -119,11 +121,12 @@ def bicomplex_alpha_module(C: CellComplex, window: int) -> AlphaModule:
     return module
 
 
-def transfer_alpha_module(C: CellComplex) -> AlphaModule:
-    Q = quotient_complex(C)
-    return equivariant_cohomology_with_alpha(
-        equivariant_cochain_complex(C, Q), cohomology_f2(Q, with_involution=False)
-    )
+def transfer_alpha_module(case: SimplicialComplex | CellComplex) -> AlphaModule:
+    """Alpha from the orbit complex of a triangulation, or of a bare free involution."""
+    if isinstance(case, CellComplex):
+        return alpha_module(case)
+    Q = quotient_complex(case)
+    return equivariant_cohomology_with_alpha(equivariant_cochain_complex(Q), cohomology_f2(Q))
 
 
 def composite_ranks(A: AlphaModule) -> dict[tuple[int, int], int]:
@@ -148,10 +151,10 @@ def antipodal_circle() -> CellComplex:
 
 
 REFERENCE_CASES = {
-    "point pair": lambda: deleted_product(SimplicialComplex(2, [(0, 1)])),
+    "point pair": lambda: SimplicialComplex(2, [(0, 1)]),
     "antipodal circle": antipodal_circle,
     **{
-        label: (lambda label=label: deleted_product(builtin_triangulation(SurfaceKind.from_label(label))))
+        label: (lambda label=label: builtin_triangulation(SurfaceKind.from_label(label)))
         for label in ("sphere", "orientable:1", "orientable:2", "nonorientable:1", "nonorientable:2")
     },
 }
@@ -159,8 +162,9 @@ REFERENCE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_transfer_alpha_matches_bicomplex(case):
-    C = REFERENCE_CASES[case]()
-    new = transfer_alpha_module(C)
+    built = REFERENCE_CASES[case]()
+    C = built if isinstance(built, CellComplex) else deleted_product(built)
+    new = transfer_alpha_module(built)
     # a window two past the top cells also shows the bicomplex vanishing there
     ref = bicomplex_alpha_module(C, C.top_dim + 2)
     top = len(new.dims) - 1
@@ -175,10 +179,9 @@ def test_transfer_alpha_matches_bicomplex(case):
 
 @pytest.mark.parametrize("label", SWEEP)
 def test_smith_gysin_identities(label):
-    dp = deleted_product(builtin_triangulation(SurfaceKind.from_label(label)))
-    H = cohomology_f2(dp)
-    free = [rep_decompose(d, swap).f for d, swap in zip(H.dims, H.induced_involution)]
-    A = transfer_alpha_module(dp)
+    _, H = builtin_reference(label)
+    free = [f for _, _, f in conf_rows(H)]
+    A = transfer_alpha_module(builtin_triangulation(SurfaceKind.from_label(label)))
     ranks = [rank(m) for m in A.alpha_maps] + [0]
     for n, h in enumerate(A.dims):
         assert H.dims[n] == 2 * h - (ranks[n - 1] if n else 0) - ranks[n], n

@@ -1,4 +1,4 @@
-"""Equivariant pipeline: transfer sequence, polynomial action, towers, height."""
+"""Equivariant pipeline: transfer sequence, polynomial action, norm check, towers, height."""
 
 import numpy as np
 import pytest
@@ -7,23 +7,42 @@ from conf2.borel import (
     AlphaModule,
     SWHeight,
     Tower,
-    check_smith_gysin,
+    check_norm_map,
+    cover_counts,
     equivariant_cochain_complex,
     equivariant_cohomology_with_alpha,
     module_decompose,
     sw_height,
 )
-from conf2.cells import CellComplex, cohomology_f2, deleted_product, quotient_complex
+from conf2.cells import (
+    CellComplex,
+    CohomologyResult,
+    cohomology_f2,
+    deleted_product,
+    quotient_complex,
+    simplicial_cell_complex,
+)
 from conf2.gf2 import Mat2, rank
 from conf2.simplicial import SimplicialComplex, builtin_triangulation
 from conf2.surfaces import SurfaceKind
+from dp_reference import alpha_module, check_smith_gysin, orbit_quotient, transfer_phi
 
 
-def borel_module(C: CellComplex):
-    """The alpha-module of a free involution through its orbit complex."""
-    Q = quotient_complex(C)
-    phi = equivariant_cochain_complex(C, Q)
-    return equivariant_cohomology_with_alpha(phi, cohomology_f2(Q, with_involution=False))
+def borel_module(K: SimplicialComplex) -> AlphaModule:
+    """The alpha-module of the swap on the deleted product of K, through its orbit complex."""
+    Q = quotient_complex(K)
+    return equivariant_cohomology_with_alpha(equivariant_cochain_complex(Q), cohomology_f2(Q))
+
+
+def norm_check(K: SimplicialComplex, A: AlphaModule | None = None, HK: CohomologyResult | None = None):
+    """check_norm_map on the orbit complex of K, with A or HK substituted when given."""
+    Q = quotient_complex(K)
+    HQ = cohomology_f2(Q)
+    if A is None:
+        A = equivariant_cohomology_with_alpha(equivariant_cochain_complex(Q), HQ)
+    if HK is None:
+        HK = cohomology_f2(simplicial_cell_complex(K))
+    return check_norm_map(K, HK, Q, HQ, A)
 
 
 POINT = CellComplex([["p"]], [Mat2.zeros(0, 1)])
@@ -40,15 +59,14 @@ def antipodal_circle() -> CellComplex:
 
 
 def test_point_pair_has_contractible_quotient():
-    C = deleted_product(SimplicialComplex(2, [(0, 1)]))
-    module = borel_module(C)
+    module = borel_module(SimplicialComplex(2, [(0, 1)]))
     assert module.dims == [1, 0, 0]
     assert module.towers == [Tower(0, 1)]
     assert str(sw_height(module)) == "0"
 
 
 def test_antipodal_circle_gives_circle():
-    module = borel_module(antipodal_circle())
+    module = alpha_module(antipodal_circle())
     assert module.dims == [1, 1]
     assert module.towers == [Tower(0, 2)]
     assert sw_height(module).value == 1
@@ -61,17 +79,16 @@ def test_fixed_point_action_rejected():
         involution=[np.array([0, 1])],
     )
     with pytest.raises(ValueError):
-        equivariant_cochain_complex(fixed, POINT)
+        transfer_phi(fixed, POINT)
 
 
 def test_missing_involution_rejected():
     with pytest.raises(ValueError):
-        equivariant_cochain_complex(POINT, POINT)
+        transfer_phi(POINT, POINT)
 
 
 def test_sphere_borel_module():
-    C = deleted_product(builtin_triangulation(SurfaceKind.sphere()))
-    module = borel_module(C)
+    module = borel_module(builtin_triangulation(SurfaceKind.sphere()))
     assert module.dims == [1, 1, 1, 0, 0]
     assert [rank(m) for m in module.alpha_maps[:3]] == [1, 1, 0]
     assert module.towers == [Tower(0, 3)]
@@ -79,8 +96,7 @@ def test_sphere_borel_module():
 
 
 def test_torus_borel_module():
-    C = deleted_product(builtin_triangulation(SurfaceKind.orientable(1)))
-    module = borel_module(C)
+    module = borel_module(builtin_triangulation(SurfaceKind.orientable(1)))
     assert module.dims == [1, 3, 4, 2, 0]
     assert module.towers == [
         Tower(0, 3),
@@ -94,8 +110,7 @@ def test_torus_borel_module():
 
 
 def test_projective_plane_borel_module():
-    C = deleted_product(builtin_triangulation(SurfaceKind.nonorientable(1)))
-    module = borel_module(C)
+    module = borel_module(builtin_triangulation(SurfaceKind.nonorientable(1)))
     assert module.dims == [1, 2, 2, 1, 0]
     assert module.towers == [Tower(0, 4), Tower(1, 1), Tower(2, 1)]
     assert sw_height(module).value == 3
@@ -103,49 +118,81 @@ def test_projective_plane_borel_module():
 
 def test_module_dims_match_quotient_betti():
     for kind in (SurfaceKind.sphere(), SurfaceKind.orientable(1), SurfaceKind.nonorientable(1)):
-        C = deleted_product(builtin_triangulation(kind))
-        quotient = cohomology_f2(quotient_complex(C), with_involution=False)
-        assert borel_module(C).dims == quotient.dims
+        K = builtin_triangulation(kind)
+        quotient = cohomology_f2(orbit_quotient(deleted_product(K)))
+        assert borel_module(K).dims == quotient.dims
 
 
 def test_euler_identity_on_module():
     for kind in (SurfaceKind.sphere(), SurfaceKind.orientable(1), SurfaceKind.nonorientable(1)):
         chi = kind.euler
-        C = deleted_product(builtin_triangulation(kind))
-        assert borel_module(C).euler == (chi * chi - chi) // 2
+        assert borel_module(builtin_triangulation(kind)).euler == (chi * chi - chi) // 2
 
 
 def test_connecting_map_rejects_a_relabelled_quotient():
-    C = deleted_product(builtin_triangulation(SurfaceKind.orientable(1)))
-    Q = quotient_complex(C)
-    order = np.arange(Q.n_cells(0))[::-1]
-    relabelled = CellComplex(
-        [Q.cells[0][::-1]] + Q.cells[1:],
-        [Q.boundaries[0], Mat2.from_dense(Q.boundaries[1].to_dense()[order])] + Q.boundaries[2:],
-    )
+    Q = quotient_complex(builtin_triangulation(SurfaceKind.orientable(1)))
+    # the vertex-pair labels are reversed, the boundaries are not
+    relabelled = CellComplex([Q.cells[0][::-1]] + Q.cells[1:], Q.boundaries)
     with pytest.raises(RuntimeError):
-        equivariant_cochain_complex(C, relabelled)
+        equivariant_cochain_complex(relabelled)
 
 
 def test_alpha_rejects_an_image_off_the_cocycles():
-    C = deleted_product(builtin_triangulation(SurfaceKind.sphere()))
-    Q = quotient_complex(C)
-    phi = equivariant_cochain_complex(C, Q)
+    Q = quotient_complex(builtin_triangulation(SurfaceKind.sphere()))
+    phi = equivariant_cochain_complex(Q)
     # the unit cocycle goes to a single edge, and an edge of a triangle is no cocycle
     bad = np.zeros(phi[0].shape, dtype=np.uint8)
     bad[0, 0] = 1
     with pytest.raises(RuntimeError):
-        equivariant_cohomology_with_alpha([Mat2.from_dense(bad)] + phi[1:], cohomology_f2(Q, with_involution=False))
+        equivariant_cohomology_with_alpha([Mat2.from_dense(bad)] + phi[1:], cohomology_f2(Q))
 
 
 def test_smith_gysin_check_rejects_wrong_counts():
-    module = borel_module(deleted_product(builtin_triangulation(SurfaceKind.orientable(1))))
+    module = borel_module(builtin_triangulation(SurfaceKind.orientable(1)))
     dims, free = [1, 4, 5, 2, 0], [0, 2, 1, 0, 0]
     check_smith_gysin(module, dims, free)
     with pytest.raises(RuntimeError):
         check_smith_gysin(module, [1, 4, 6, 2, 0], free)
     with pytest.raises(RuntimeError):
         check_smith_gysin(module, dims, [0, 1, 1, 0, 0])
+
+
+def test_cover_counts_of_torus():
+    module = borel_module(builtin_triangulation(SurfaceKind.orientable(1)))
+    assert cover_counts(module) == [(1, 0), (4, 2), (5, 1), (2, 0), (0, 0)]
+
+
+@pytest.mark.parametrize(
+    "label,ranks",
+    [
+        ("sphere", [0, 0, 1, 0, 0]),
+        ("orientable:1", [0, 2, 2, 2, 0]),
+        ("orientable:2", [0, 4, 7, 4, 0]),
+        ("nonorientable:3", [0, 3, 4, 3, 0]),
+    ],
+)
+def test_norm_classes_span_ker_alpha(label, ranks):
+    assert norm_check(builtin_triangulation(SurfaceKind.from_label(label))) == ranks
+
+
+def test_norm_check_rejects_a_corrupted_alpha():
+    K = builtin_triangulation(SurfaceKind.orientable(1))
+    module = borel_module(K)
+    maps = list(module.alpha_maps)
+    maps[1] = Mat2.zeros(*maps[1].shape)
+    with pytest.raises(RuntimeError, match="norm map check fails in degree 1"):
+        norm_check(K, A=AlphaModule(dims=module.dims, alpha_maps=maps))
+
+
+def test_norm_check_rejects_a_norm_class_off_the_cocycles():
+    K = builtin_triangulation(SurfaceKind.orientable(1))
+    HK = cohomology_f2(simplicial_cell_complex(K))
+    # a single vertex is no cocycle of K, so its norms with other classes need not be cocycles of Q
+    point = np.zeros((1, K.vertex_count), dtype=np.uint8)
+    point[0, 0] = 1
+    bad = CohomologyResult(HK.dims, [Mat2.from_dense(point)] + HK.cocycle_basis[1:], HK.coboundary_basis)
+    with pytest.raises(RuntimeError, match="not a cocycle"):
+        norm_check(K, HK=bad)
 
 
 def test_decompose_full_tower():

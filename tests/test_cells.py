@@ -1,4 +1,4 @@
-"""Deleted products, their cohomology, the swap, and the quotient."""
+"""Orbit complexes, deleted products, their cohomology, and the swap."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from conf2.cells import (
     cohomology_f2,
     deleted_product,
     induced_involution,
+    product_faces,
     quotient_complex,
 )
 from conf2.conf_symbolic import conf_cohomology, rep_decompose
@@ -18,6 +19,7 @@ from conf2.simplicial import (
     builtin_triangulation,
 )
 from conf2.surfaces import SurfaceKind
+from dp_reference import orbit_quotient
 
 
 def test_deleted_product_of_tetrahedron():
@@ -111,31 +113,40 @@ def test_oracle_matches_symbolic_for_torus():
         assert (dec.t, dec.f) == (sd.t, sd.f)
 
 
+def test_product_faces():
+    assert product_faces((0,), (1, 2)) == [((0,), (1,)), ((0,), (2,))]
+    assert product_faces((0, 1), (2, 3, 4)) == [
+        ((0,), (2, 3, 4)),
+        ((1,), (2, 3, 4)),
+        ((0, 1), (2, 3)),
+        ((0, 1), (2, 4)),
+        ((0, 1), (3, 4)),
+    ]
+    assert product_faces((0,), (1,)) == []
+
+
 def test_quotient_of_sphere_product():
-    C = deleted_product(builtin_triangulation(SurfaceKind.sphere()))
-    Q = quotient_complex(C)
+    Q = quotient_complex(builtin_triangulation(SurfaceKind.sphere()))
     assert Q.cell_counts() == (6, 12, 7, 0, 0)
     assert Q.euler == 1
     assert cohomology_f2(Q).dims == [1, 1, 1, 0, 0]
 
 
 def test_quotient_of_edge_product():
-    C = deleted_product(SimplicialComplex(2, [(0, 1)]))
-    Q = quotient_complex(C)
+    Q = quotient_complex(SimplicialComplex(2, [(0, 1)]))
     assert Q.cell_counts() == (1, 0, 0)
     assert cohomology_f2(Q).dims == [1, 0, 0]
 
 
 def test_quotient_of_torus_product():
-    C = deleted_product(builtin_triangulation(SurfaceKind.orientable(1)))
-    Q = quotient_complex(C)
-    assert Q.euler == C.euler // 2
+    K = builtin_triangulation(SurfaceKind.orientable(1))
+    Q = quotient_complex(K)
+    assert Q.euler == deleted_product(K).euler // 2
     assert cohomology_f2(Q).dims == [1, 3, 4, 2, 0]
 
 
 def test_quotient_of_projective_plane_product():
-    C = deleted_product(builtin_triangulation(SurfaceKind.nonorientable(1)))
-    Q = quotient_complex(C)
+    Q = quotient_complex(builtin_triangulation(SurfaceKind.nonorientable(1)))
     assert cohomology_f2(Q).dims == [1, 2, 2, 1, 0]
 
 
@@ -146,7 +157,7 @@ def test_quotient_rejects_fixed_cells():
         involution=[np.array([0, 1]), np.array([1, 0])],
     )
     with pytest.raises(ValueError):
-        quotient_complex(circle)
+        orbit_quotient(circle)
 
 
 def test_involution_must_commute_with_boundary():
@@ -184,4 +195,4 @@ def test_subdivision_smoke_test_on_sphere():
     K = barycentric_subdivide(builtin_triangulation(SurfaceKind.sphere()))
     C = deleted_product(K)
     assert C.euler == 2
-    assert cohomology_f2(C, with_involution=False).dims == [1, 0, 1, 0, 0]
+    assert cohomology_f2(C).dims == [1, 0, 1, 0, 0]

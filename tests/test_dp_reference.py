@@ -1,0 +1,114 @@
+"""The orbit-complex route against the deleted-product reference, number for number.
+
+`quotient_complex(K)`, the connecting map built from its cells, the
+conf rows read off the transfer sequence and the pair count must equal
+what the deleted product gives: its orbit complex folded from its
+boundary, its boundary on the orbit representatives, its cohomology
+with the induced swap, and its Euler characteristic.  Besides the
+builtin surfaces up to genus and crosscap count 3, three files run:
+a randomly relabelled torus, and relabelled barycentric subdivisions of
+the sphere and of the torus, so that simplex order and vertex labels
+differ from the builtin ones.
+
+The subdivided torus has a deleted product of 56,112 cells, whose
+cohomology is out of reach of a quick test.  Its conf rows are compared
+with those of the builtin torus instead: the deleted product of any
+triangulation of M is an equivariant deformation retract of Conf(2, M),
+so its cohomology with the swap depends on M alone.
+"""
+
+import random
+from functools import lru_cache
+
+import pytest
+
+from conf2.borel import cover_counts, equivariant_cochain_complex, equivariant_cohomology_with_alpha
+from conf2.cells import cohomology_f2, deleted_product, deleted_product_euler, quotient_complex
+from conf2.simplicial import (
+    SimplicialComplex,
+    barycentric_subdivide,
+    builtin_triangulation,
+    format_triangulation,
+    read_triangulation,
+)
+from conf2.surfaces import SurfaceKind
+from dp_reference import builtin_reference, check_smith_gysin, conf_rows, orbit_quotient, transfer_phi
+
+BUILTIN = (
+    "sphere",
+    "orientable:1",
+    "orientable:2",
+    "orientable:3",
+    "nonorientable:1",
+    "nonorientable:2",
+    "nonorientable:3",
+)
+FILES = ("relabelled torus", "relabelled subdivided sphere", "relabelled subdivided torus")
+# The builtin surface whose deleted-product cohomology stands in for a file's own.
+SAME_SURFACE = {"relabelled subdivided torus": "orientable:1"}
+
+
+def relabelled(K: SimplicialComplex, seed: int) -> SimplicialComplex:
+    rng = random.Random(seed)
+    perm = list(range(K.vertex_count))
+    rng.shuffle(perm)
+    facets = [[perm[v] for v in f] for f in K.facets]
+    rng.shuffle(facets)
+    return SimplicialComplex(K.vertex_count, facets)
+
+
+@lru_cache(maxsize=None)
+def case(label: str, tmp_dir):
+    """K, its deleted product dp, dp's cohomology with the swap (see SAME_SURFACE), Q from K and Q folded from dp."""
+    if label in BUILTIN:
+        K = builtin_triangulation(SurfaceKind.from_label(label))
+        dp, H = builtin_reference(label)
+        return K, dp, H, quotient_complex(K), orbit_quotient(dp)
+    if label == "relabelled torus":
+        K = relabelled(builtin_triangulation(SurfaceKind.orientable(1)), seed=7)
+    elif label == "relabelled subdivided sphere":
+        K = relabelled(barycentric_subdivide(builtin_triangulation(SurfaceKind.sphere())), seed=11)
+    else:
+        K = relabelled(barycentric_subdivide(builtin_triangulation(SurfaceKind.orientable(1))), seed=13)
+    path = tmp_dir / (label.replace(" ", "_") + ".tri")
+    path.write_text(format_triangulation(K))
+    K = read_triangulation(path)
+    dp = deleted_product(K)
+    H = builtin_reference(SAME_SURFACE[label])[1] if label in SAME_SURFACE else cohomology_f2(dp)
+    return K, dp, H, quotient_complex(K), orbit_quotient(dp)
+
+
+@pytest.fixture(scope="module")
+def tmp_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("triangulations")
+
+
+LABELS = BUILTIN + FILES
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_quotient_matches_folded_deleted_product(label, tmp_dir):
+    _, _, _, Q, ref = case(label, tmp_dir)
+    assert Q.cells == ref.cells
+    assert Q.boundaries == ref.boundaries
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_connecting_map_matches_deleted_product(label, tmp_dir):
+    _, dp, _, Q, ref = case(label, tmp_dir)
+    assert equivariant_cochain_complex(Q) == transfer_phi(dp, ref)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_gysin_conf_rows_match_deleted_product_cohomology(label, tmp_dir):
+    _, _, H, Q, _ = case(label, tmp_dir)
+    A = equivariant_cohomology_with_alpha(equivariant_cochain_complex(Q), cohomology_f2(Q))
+    gysin = [(dim, dim - 2 * free, free) for dim, free in cover_counts(A)]
+    assert gysin == conf_rows(H)
+    check_smith_gysin(A, H.dims, [f for _, _, f in conf_rows(H)])
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_pair_count_matches_deleted_product_euler(label, tmp_dir):
+    K, dp, *_ = case(label, tmp_dir)
+    assert deleted_product_euler(K) == dp.euler

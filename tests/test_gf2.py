@@ -224,3 +224,32 @@ def test_selected_rows_span_the_row_space(m):
             Subspace.spanned_by(m.cols, m.take_rows(picked)),
             Subspace.spanned_by(m.cols, m),
         )
+
+
+def test_from_entries_cancels_repeated_positions():
+    m = Mat2.from_entries(2, 70, [0, 1, 1, 0, 1], [3, 69, 69, 3, 0])
+    dense = np.zeros((2, 70), dtype=np.uint8)
+    dense[1, 0] = 1
+    assert m == Mat2.from_dense(dense)
+    assert Mat2.from_entries(0, 0, [], []) == Mat2.zeros(0, 0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(mat2s(max_rows=9, max_cols=70))
+def test_entries_round_trip(m):
+    i, j = m.entries()
+    assert list(zip(i.tolist(), j.tolist())) == [tuple(ij) for ij in np.argwhere(m.to_dense()).tolist()]
+    assert Mat2.from_entries(m.rows, m.cols, i, j) == m
+
+
+def test_entries_cross_word_boundaries():
+    rows, cols = [0, 0, 1, 2], [0, 63, 64, 129]
+    i, j = Mat2.from_entries(3, 130, rows, cols).entries()
+    assert i.tolist() == rows and j.tolist() == cols
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 2100), st.integers(0, 70), st.integers(0, 2**32 - 1))
+def test_transpose_matches_dense_across_row_blocks(rows, cols, seed):
+    dense = np.random.default_rng(seed).integers(0, 2, size=(rows, cols), dtype=np.uint8)
+    assert Mat2.from_dense(dense).transpose() == Mat2.from_dense(dense.T)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from conf2.borel import SWHeight, Tower
+from conf2.borel import SWHeight, Tower, equivariant_cochain_complex
 from conf2.cli import main
+from conf2.gf2 import Mat2
 from conf2.report import (
     CheckRecord,
     ConfRow,
@@ -123,13 +124,24 @@ def test_non_utf8_file_error_names_the_file(tmp_path):
     assert r.error is not None and str(path) in r.error
 
 
-def test_missing_induced_swap_is_error_record(monkeypatch):
+def test_malformed_file_error_names_the_file(tmp_path):
+    path = tmp_path / "bad.tri"
+    path.write_text("vertices 3\nf 0 1 x\n")
+    (r,) = _run(("file", str(path)))
+    assert r.error == f"{path}: line 2: bad facet indices"
+
+
+def test_failed_norm_check_is_error_record(monkeypatch):
     from conf2 import report as report_module
 
-    plain = report_module.cohomology_f2
-    monkeypatch.setattr(report_module, "cohomology_f2", lambda C, with_involution=True: plain(C, False))
+    # a zero connecting map still commutes with the coboundary, but alpha = 0 breaks the norm check
+    monkeypatch.setattr(
+        report_module,
+        "equivariant_cochain_complex",
+        lambda Q: [Mat2.zeros(*m.shape) for m in equivariant_cochain_complex(Q)],
+    )
     (r,) = _run(("kind", "sphere"))
-    assert r.error is not None and "induced swap" in r.error
+    assert r.error is not None and "norm map check fails" in r.error
 
 
 def test_open_surface_file_rejected(tmp_path):

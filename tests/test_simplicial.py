@@ -189,6 +189,12 @@ def test_parse_rejects_malformed_input(text):
         parse_triangulation(text)
 
 
+def test_parse_rejects_vertices_no_facet_uses():
+    text = "# a sphere\nvertices 1000\nf 0 1 2\nf 0 1 3\nf 0 2 3\nf 1 2 3\n"
+    with pytest.raises(ValueError, match="line 2: 'vertices 1000' declares vertices no facet uses"):
+        parse_triangulation(text)
+
+
 def test_read_triangulation_missing_file(tmp_path):
     with pytest.raises(ValueError):
         read_triangulation(tmp_path / "missing.tri")
