@@ -13,6 +13,9 @@ polynomial towers, whose head tower measures the height; Q has no cells
 above its top dimension, so the towers are exact.  Exactness also gives
 the cohomology of dp with its swap (`cover_counts`), and the norm map
 from H*(K) x H*(K) checks alpha without using Phi (`check_norm_map`).
+Both alpha and the norm check solve their cocycles for classes with
+`CohomologyResult.solve`, by back-substitution in the pivot tables that
+computing H*(Q) left behind, never by a new elimination.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cells import CellComplex, CohomologyResult, product_faces
-from .gf2 import Mat2, rank, solve_many
+from .gf2 import Mat2, rank, solve_many  # solve_many: not run here; kept importable under its traced name
 from .simplicial import SimplicialComplex
 
 __all__ = [
@@ -102,22 +105,11 @@ def equivariant_cohomology_with_alpha(phi: list[Mat2], H: CohomologyResult) -> A
     """H*(Q) with the action alpha_n = [Phi_n] and its towers.
 
     H is the cohomology of the orbit complex and phi its connecting maps.
-    Each image Phi_n z of a cocycle representative is solved against the
-    degree-(n+1) cocycle and coboundary bases; no solution means Phi_n z
-    is not a cocycle and raises RuntimeError.
+    The images Phi_n z of the cocycle representatives are solved for
+    their degree-(n+1) classes with `H.solve`, which raises RuntimeError
+    when one is not a cocycle.
     """
-    alpha_maps: list[Mat2] = []
-    for n in range(len(H.dims) - 1):
-        reps = H.cocycle_basis[n]
-        nxt = H.dims[n + 1]
-        system = Mat2.vstack([H.cocycle_basis[n + 1], H.coboundary_basis[n + 1]]).transpose()
-        sols = solve_many(system, reps.mul(phi[n]))
-        cols = np.zeros((nxt, reps.rows), dtype=np.uint8)
-        for j, sol in enumerate(sols):
-            if sol is None:
-                raise RuntimeError(f"connecting map sends a degree-{n} cocycle off the cocycles")
-            cols[:, j] = sol[:nxt]
-        alpha_maps.append(Mat2.from_dense(cols))
+    alpha_maps = [H.solve(n + 1, H.cocycle_basis[n].mul(phi[n])).transpose() for n in range(len(H.dims) - 1)]
 
     module = AlphaModule(dims=list(H.dims), alpha_maps=alpha_maps)
     module.towers = module_decompose(module)
@@ -194,8 +186,8 @@ def check_norm_map(
     restricted to the deleted product.  Restriction from K x K onto the
     deleted product is onto in cohomology and the image of the transfer
     is ker alpha, so these classes span ker alpha_n in every degree n.
-    Each one is solved against the cocycle and coboundary bases of HQ;
-    no solution means it is no cocycle.  Phi is not used.
+    Each one is solved for its class with `HQ.solve`, which raises
+    RuntimeError when it is no cocycle.  Phi is not used.
     """
     r = _rank_lookup(A)
     reps = [HK.cocycle_basis[p].to_dense() for p in range(len(HK.dims))]
@@ -219,12 +211,7 @@ def check_norm_map(
                 blocks.append(norm[np.triu_indices(len(a), k=1)])
             else:
                 blocks.append(norm.reshape(-1, len(cells)))
-        system = Mat2.vstack([HQ.cocycle_basis[n], HQ.coboundary_basis[n]]).transpose()
-        sols = solve_many(system, Mat2.from_dense(np.vstack(blocks)))
-        if any(sol is None for sol in sols):
-            raise RuntimeError(f"a norm class of degree {n} is not a cocycle of the orbit complex")
-        classes = np.array([sol[: HQ.dims[n]] for sol in sols], dtype=np.uint8)
-        got = rank(Mat2.from_dense(classes.reshape(len(sols), HQ.dims[n])))
+        got = rank(HQ.solve(n, Mat2.from_dense(np.vstack(blocks))))
         expected = HQ.dims[n] - r(n, 1)
         if got != expected:
             raise RuntimeError(

@@ -5,8 +5,11 @@ pair of disjoint simplices, and the factor swap is a cellwise free
 involution.  Its orbit complex Q, with one cell per unordered pair, is
 what the oracle computes with: `quotient_complex` builds it straight
 from the triangulation.  Cohomology is computed with explicit cocycle
-representatives.  The deleted product itself, with the swap pushed onto
-its cohomology, stays as the reference route the tests compare with.
+representatives: one elimination per boundary matrix gives the
+coboundaries, the cocycles and the classes, and its pivot tables stay on
+the result to solve later cocycles for their classes.  The deleted
+product itself, with the swap pushed onto its cohomology, stays as the
+reference route the tests compare with.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf2 import (
+from .gf2 import (  # select_independent_rows, solve_many: not run here; kept importable under their traced names
     Mat2,
-    Subspace,
-    kernel_basis,
+    eliminate,
     select_independent_rows,
     solve_many,
 )
@@ -211,46 +213,67 @@ def simplicial_cell_complex(K: SimplicialComplex) -> CellComplex:
 
 @dataclass
 class CohomologyResult:
-    """Per-degree dims with cocycle representatives.
+    """Per-degree class representatives with the pivot tables that solve for classes.
 
-    cocycle_basis[d] rows are cocycles whose classes form a basis;
-    coboundary_basis[d] rows span the coboundaries (used to reduce
-    mapped representatives); induced_involution is filled when the
-    complex carries one.
+    coboundary_basis[d] is a reduced-echelon basis of the coboundaries
+    B^d with pivot columns coboundary_pivots[d]; cocycle_basis[d] holds
+    cocycles whose classes form a basis, reduced-echelon with pivot
+    columns class_pivots[d] and zero on the coboundary pivots.
+    induced_involution is filled when the complex carries one.
     """
 
-    dims: list[int]
     cocycle_basis: list[Mat2]
+    class_pivots: list[list[int]]
     coboundary_basis: list[Mat2]
+    coboundary_pivots: list[list[int]]
     induced_involution: list[Mat2] | None = None
+
+    @property
+    def dims(self) -> list[int]:
+        return [reps.rows for reps in self.cocycle_basis]
 
     @property
     def euler(self) -> int:
         return sum((-1) ** d * n for d, n in enumerate(self.dims))
 
+    def solve(self, d: int, cochains: Mat2) -> Mat2:
+        """Class coordinates of the degree-d cocycles in the rows of cochains, one row each.
+
+        Clearing the coboundary pivots leaves each row's class part, whose
+        entries at the class pivots are its coordinates; a nonzero rest
+        after taking those classes away means the row is no cocycle and
+        raises RuntimeError.
+        """
+        T = cochains ^ cochains.take_cols(self.coboundary_pivots[d]).mul(self.coboundary_basis[d])
+        coords = T.take_cols(self.class_pivots[d])
+        if not (T ^ coords.mul(self.cocycle_basis[d])).is_zero():
+            raise RuntimeError(f"a row is not a cocycle in degree {d}")
+        return coords
+
 
 def cohomology_f2(C: CellComplex) -> CohomologyResult:
-    """Cohomology over F2 with representative cocycles per degree, and the induced swap when C has one."""
-    dims: list[int] = []
-    reps: list[Mat2] = []
-    cobs: list[Mat2] = []
+    """Cohomology over F2 from one elimination per boundary matrix, and the induced swap when C has one.
+
+    Degree by degree, eliminating boundary d+1 (one row per d-cell)
+    gives the echelon basis of B^{d+1} and, in its row transform, the
+    cocycles Z^d.  The transform starts as the identity of C^d reduced
+    modulo B^d, so the cocycles it carries vanish on the pivot columns of
+    B^d and their echelon basis is a set of class representatives.
+    """
+    reps, rep_pivots, cobs, cob_pivots = [], [], [], []
+    E, P = Mat2.zeros(0, C.n_cells(0)), []
     for d in range(C.top_dim + 1):
         n = C.n_cells(d)
-        if d < C.top_dim:
-            Z = kernel_basis(C.boundaries[d + 1].transpose())
-        else:
-            Z = Mat2.identity(n)
-        cob = Subspace.spanned_by(n, C.boundaries[d]).basis
-        stacked = Mat2.vstack([cob, Z])
-        keep = select_independent_rows(stacked)
-        chosen = [i - cob.rows for i in keep if i >= cob.rows]
-        if len([i for i in keep if i < cob.rows]) != cob.rows:
-            raise RuntimeError("coboundary basis rows were not retained")
-        rep = Z.take_rows(chosen)
-        dims.append(rep.rows)
-        reps.append(rep)
-        cobs.append(cob)
-    result = CohomologyResult(dims=dims, cocycle_basis=reps, coboundary_basis=cobs)
+        cobs.append(E)
+        cob_pivots.append(P)
+        transform = Mat2.identity(n)
+        # row p_k becomes e_{p_k} + E[k], which vanishes on every pivot column of E
+        transform.words[np.asarray(P, dtype=np.int64)] ^= E.words
+        boundary = C.boundaries[d + 1] if d < C.top_dim else Mat2.zeros(n, 0)
+        E, P, classes, class_pivots = eliminate(boundary, transform)
+        reps.append(classes)
+        rep_pivots.append(class_pivots)
+    result = CohomologyResult(reps, rep_pivots, cobs, cob_pivots)
     if C.involution is not None:
         result.induced_involution = induced_involution(C, result)
     return result
@@ -260,33 +283,15 @@ def induced_involution(C: CellComplex, H: CohomologyResult) -> list[Mat2]:
     """Push the cell involution onto cohomology in the representative basis.
 
     Raises RuntimeError when a mapped representative fails to be a
-    cocycle or leaves the span, or when the induced map is not an
-    involution; those signal a boundary/involution mismatch.
+    cocycle, or when the induced map is not an involution; those signal
+    a boundary/involution mismatch.
     """
     if C.involution is None:
         raise ValueError("complex has no involution")
     out: list[Mat2] = []
     for d in range(C.top_dim + 1):
-        reps = H.cocycle_basis[d]
-        k = reps.rows
-        if k == 0:
-            out.append(Mat2.zeros(0, 0))
-            continue
-        perm = C.involution[d]
-        mapped = reps.to_dense()[:, perm]
-        if d < C.top_dim:
-            delta = C.boundaries[d + 1].transpose()
-            for row in mapped:
-                if delta.mul_vec(row).any():
-                    raise RuntimeError(f"mapped representative is not a cocycle in degree {d}")
-        system = Mat2.vstack([reps, H.coboundary_basis[d]]).transpose()
-        sols = solve_many(system, Mat2.from_dense(mapped))
-        cols = np.zeros((k, k), dtype=np.uint8)
-        for j, sol in enumerate(sols):
-            if sol is None:
-                raise RuntimeError(f"mapped representative left the span in degree {d}")
-            cols[:, j] = sol[:k]
-        ind = Mat2.from_dense(cols)
+        k = H.dims[d]
+        ind = H.solve(d, H.cocycle_basis[d].take_cols(C.involution[d])).transpose()
         if ind.mul(ind) != Mat2.identity(k):
             raise RuntimeError(f"induced involution fails to square to one in degree {d}")
         out.append(ind)

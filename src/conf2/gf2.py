@@ -4,7 +4,11 @@ Each matrix row is packed into 64-bit words, so a row operation is a
 word-parallel XOR.  Elimination loops over pivot columns in Python but
 vectorises the row selection and the XOR across all rows with numpy,
 which keeps the few-thousand-column matrices produced by this package
-well under a second.
+well under a second.  `eliminate` carries a row transform in the same
+words as the matrix it reduces, so one elimination of a boundary matrix
+gives both its row space and its left kernel.  A product runs over the
+ones of its left factor, so products with sparse boundary matrices cost
+what their ones cost.
 
 Pivot choice is deterministic everywhere: columns are scanned left to
 right, candidate rows top to bottom.  Everything downstream (kernel
@@ -24,20 +28,19 @@ __all__ = [
     "Subspace",
     "rref",
     "rank",
-    "kernel_basis",
-    "rank_and_kernel",
+    "eliminate",
     "select_independent_rows",
-    "solve_linear",
     "solve_many",
     "invert",
-    "quotient_map",
     "quotient_map_with_section",
     "subspace_equal",
 ]
 
 _ONE = np.uint64(1)
-# Rows `Mat2.transpose` unpacks at once; a multiple of 64, so each block fills whole words.
-_TRANSPOSE_ROWS = 1024
+# Rows `Mat2.transpose` and `Mat2.take_cols` unpack at once; a multiple of 64, so each block fills whole words.
+_BLOCK_ROWS = 1024
+# Words of the right factor's rows `Mat2.mul` gathers at once.
+_MUL_WORDS = 1 << 20
 
 
 def _word_count(cols: int) -> int:
@@ -80,8 +83,8 @@ class Mat2:
     @classmethod
     def identity(cls, n: int) -> "Mat2":
         m = cls(n, n)
-        for i in range(n):
-            m.words[i, i >> 6] |= _ONE << np.uint64(i & 63)
+        i = np.arange(n)
+        m.words[i, i >> 6] = _ONE << (i & 63).astype(np.uint64)
         return m
 
     @classmethod
@@ -134,14 +137,6 @@ class Mat2:
     def get(self, i: int, j: int) -> int:
         return int((self.words[i, j >> 6] >> np.uint64(j & 63)) & _ONE)
 
-    def row_dense(self, i: int) -> np.ndarray:
-        return self.to_dense_rows([i])[0]
-
-    def to_dense_rows(self, idx) -> np.ndarray:
-        idx = list(idx)
-        sub = Mat2(len(idx), self.cols, self.words[idx].copy())
-        return sub.to_dense()
-
     def to_dense(self) -> np.ndarray:
         if self.rows == 0 or self.cols == 0:
             return np.zeros((self.rows, self.cols), dtype=np.uint8)
@@ -158,6 +153,16 @@ class Mat2:
     def take_rows(self, idx) -> "Mat2":
         idx = list(idx)
         return Mat2(len(idx), self.cols, self.words[idx].copy())
+
+    def take_cols(self, idx) -> "Mat2":
+        """The columns idx, in that order; unpacks `_BLOCK_ROWS` rows at a time."""
+        idx = np.asarray(idx, dtype=np.int64)
+        out = Mat2(self.rows, len(idx))
+        for lo in range(0, self.rows, _BLOCK_ROWS):
+            block = self.words[lo : lo + _BLOCK_ROWS]
+            bits = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little")
+            out.words[lo : lo + len(block)] = _pack_dense(bits[:, idx])
+        return out
 
     def copy(self) -> "Mat2":
         return Mat2(self.rows, self.cols, self.words.copy())
@@ -188,24 +193,26 @@ class Mat2:
         return Mat2(self.rows, self.cols, self.words ^ other.words)
 
     def transpose(self) -> "Mat2":
-        """Unpacks `_TRANSPOSE_ROWS` rows at a time, so no dense copy of the whole matrix is made."""
+        """Unpacks `_BLOCK_ROWS` rows at a time, so no dense copy of the whole matrix is made."""
         out = Mat2(self.cols, self.rows)
-        for lo in range(0, self.rows, _TRANSPOSE_ROWS):
-            block = self.words[lo : lo + _TRANSPOSE_ROWS]
+        for lo in range(0, self.rows, _BLOCK_ROWS):
+            block = self.words[lo : lo + _BLOCK_ROWS]
             bits = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little")[:, : self.cols]
             out.words[:, lo >> 6 : (lo >> 6) + _word_count(len(block))] = _pack_dense(bits.T)
         return out
 
     def mul(self, other: "Mat2") -> "Mat2":
-        """Matrix product over F2."""
+        """Matrix product over F2: each one (i, l) of self XORs row l of other into row i.
+
+        The rows of other are gathered `_MUL_WORDS` words at a time.
+        """
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         out = np.zeros((self.rows, other.words.shape[1]), dtype=np.uint64)
-        if self.rows and self.cols and other.cols:
-            for j in range(self.cols):
-                mask = ((self.words[:, j >> 6] >> np.uint64(j & 63)) & _ONE).astype(bool)
-                if mask.any():
-                    out[mask] ^= other.words[j]
+        i, l = self.entries()
+        step = max(1, _MUL_WORDS // max(1, out.shape[1]))
+        for lo in range(0, len(i), step):
+            np.bitwise_xor.at(out, i[lo : lo + step], other.words[l[lo : lo + step]])
         return Mat2(self.rows, other.cols, out)
 
     def mul_vec(self, vec) -> np.ndarray:
@@ -259,31 +266,24 @@ def rank(m: Mat2) -> int:
     return len(rref(m)[1])
 
 
-def kernel_basis(m: Mat2) -> Mat2:
-    """Basis of {v : m v = 0}, one row per free column of the rref."""
-    R, pivots = rref(m)
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    out = np.zeros((len(free), m.cols), dtype=np.uint8)
-    if free:
-        out[np.arange(len(free)), free] = 1
-        if pivots:
-            Rd = R.to_dense()
-            out[:, pivots] = Rd[: len(pivots), :][:, free].T
-    return Mat2.from_dense(out)
+def eliminate(m: Mat2, transform: Mat2) -> tuple[Mat2, list[int], Mat2, list[int]]:
+    """One elimination of m that carries a row transform T in the same packed words.
 
-
-def rank_and_kernel(m: Mat2) -> tuple[int, "Subspace"]:
-    R, pivots = rref(m)
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    out = np.zeros((len(free), m.cols), dtype=np.uint8)
-    if free:
-        out[np.arange(len(free)), free] = 1
-        if pivots:
-            Rd = R.to_dense()
-            out[:, pivots] = Rd[: len(pivots), :][:, free].T
-    return len(pivots), Subspace(m.cols, Mat2.from_dense(out))
+    The rref of [m | T], T with one row per row of m, gives the
+    reduced-echelon basis of the row space of m with its pivot columns,
+    and below it the reduced-echelon basis of the T-parts of the rows
+    that reduce to zero in m, with its pivot columns.  With T the
+    identity that is a basis of the left kernel {z : z m = 0}; otherwise
+    it spans the image of the left kernel under z -> z T.
+    """
+    if transform.rows != m.rows:
+        raise ValueError("the transform needs one row per row of the matrix")
+    lw = m.words.shape[1]
+    R, piv = rref(Mat2(m.rows, 64 * lw + transform.cols, np.hstack([m.words, transform.words])))
+    r = sum(p < m.cols for p in piv)
+    basis = Mat2(r, m.cols, R.words[:r, :lw].copy())
+    kernel = Mat2(len(piv) - r, transform.cols, R.words[r : len(piv), lw:].copy())
+    return basis, piv[:r], kernel, [p - 64 * lw for p in piv[r:]]
 
 
 def select_independent_rows(m: Mat2) -> list[int]:
@@ -313,15 +313,6 @@ def select_independent_rows(m: Mat2) -> list[int]:
         if col.any():
             w[col] ^= w[p]
     return sorted(picked)
-
-
-def solve_linear(m: Mat2, b) -> np.ndarray | None:
-    """One solution of m x = b with free variables set to zero, or None."""
-    bv = np.asarray(b, dtype=np.uint8).reshape(-1)
-    if bv.shape[0] != m.rows:
-        raise ValueError("right-hand side has the wrong length")
-    sols = solve_many(m, Mat2.from_dense(bv.reshape(1, -1)))
-    return sols[0]
 
 
 def solve_many(m: Mat2, rhs: Mat2) -> list[np.ndarray | None]:
@@ -392,10 +383,6 @@ class Subspace:
         stacked = Mat2.vstack([self.basis, Mat2.from_dense(v)])
         return rank(stacked) == rank(self.basis)
 
-    def validate(self) -> None:
-        if rank(self.basis) != self.basis.rows:
-            raise RuntimeError("subspace basis rows are dependent")
-
 
 def subspace_equal(a: Subspace, b: Subspace) -> bool:
     """True iff the two row spans coincide."""
@@ -406,12 +393,6 @@ def subspace_equal(a: Subspace, b: Subspace) -> bool:
     if ra != rb:
         return False
     return rank(Mat2.vstack([a.basis, b.basis])) == ra
-
-
-def quotient_map(ambient_dim: int, sub: Subspace) -> tuple[Mat2, int]:
-    """Projection F2^ambient -> F2^quotient with kernel exactly `sub`."""
-    proj, _, qdim = quotient_map_with_section(ambient_dim, sub)
-    return proj, qdim
 
 
 def quotient_map_with_section(ambient_dim: int, sub: Subspace) -> tuple[Mat2, Mat2, int]:

@@ -6,7 +6,9 @@ This module keeps the older route the tests compare it with: the
 deleted product dp with its swap, one representative cell per orbit,
 Q folded from dp's boundary, the connecting map Phi as dp's boundary
 on the representatives, and H*(dp) with the induced swap, which gives
-the conf rows and the Smith-Gysin counts.
+the conf rows and the Smith-Gysin counts.  It also keeps the old way of
+solving cocycles for their classes, against the stacked cocycle and
+coboundary bases, which `CohomologyResult.solve` replaced.
 """
 
 from functools import lru_cache
@@ -16,9 +18,19 @@ import numpy as np
 from conf2.borel import AlphaModule, equivariant_cohomology_with_alpha
 from conf2.cells import CellComplex, CohomologyResult, cohomology_f2, deleted_product
 from conf2.conf_symbolic import rep_decompose
-from conf2.gf2 import Mat2, rank
+from conf2.gf2 import Mat2, rank, solve_many
 from conf2.simplicial import builtin_triangulation
 from conf2.surfaces import SurfaceKind
+
+
+def reference_classes(H: CohomologyResult, d: int, cochains: Mat2) -> list[np.ndarray | None]:
+    """Class coordinates of each row of cochains, None for a row off the cocycles.
+
+    Solves against [cocycles; coboundaries] of degree d, transposed and
+    eliminated afresh on every call.
+    """
+    system = Mat2.vstack([H.cocycle_basis[d], H.coboundary_basis[d]]).transpose()
+    return [None if sol is None else sol[: H.dims[d]] for sol in solve_many(system, cochains)]
 
 
 def orbit_representatives(C: CellComplex) -> list[np.ndarray]:

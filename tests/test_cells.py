@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conf2.cells import (
     CellComplex,
@@ -12,14 +14,14 @@ from conf2.cells import (
     quotient_complex,
 )
 from conf2.conf_symbolic import conf_cohomology, rep_decompose
-from conf2.gf2 import Mat2
+from conf2.gf2 import Mat2, invert, rank
 from conf2.simplicial import (
     SimplicialComplex,
     barycentric_subdivide,
     builtin_triangulation,
 )
 from conf2.surfaces import SurfaceKind
-from dp_reference import orbit_quotient
+from dp_reference import orbit_quotient, reference_classes
 
 
 def test_deleted_product_of_tetrahedron():
@@ -67,8 +69,8 @@ def test_representatives_are_cocycles_not_coboundaries():
     for d in range(C.top_dim):
         delta = C.boundaries[d + 1].transpose()
         reps = result.cocycle_basis[d]
-        for i in range(reps.rows):
-            assert not delta.mul_vec(reps.row_dense(i)).any()
+        for row in reps.to_dense():
+            assert not delta.mul_vec(row).any()
         # classes stay independent modulo coboundaries
         stacked = Mat2.vstack([result.coboundary_basis[d], reps])
         from conf2.gf2 import rank
@@ -196,3 +198,67 @@ def test_subdivision_smoke_test_on_sphere():
     C = deleted_product(K)
     assert C.euler == 2
     assert cohomology_f2(C).dims == [1, 0, 1, 0, 0]
+
+
+def _bits(draw, rows: int, cols: int) -> np.ndarray:
+    bits = draw(st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols))
+    return np.array(bits, dtype=np.int64).reshape(rows, cols)
+
+
+def _invertible(draw, n: int) -> Mat2:
+    """L P U, L unit lower and U unit upper triangular, P a permutation: every invertible matrix has this form."""
+    eye = np.eye(n, dtype=np.int64)
+    perm = eye[np.asarray(draw(st.permutations(range(n))), dtype=np.int64)]
+    return Mat2.from_dense((np.tril(_bits(draw, n, n), -1) + eye) @ perm @ (np.triu(_bits(draw, n, n), 1) + eye) % 2)
+
+
+@st.composite
+def chain_complexes(draw, top=3, max_part=2):
+    """A random chain complex and its Betti numbers.
+
+    Each degree d of the standard complex holds classes[d] cells without
+    boundary or coboundary, sources[d] cells whose boundaries are the
+    last sources[d] cells of degree d - 1, and those targets; random
+    changes of basis A_d make the boundaries A_{d-1} S_d A_d^{-1}.
+    """
+    classes = [draw(st.integers(0, max_part)) for _ in range(top + 1)]
+    sources = [0] + [draw(st.integers(0, max_part)) for _ in range(top)] + [0]
+    sizes = [classes[d] + sources[d] + sources[d + 1] for d in range(top + 1)]
+    bases = [_invertible(draw, n) for n in sizes]
+    boundaries = [Mat2.zeros(0, sizes[0])]
+    for d in range(1, top + 1):
+        standard = np.zeros((sizes[d - 1], sizes[d]), dtype=np.uint8)
+        standard[sizes[d - 1] - sources[d] :, classes[d] : classes[d] + sources[d]] = np.eye(sources[d], dtype=np.uint8)
+        boundaries.append(bases[d - 1].mul(Mat2.from_dense(standard)).mul(invert(bases[d])))
+    return CellComplex([list(range(n)) for n in sizes], boundaries), classes
+
+
+@settings(deadline=None, max_examples=100)
+@given(chain_complexes())
+def test_random_complex_dims_satisfy_rank_nullity(case):
+    C, betti = case
+    H = cohomology_f2(C)
+    assert H.dims == betti
+    for d in range(C.top_dim + 1):
+        rank_next = rank(C.boundaries[d + 1]) if d < C.top_dim else 0
+        assert len(H.coboundary_pivots[d]) == rank(C.boundaries[d])
+        assert H.dims[d] == C.n_cells(d) - rank_next - len(H.coboundary_pivots[d])
+
+
+@settings(deadline=None, max_examples=100)
+@given(chain_complexes())
+def test_solve_matches_the_stacked_system_and_rejects_non_cocycles(case):
+    C, _ = case
+    H = cohomology_f2(C)
+    for d in range(C.top_dim + 1):
+        n = C.n_cells(d)
+        cochains = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        delta = C.boundaries[d + 1].to_dense() if d < C.top_dim else np.zeros((n, 0), dtype=np.uint8)
+        closed = ~(cochains @ delta % 2).any(axis=1)
+        cocycles = Mat2.from_dense(cochains[closed])
+        expected = reference_classes(H, d, cocycles)
+        assert H.solve(d, cocycles).to_dense().tolist() == [sol.tolist() for sol in expected]
+        for row in cochains[~closed]:
+            assert reference_classes(H, d, Mat2.from_dense(row[None])) == [None]
+            with pytest.raises(RuntimeError, match="not a cocycle"):
+                H.solve(d, Mat2.from_dense(row[None]))

@@ -1,0 +1,69 @@
+"""Work budgets for the oracle sweep: GF(2) eliminations and products, counted.
+
+Wall time follows the machine's speed; counts of work do not.  This runs
+the oracle sweep's six builtin surfaces through `run_pipeline`, with
+`--paper-check`, counting the calls of `gf2.rref` (every elimination
+goes through it) and `Mat2.mul`, and their operand bits (rows x cols,
+summed over the matrix arguments).  Each budget is the count measured
+when it was set plus 10%.  A change may lower a budget; one that raises
+it says why.  The product path solves cocycles with the pivot tables of
+`CohomologyResult`, so the stacked-system solver and the row selection
+it replaced must not run at all.
+"""
+
+import functools
+import math
+
+import pytest
+
+from conf2 import borel, cells, gf2
+from conf2.report import RunConfig, run_pipeline
+from conf2.simplicial import builtin_triangulation
+
+SWEEP = ("sphere", "orientable:1", "orientable:2", "nonorientable:1", "nonorientable:2", "nonorientable:3")
+# (calls, operand bits) measured on the sweep when the budgets were set.
+MEASURED = {"rref": (601, 3_884_702), "mul": (462, 13_065_711)}
+UNUSED = ("solve_many", "select_independent_rows")
+
+
+@pytest.fixture(scope="module")
+def sweep_counts() -> dict[str, tuple[int, int]]:
+    counts: dict[str, tuple[int, int]] = {}
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls, bits = counts.get(name, (0, 0))
+            counts[name] = (calls + 1, bits + sum(math.prod(a.shape) for a in args if hasattr(a, "shape")))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    patch = pytest.MonkeyPatch()
+    patch.setattr(gf2, "rref", counted("rref", gf2.rref))
+    patch.setattr(gf2.Mat2, "mul", counted("mul", gf2.Mat2.mul))
+    for module in (gf2, cells, borel):
+        for name in UNUSED:
+            if hasattr(module, name):
+                patch.setattr(module, name, counted(name, getattr(module, name)))
+    # the triangulations are cached; build them inside the count
+    builtin_triangulation.cache_clear()
+    try:
+        reports = run_pipeline(RunConfig(surfaces=tuple(("kind", s) for s in SWEEP), paper_check=True))
+    finally:
+        patch.undo()
+    assert all(r.error is None for r in reports)
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(MEASURED))
+def test_sweep_stays_within_budget(sweep_counts, name):
+    calls, bits = sweep_counts[name]
+    budget_calls, budget_bits = (int(1.1 * n) for n in MEASURED[name])
+    assert calls <= budget_calls, f"{name}: {calls} calls, budget {budget_calls}"
+    assert bits <= budget_bits, f"{name}: {bits} operand bits, budget {budget_bits}"
+
+
+@pytest.mark.parametrize("name", UNUSED)
+def test_product_path_does_not_solve_stacked_systems(sweep_counts, name):
+    assert name not in sweep_counts

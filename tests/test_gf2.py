@@ -6,18 +6,25 @@ from hypothesis import strategies as st
 from conf2.gf2 import (
     Mat2,
     Subspace,
+    eliminate,
     invert,
-    kernel_basis,
-    quotient_map,
     quotient_map_with_section,
     rank,
-    rank_and_kernel,
     rref,
     select_independent_rows,
-    solve_linear,
     solve_many,
     subspace_equal,
 )
+
+
+def rank_and_kernel(m: Mat2) -> tuple[int, Mat2]:
+    """Rank of m and a basis of {v : m v = 0}: the left kernel of the transpose, from one elimination."""
+    _, pivots, kernel, _ = eliminate(m.transpose(), Mat2.identity(m.cols))
+    return len(pivots), kernel
+
+
+def solve_one(m: Mat2, b) -> np.ndarray | None:
+    return solve_many(m, Mat2.from_dense(np.asarray(b, dtype=np.uint8).reshape(1, -1)))[0]
 
 
 def test_rref_collapses_equal_rows():
@@ -44,37 +51,37 @@ def test_rref_rank_two_example():
 def test_rank_and_kernel_zero_matrix():
     r, ker = rank_and_kernel(Mat2.zeros(2, 3))
     assert r == 0
-    assert ker.dim == 3
+    assert ker.rows == 3
 
 
 def test_rank_and_kernel_identity():
     r, ker = rank_and_kernel(Mat2.identity(4))
     assert r == 4
-    assert ker.dim == 0
+    assert ker.rows == 0
 
 
 def test_rank_and_kernel_rank_one():
     r, ker = rank_and_kernel(Mat2.from_rows([[1, 1], [1, 1]]))
     assert r == 1
-    assert ker.dim == 1
-    assert ker.basis.to_dense().tolist() == [[1, 1]]
+    assert ker.rows == 1
+    assert ker.to_dense().tolist() == [[1, 1]]
 
 
 def test_solve_identity():
-    x = solve_linear(Mat2.identity(2), [1, 0])
+    x = solve_one(Mat2.identity(2), [1, 0])
     assert x.tolist() == [1, 0]
 
 
 def test_solve_underdetermined_row():
     m = Mat2.from_rows([[1, 1]])
-    x = solve_linear(m, [1])
+    x = solve_one(m, [1])
     assert x is not None
     assert m.mul_vec(x).tolist() == [1]
 
 
 def test_solve_inconsistent():
     m = Mat2.from_rows([[1, 1], [1, 1]])
-    assert solve_linear(m, [1, 0]) is None
+    assert solve_one(m, [1, 0]) is None
 
 
 def test_solve_many_mixed():
@@ -87,14 +94,14 @@ def test_solve_many_mixed():
 
 def test_quotient_of_diagonal_line():
     sub = Subspace.spanned_by(2, [[1, 1]])
-    proj, qdim = quotient_map(2, sub)
+    proj, _, qdim = quotient_map_with_section(2, sub)
     assert qdim == 1
     assert proj.mul_vec([1, 0]).tolist() == proj.mul_vec([0, 1]).tolist()
     assert proj.mul_vec([1, 1]).tolist() == [0]
 
 
 def test_quotient_by_zero_subspace_is_identity():
-    proj, qdim = quotient_map(3, Subspace.zero(3))
+    proj, _, qdim = quotient_map_with_section(3, Subspace.zero(3))
     assert qdim == 3
     assert proj == Mat2.identity(3)
 
@@ -129,10 +136,10 @@ def test_subspace_contains():
 def test_empty_matrices_are_legal():
     m = Mat2.zeros(0, 5)
     assert rank(m) == 0
-    assert kernel_basis(m).rows == 5
+    assert rank_and_kernel(m)[1].rows == 5
     n = Mat2.zeros(5, 0)
     assert rank(n) == 0
-    assert kernel_basis(n).rows == 0
+    assert rank_and_kernel(n)[1].rows == 0
     assert m.mul(Mat2.zeros(5, 0)).shape == (0, 0)
 
 
@@ -182,8 +189,8 @@ def test_rref_is_idempotent(m):
 @given(mat2s())
 def test_rank_plus_kernel_dim_is_width(m):
     r, ker = rank_and_kernel(m)
-    assert r + ker.dim == m.cols
-    for row in ker.basis.to_dense():
+    assert r + ker.rows == m.cols
+    for row in ker.to_dense():
         assert not m.mul_vec(row).any()
 
 
@@ -198,7 +205,7 @@ def test_rank_equals_transpose_rank(m):
 def test_solve_recovers_consistent_systems(m):
     for x in ([0] * m.cols, [1] * m.cols):
         b = m.mul_vec(x) if m.cols else np.zeros(m.rows, dtype=np.uint8)
-        got = solve_linear(m, b)
+        got = solve_one(m, b)
         assert got is not None
         assert m.mul_vec(got).tolist() == b.tolist()
 
@@ -207,7 +214,7 @@ def test_solve_recovers_consistent_systems(m):
 @given(mat2s(max_rows=6, max_cols=6))
 def test_quotient_projection_kills_exactly_the_subspace(m):
     sub = Subspace.spanned_by(m.cols, m)
-    proj, qdim = quotient_map(m.cols, sub)
+    proj, _, qdim = quotient_map_with_section(m.cols, sub)
     assert qdim == m.cols - sub.dim
     for row in m.to_dense():
         assert not proj.mul_vec(row).any()
@@ -253,3 +260,36 @@ def test_entries_cross_word_boundaries():
 def test_transpose_matches_dense_across_row_blocks(rows, cols, seed):
     dense = np.random.default_rng(seed).integers(0, 2, size=(rows, cols), dtype=np.uint8)
     assert Mat2.from_dense(dense).transpose() == Mat2.from_dense(dense.T)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 9), st.integers(0, 140), st.integers(0, 140), st.integers(0, 2**32 - 1))
+def test_mul_matches_dense_product(rows, inner, cols, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2, size=(rows, inner), dtype=np.uint8)
+    b = rng.integers(0, 2, size=(inner, cols), dtype=np.uint8)
+    expected = (a.astype(np.int64) @ b.astype(np.int64)) % 2
+    assert Mat2.from_dense(a).mul(Mat2.from_dense(b)) == Mat2.from_dense(expected)
+
+
+@settings(deadline=None, max_examples=100)
+@given(mat2s(max_rows=9, max_cols=70), st.data())
+def test_take_cols_matches_dense(m, data):
+    idx = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=9)) if m.cols else []
+    assert m.take_cols(idx) == Mat2.from_dense(m.to_dense()[:, idx])
+
+
+@settings(deadline=None, max_examples=150)
+@given(mat2s(max_rows=8, max_cols=70), st.data())
+def test_eliminate_splits_row_space_and_left_kernel(m, data):
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=m.rows * 5, max_size=m.rows * 5))
+    transform = Mat2.from_dense(np.array(bits, dtype=np.uint8).reshape(m.rows, 5))
+    basis, pivots, kernel, kernel_pivots = eliminate(m, Mat2.identity(m.rows))
+    R, piv = rref(m)
+    assert pivots == piv and basis == R.take_rows(range(len(piv)))
+    assert kernel.rows == m.rows - len(piv) and rref(kernel) == (kernel, kernel_pivots)
+    assert kernel.mul(m).is_zero()
+    # with a transform T the kernel part is an echelon basis of {z T : z m = 0}
+    _, _, image, image_pivots = eliminate(m, transform)
+    R, piv = rref(kernel.mul(transform))
+    assert image == R.take_rows(range(len(piv))) and image_pivots == piv

@@ -1,6 +1,7 @@
 """Pipeline reports: cross-checks, stated-table comparison, emitters, CLI."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -142,6 +143,29 @@ def test_failed_norm_check_is_error_record(monkeypatch):
     )
     (r,) = _run(("kind", "sphere"))
     assert r.error is not None and "norm map check fails" in r.error
+
+
+def test_miscounted_rank_fails_the_quotient_dims_record(monkeypatch):
+    from conf2 import report as report_module
+    from conf2.cells import cohomology_f2
+
+    def miscounting(C):
+        # A coboundary table with one pivot too many and a zero row for it:
+        # the rank count is off by one while the classes and every solve stay right.
+        H = cohomology_f2(C)
+        d = max(n for n, dim in enumerate(H.dims) if dim)
+        bases, pivots = list(H.coboundary_basis), list(H.coboundary_pivots)
+        bases[d] = Mat2.vstack([bases[d], Mat2.zeros(1, bases[d].cols)])
+        pivots[d] = pivots[d] + H.class_pivots[d][:1]
+        return replace(H, coboundary_basis=bases, coboundary_pivots=pivots)
+
+    monkeypatch.setattr(report_module, "cohomology_f2", miscounting)
+    (r,) = _run(("kind", "sphere"))
+    assert r.error is None
+    (record,) = [c for c in r.checks if c.name == "uconf-dims-match-quotient"]
+    assert not record.passed
+    assert record.expected == [1, 0, 0, 0, 0] and record.got == [1, 1, 1, 0, 0]
+    assert all(c.passed for c in r.checks if c is not record)
 
 
 def test_open_surface_file_rejected(tmp_path):
