@@ -25,10 +25,10 @@ from conf2.borel import (
     sw_height,
 )
 from conf2.cells import CellComplex, cohomology_f2, deleted_product, quotient_complex
-from conf2.gf2 import Mat2, rank, solve_many
+from conf2.gf2 import Mat2, rank
 from conf2.simplicial import SimplicialComplex, builtin_triangulation
 from conf2.surfaces import SurfaceKind
-from dp_reference import alpha_module, builtin_reference, check_smith_gysin, conf_rows
+from dp_reference import alpha_module, builtin_reference, check_smith_gysin, conf_rows, reference_classes
 
 SWEEP = ("sphere", "orientable:1", "orientable:2", "nonorientable:1", "nonorientable:2", "nonorientable:3")
 
@@ -110,11 +110,10 @@ def bicomplex_alpha_module(C: CellComplex, window: int) -> AlphaModule:
         # the shift is a blockwise prefix embedding: pad with zeros
         mapped = np.zeros((reps.rows, E.total_dim(n + 1)), dtype=np.uint8)
         mapped[:, : reps.cols] = reps.to_dense()
-        system = Mat2.vstack([result.cocycle_basis[n + 1], result.coboundary_basis[n + 1]]).transpose()
         cols = np.zeros((nxt, reps.rows), dtype=np.uint8)
-        for j, sol in enumerate(solve_many(system, Mat2.from_dense(mapped))):
+        for j, sol in enumerate(reference_classes(result, n + 1, Mat2.from_dense(mapped))):
             assert sol is not None, f"shifted representative left the span in degree {n}"
-            cols[:, j] = sol[:nxt]
+            cols[:, j] = sol
         alpha_maps.append(Mat2.from_dense(cols))
     module = AlphaModule(dims=result.dims[: window + 1], alpha_maps=alpha_maps)
     module.towers = module_decompose(module)
