@@ -54,12 +54,29 @@ class AlphaModule:
     """Graded module: dims per degree, the degree-raising maps, towers.
 
     alpha_maps[n] maps degree n to degree n+1 in the representative
-    bases; the module vanishes above its last degree.
+    bases; the module vanishes above its last degree.  The composite
+    ranks every reader of the module needs are computed once, here.
     """
 
     dims: list[int]
     alpha_maps: list[Mat2]
     towers: list[Tower] = field(default_factory=list)
+    _ranks: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._ranks = {}
+        N = len(self.dims) - 1
+        for n in range(N + 1):
+            self._ranks[(n, 0)] = self.dims[n]
+            comp: Mat2 | None = None
+            for ell in range(1, N - n + 1):
+                step = self.alpha_maps[n + ell - 1]
+                comp = step if comp is None else step.mul(comp)
+                self._ranks[(n, ell)] = rank(comp)
+
+    def rank(self, n: int, ell: int) -> int:
+        """Rank of alpha^ell out of degree n; 0 outside the module."""
+        return self._ranks.get((n, ell), 0)
 
     @property
     def euler(self) -> int:
@@ -116,25 +133,6 @@ def equivariant_cohomology_with_alpha(phi: list[Mat2], H: CohomologyResult) -> A
     return module
 
 
-def _rank_lookup(A: AlphaModule):
-    N = len(A.dims) - 1
-    table: dict[tuple[int, int], int] = {}
-    for n in range(N + 1):
-        table[(n, 0)] = A.dims[n]
-        comp: Mat2 | None = None
-        for ell in range(1, N - n + 1):
-            step = A.alpha_maps[n + ell - 1]
-            comp = step if comp is None else step.mul(comp)
-            table[(n, ell)] = rank(comp)
-
-    def lookup(n: int, ell: int) -> int:
-        if n < 0 or n > N:
-            return 0
-        return table.get((n, ell), 0)
-
-    return lookup
-
-
 def module_decompose(A: AlphaModule) -> list[Tower]:
     """Cut the module into towers from composite ranks of the action.
 
@@ -143,7 +141,7 @@ def module_decompose(A: AlphaModule) -> list[Tower]:
     not the action of a graded module and raises RuntimeError.
     """
     N = len(A.dims) - 1
-    r = _rank_lookup(A)
+    r = A.rank
     towers: list[Tower] = []
     for n in range(N + 1):
         for ell in range(1, N - n + 2):
@@ -168,9 +166,8 @@ def cover_counts(A: AlphaModule) -> list[tuple[int, int]]:
     summands of H^n(cover) are the image of the norm, the towers of
     length one starting in degree n.
     """
-    r = _rank_lookup(A)
     return [
-        (2 * h - r(n - 1, 1) - r(n, 1), sum(1 for t in A.towers if t.start == n and t.length == 1))
+        (2 * h - A.rank(n - 1, 1) - A.rank(n, 1), sum(1 for t in A.towers if t.start == n and t.length == 1))
         for n, h in enumerate(A.dims)
     ]
 
@@ -189,7 +186,6 @@ def check_norm_map(
     Each one is solved for its class with `HQ.solve`, which raises
     RuntimeError when it is no cocycle.  Phi is not used.
     """
-    r = _rank_lookup(A)
     reps = [HK.cocycle_basis[p].to_dense() for p in range(len(HK.dims))]
     ranks = [0] * len(Q.cells)
     for n, cells in enumerate(Q.cells):
@@ -212,7 +208,7 @@ def check_norm_map(
             else:
                 blocks.append(norm.reshape(-1, len(cells)))
         got = rank(HQ.solve(n, Mat2.from_dense(np.vstack(blocks))))
-        expected = HQ.dims[n] - r(n, 1)
+        expected = HQ.dims[n] - A.rank(n, 1)
         if got != expected:
             raise RuntimeError(
                 f"norm map check fails in degree {n}: the norm classes span {got} dimensions, "
@@ -226,5 +222,4 @@ def sw_height(A: AlphaModule) -> SWHeight:
     """Height of the unit class under the polynomial action."""
     if not A.dims or A.dims[0] != 1:
         raise ValueError("height needs a connected degree zero")
-    r = _rank_lookup(A)
-    return SWHeight(max(ell for ell in range(len(A.dims)) if r(0, ell) >= 1))
+    return SWHeight(max(ell for ell in range(len(A.dims)) if A.rank(0, ell) >= 1))

@@ -1,11 +1,14 @@
 """Cohomology of the ordered two-point configuration space, symbolically.
 
 Deleting the diagonal from the square M x M kills, in each degree, the
-image of the pushforward from the diagonal copy of M: the span of the
-classes (x cross 1) d where d is the diagonal class.  The quotient by
-that span, carrying the swap pushed through a fixed section, is
-H^q(Conf(2,M)); each degree then splits into trivial and free modules
-over the group algebra of the swap.
+image of the pushforward from the diagonal copy of M: the span K of the
+classes (x cross 1) d where d is the diagonal class.  The quotient by K
+is H^q(Conf(2,M)), and it splits into t trivial and f free modules over
+the group algebra of the swap sigma.  No quotient is built: with c the
+number of 2-cycles of sigma on the square's basis,
+f = dim((1 + sigma)V + K) - dim K = c - dim(K meet im(1 + sigma)), and
+im(1 + sigma) is the set of sigma-fixed vectors that vanish on sigma's
+fixed basis elements.
 """
 
 from __future__ import annotations
@@ -14,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import (
-    Mat2,
-    Subspace,
-    quotient_map_with_section,
-    rank,
-    subspace_equal,
-)
+from .gf2 import Mat2, rank, rref
 from .surfaces import (
     KunnethAlgebra,
     SurfaceKind,
@@ -56,16 +53,10 @@ class RepDecomposition:
 
 @dataclass(frozen=True)
 class ConfDegree:
-    """One cohomology degree of the configuration space.
-
-    projection maps the ambient degree of the square onto the quotient;
-    induced_swap is the swap in the chosen quotient coordinates.
-    """
+    """One cohomology degree of the configuration space."""
 
     q: int
     dim: int
-    projection: Mat2
-    induced_swap: Mat2
     decomposition: RepDecomposition
 
 
@@ -85,50 +76,36 @@ class ConfCohomology:
         return sum((-1) ** d.q * d.dim for d in self.degrees)
 
 
-def _diagonal(square: KunnethAlgebra):
-    if square.diagonal is not None:
-        return square.diagonal
-    return diagonal_class(square)
-
-
-def gysin_kernel(square: KunnethAlgebra, q: int) -> Subspace:
-    """Kernel of restriction to the configuration space in degree q.
-
-    The span of (x cross 1) d with x running over a basis of the factor
-    ring in degree q-2; the zero subspace below degree 2.
-    """
+def _times_diagonal(square: KunnethAlgebra, q: int) -> tuple[Mat2, Mat2]:
+    """The matrix of y -> y d from degree q-2 into degree q, and its rows at the x|1 basis elements."""
     if not 0 <= q <= TOP_DEGREE:
         raise ValueError(f"degree out of range: {q}")
-    ambient = square.dim(q)
+    d = square.diagonal if square.diagonal is not None else diagonal_class(square)
+    rows = Mat2.from_dense(square.times(q - 2, d))
     if q < 2:
-        return Subspace.zero(ambient)
-    ring = square.factor
-    d = _diagonal(square)
-    one = ring.unit()
-    rows = [
-        square.mul(square.cross(ring.basis_element(q - 2, i), one), d).coeffs
-        for i in range(ring.dim(q - 2))
-    ]
-    if not rows:
-        return Subspace.zero(ambient)
-    return Subspace.spanned_by(ambient, rows)
+        return rows, rows
+    start = square.offset[q - 2][q - 2]
+    return rows, rows.take_rows(range(start, start + square.factor.dim(q - 2)))
+
+
+def gysin_kernel(square: KunnethAlgebra, q: int) -> Mat2:
+    """Reduced echelon basis of the kernel of restriction to the configuration space in degree q.
+
+    The span of (x cross 1) d with x running over a basis of the factor
+    ring in degree q-2; no rows below degree 2.
+    """
+    R, piv = rref(_times_diagonal(square, q)[1])
+    return R.take_rows(range(len(piv)))
 
 
 def kernel_ideal_check(square: KunnethAlgebra, q: int) -> bool:
-    """True iff the restriction kernel equals the ideal slice (d) in degree q."""
-    if not 0 <= q <= TOP_DEGREE:
-        raise ValueError(f"degree out of range: {q}")
-    left = gysin_kernel(square, q)
-    ambient = square.dim(q)
-    if q < 2:
-        return left.dim == 0
-    d = _diagonal(square)
-    rows = [
-        square.mul(square.basis_element(q - 2, j), d).coeffs
-        for j in range(square.dim(q - 2))
-    ]
-    right = Subspace.spanned_by(ambient, rows) if rows else Subspace.zero(ambient)
-    return subspace_equal(left, right)
+    """True iff the restriction kernel equals the ideal slice (d) in degree q.
+
+    The rows of (x cross 1) d are among the rows of y d, y running over
+    the square's degree q-2, so the spans agree iff the ranks do.
+    """
+    everything, kernel = _times_diagonal(square, q)
+    return rank(kernel) == rank(everything)
 
 
 def rep_decompose(dim: int, swap: Mat2) -> RepDecomposition:
@@ -148,37 +125,30 @@ def rep_decompose(dim: int, swap: Mat2) -> RepDecomposition:
     return RepDecomposition(t=t, f=f)
 
 
-def _apply_swap_rows(square: KunnethAlgebra, q: int, rows: Mat2) -> Mat2:
-    dense = rows.to_dense()
-    out = np.zeros_like(dense)
-    out[:, square.swap_perm[q]] = dense
-    return Mat2.from_dense(out)
-
-
 def conf_cohomology(kind: SurfaceKind) -> ConfCohomology:
-    """Per-degree quotients of the square with the induced swap action.
+    """Per-degree dimensions of the quotient of the square by the kernel, with their swap decomposition.
 
     Raises RuntimeError when internal consistency fails: a kernel that
-    is not swap-stable, a non-involutive induced swap, or a nonzero
+    is not swap-stable, a negative trivial multiplicity, or a nonzero
     degree-4 quotient.
     """
-    ring = build_surface_ring(kind)
-    square = build_kunneth(ring)
+    square = build_kunneth(build_surface_ring(kind))
     degrees = []
     for q in range(TOP_DEGREE + 1):
-        ambient = square.dim(q)
-        ker = gysin_kernel(square, q)
-        if ker.dim:
-            mapped = _apply_swap_rows(square, q, ker.basis)
-            if not subspace_equal(ker, Subspace.spanned_by(ambient, mapped)):
-                raise RuntimeError(f"restriction kernel is not swap-stable in degree {q}")
-        proj, section, qdim = quotient_map_with_section(ambient, ker)
-        sigma = square.swap_matrix(q)
-        induced = proj.mul(sigma).mul(section)
-        if induced.mul(induced) != Mat2.identity(qdim):
-            raise RuntimeError(f"induced swap is not an involution in degree {q}")
-        decomposition = rep_decompose(qdim, induced)
-        degrees.append(ConfDegree(q, qdim, proj, induced, decomposition))
+        K = gysin_kernel(square, q)
+        perm = square.swap_perm[q]
+        swapped = K.take_cols(perm)
+        if rank(Mat2.vstack([K, swapped])) != K.rows:
+            raise RuntimeError(f"restriction kernel is not swap-stable in degree {q}")
+        fixed = np.flatnonzero(perm == np.arange(len(perm)))
+        cycles = (len(perm) - len(fixed)) // 2
+        # k in K lies in im(1 + sigma) iff k + k sigma = 0 and k vanishes on the fixed basis elements
+        meet = K.rows - rank(Mat2.hstack(K ^ swapped, K.take_cols(fixed)))
+        dim = len(perm) - K.rows
+        f = cycles - meet
+        if dim - 2 * f < 0:
+            raise RuntimeError("trivial multiplicity came out negative")
+        degrees.append(ConfDegree(q, dim, RepDecomposition(t=dim - 2 * f, f=f)))
     if degrees[TOP_DEGREE].dim != 0:
         raise RuntimeError("top-degree quotient failed to vanish")
     return ConfCohomology(kind=kind, square=square, degrees=tuple(degrees))

@@ -12,28 +12,23 @@ what their ones cost.
 
 Pivot choice is deterministic everywhere: columns are scanned left to
 right, candidate rows top to bottom.  Everything downstream (kernel
-bases, quotient coordinates, cohomology representatives) inherits that
-determinism.
+bases, cohomology representatives) inherits that determinism.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "Mat2",
-    "Subspace",
     "rref",
     "rank",
     "eliminate",
     "select_independent_rows",
     "solve_many",
     "invert",
-    "quotient_map_with_section",
-    "subspace_equal",
 ]
 
 _ONE = np.uint64(1)
@@ -346,78 +341,3 @@ def invert(m: Mat2) -> Mat2:
     if piv[:n] != list(range(n)) or len(piv) != n:
         raise ValueError("matrix is singular")
     return Mat2.from_dense(R.to_dense()[:, n:])
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """Row span of an independent basis inside F2^ambient_dim."""
-
-    ambient_dim: int
-    basis: Mat2
-
-    def __post_init__(self):
-        if self.basis.cols != self.ambient_dim:
-            raise ValueError("basis width does not match the ambient dimension")
-
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Mat2.zeros(0, ambient_dim))
-
-    @staticmethod
-    def spanned_by(ambient_dim: int, vectors) -> "Subspace":
-        """Subspace spanned by arbitrary (possibly dependent) row vectors."""
-        m = vectors if isinstance(vectors, Mat2) else Mat2.from_rows(vectors, cols=ambient_dim)
-        if m.cols != ambient_dim:
-            raise ValueError("vector width does not match the ambient dimension")
-        R, piv = rref(m)
-        return Subspace(ambient_dim, R.take_rows(range(len(piv))))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
-
-    def contains(self, vec) -> bool:
-        v = np.asarray(vec, dtype=np.uint8).reshape(1, -1)
-        if v.shape[1] != self.ambient_dim:
-            raise ValueError("vector lives in the wrong ambient space")
-        stacked = Mat2.vstack([self.basis, Mat2.from_dense(v)])
-        return rank(stacked) == rank(self.basis)
-
-
-def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    """True iff the two row spans coincide."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("subspaces live in different ambient spaces")
-    ra = rank(a.basis)
-    rb = rank(b.basis)
-    if ra != rb:
-        return False
-    return rank(Mat2.vstack([a.basis, b.basis])) == ra
-
-
-def quotient_map_with_section(ambient_dim: int, sub: Subspace) -> tuple[Mat2, Mat2, int]:
-    """Quotient projection plus the section picking non-pivot coordinates.
-
-    The rref of the subspace basis fixes pivot columns; the remaining
-    coordinates represent the quotient.  The section maps quotient basis
-    vector k to the ambient basis vector at the k-th non-pivot column,
-    so projection . section = identity.
-    """
-    if sub.ambient_dim != ambient_dim:
-        raise ValueError("subspace does not match the ambient dimension")
-    R, piv = rref(sub.basis)
-    if len(piv) != sub.basis.rows:
-        raise ValueError("subspace basis rows are dependent")
-    pivset = set(piv)
-    nonpiv = [c for c in range(ambient_dim) if c not in pivset]
-    qdim = len(nonpiv)
-    proj = np.zeros((qdim, ambient_dim), dtype=np.uint8)
-    if qdim:
-        proj[np.arange(qdim), nonpiv] = 1
-        if piv:
-            Rd = R.to_dense()
-            proj[:, piv] = Rd[: len(piv), :][:, nonpiv].T
-    section = np.zeros((ambient_dim, qdim), dtype=np.uint8)
-    if qdim:
-        section[nonpiv, np.arange(qdim)] = 1
-    return Mat2.from_dense(proj), Mat2.from_dense(section), qdim

@@ -1,10 +1,14 @@
 """Mod-2 cohomology rings of closed surfaces and of their squares.
 
-A surface ring is a graded F2 algebra concentrated in degrees 0..2 with
-an explicit multiplication table.  The square carries the coordinate
-swap and the diagonal class, the degree-2 element that generates the
-image of the diagonal pushforward; it is computed from dual bases under
-the intersection pairing, never copied in.
+A surface ring is a graded F2 algebra concentrated in degrees 0..2,
+given by its structure constants: one array per pair of degrees.  The
+square M x M keeps no multiplication table.  Its product
+(a x b)(c x e) = ac x be is evaluated from the factor's arrays in one
+place, `KunnethAlgebra.times`, the matrix of y -> y z.  The square
+carries the coordinate swap, a permutation of its basis, and the
+diagonal class, the degree-2 element that generates the image of the
+diagonal pushforward; it is computed from dual bases under the
+intersection pairing, never copied in.
 """
 
 from __future__ import annotations
@@ -22,9 +26,7 @@ __all__ = [
     "GradedAlgebra",
     "KunnethAlgebra",
     "build_surface_ring",
-    "cup_product",
     "build_kunneth",
-    "swap_involution",
     "diagonal_class",
 ]
 
@@ -125,20 +127,14 @@ class Element:
         return f"Element(degree={self.degree}, coeffs={self.coeffs.tolist()})"
 
 
-class GradedAlgebra:
-    """Graded-commutative F2 algebra with a named basis in each degree.
+class _GradedBasis:
+    """A named basis in each degree, and products through `times`."""
 
-    Degrees above the top are not represented; products landing there
-    are zero by convention.
-    """
-
-    def __init__(self, basis: list[list[str]], mult: Mapping[tuple[int, int, int, int], np.ndarray]):
+    def __init__(self, basis: list[list[str]]):
         self.basis = [list(names) for names in basis]
-        self.mult = {k: np.asarray(v, dtype=np.uint8) & 1 for k, v in mult.items()}
         self.index = [
             {name: i for i, name in enumerate(names)} for names in self.basis
         ]
-        self._check_table()
 
     # -- structure ------------------------------------------------------
 
@@ -178,65 +174,56 @@ class GradedAlgebra:
     def unit(self) -> Element:
         return self.basis_element(0, 0)
 
-    def describe(self, x: Element) -> str:
-        names = [self.basis[x.degree][i] for i in np.nonzero(x.coeffs)[0]]
-        return " + ".join(names) if names else "0"
-
     # -- multiplication ---------------------------------------------------
 
-    def mul(self, x: Element, y: Element) -> Element:
-        deg = x.degree + y.degree
-        out = np.zeros(self.dim(deg), dtype=np.uint8)
-        if deg <= self.top_degree:
-            for i in np.nonzero(x.coeffs)[0]:
-                for j in np.nonzero(y.coeffs)[0]:
-                    out ^= self.mult[(x.degree, int(i), y.degree, int(j))]
-        return Element(deg, out)
+    def times(self, a: int, z: Element) -> np.ndarray:
+        """0/1 matrix of y -> y z on degree a: row i is basis element i times z."""
+        raise NotImplementedError
 
-    # -- validation -------------------------------------------------------
+    def mul(self, x: Element, y: Element) -> Element:
+        """Product; degrees above the top are zero.
+
+        The uint8 sums wrap modulo 256, which keeps their parity.
+        """
+        return Element(x.degree + y.degree, x.coeffs @ self.times(x.degree, y))
+
+
+class GradedAlgebra(_GradedBasis):
+    """Graded-commutative F2 algebra given by structure-constant arrays.
+
+    mult[(p, q)], for p + q up to the top degree, has shape
+    (dim p, dim q, dim p+q): entry [i, j] is the product of basis
+    elements i and j.  Degrees above the top are not represented;
+    products landing there are zero.
+    """
+
+    def __init__(self, basis: list[list[str]], mult: Mapping[tuple[int, int], np.ndarray]):
+        super().__init__(basis)
+        self.mult = {k: np.asarray(v, dtype=np.uint8) & 1 for k, v in mult.items()}
+        self._check_table()
+
+    def times(self, a: int, z: Element) -> np.ndarray:
+        table = self.mult.get((a, z.degree))
+        if table is None:
+            return np.zeros((self.dim(a), self.dim(a + z.degree)), dtype=np.uint8)
+        return np.einsum("ijk,j->ik", table, z.coeffs) & 1
 
     def _check_table(self) -> None:
         if self.dim(0) != 1:
             raise ValueError("expected a one-dimensional degree 0")
-        for (p, i, q, j), vec in self.mult.items():
-            if vec.shape != (self.dim(p + q),):
-                raise ValueError("multiplication table entry has the wrong shape")
-        for p in range(self.top_degree + 1):
-            for q in range(self.top_degree + 1 - p):
-                for i in range(self.dim(p)):
-                    for j in range(self.dim(q)):
-                        if (p, i, q, j) not in self.mult:
-                            raise ValueError("multiplication table is incomplete")
-                        # commutativity holds on the nose in characteristic 2
-                        if not np.array_equal(
-                            self.mult[(p, i, q, j)], self.mult[(q, j, p, i)]
-                        ):
-                            raise ValueError("multiplication table is not commutative")
-        for q in range(self.top_degree + 1):
-            for j in range(self.dim(q)):
-                if not np.array_equal(
-                    self.mult[(0, 0, q, j)], self.basis_element(q, j).coeffs
-                ):
-                    raise ValueError("degree-0 generator is not a unit")
-
-    def check_associative(self) -> None:
-        """Exhaustive associativity check over basis triples."""
         top = self.top_degree
-        for p in range(top + 1):
-            for q in range(top + 1):
-                for r in range(top + 1):
-                    if p + q + r > top:
-                        continue
-                    for i in range(self.dim(p)):
-                        x = self.basis_element(p, i)
-                        for j in range(self.dim(q)):
-                            y = self.basis_element(q, j)
-                            for k in range(self.dim(r)):
-                                z = self.basis_element(r, k)
-                                left = self.mul(self.mul(x, y), z)
-                                right = self.mul(x, self.mul(y, z))
-                                if left != right:
-                                    raise RuntimeError("multiplication is not associative")
+        if set(self.mult) != {(p, q) for p in range(top + 1) for q in range(top + 1 - p)}:
+            raise ValueError("multiplication table does not cover exactly the degrees up to the top")
+        for (p, q), table in self.mult.items():
+            if table.shape != (self.dim(p), self.dim(q), self.dim(p + q)):
+                raise ValueError("multiplication table entry has the wrong shape")
+        for (p, q), table in self.mult.items():
+            # commutativity holds on the nose in characteristic 2
+            if not np.array_equal(table, self.mult[(q, p)].transpose(1, 0, 2)):
+                raise ValueError("multiplication table is not commutative")
+        for q in range(top + 1):
+            if not np.array_equal(self.mult[(0, q)][0], np.eye(self.dim(q), dtype=np.uint8)):
+                raise ValueError("degree-0 generator is not a unit")
 
 
 def build_surface_ring(kind: SurfaceKind) -> GradedAlgebra:
@@ -254,110 +241,94 @@ def build_surface_ring(kind: SurfaceKind) -> GradedAlgebra:
         deg1 = [f"a{i}" for i in range(1, g + 1)] + [f"b{i}" for i in range(1, g + 1)]
     else:
         deg1 = [f"w{i}" for i in range(1, kind.param + 1)]
-    basis = [["1"], deg1, ["u"]]
-    n1 = len(deg1)
-    u = np.array([1], dtype=np.uint8)
-    zero2 = np.zeros(1, dtype=np.uint8)
-    mult: dict[tuple[int, int, int, int], np.ndarray] = {}
-    mult[(0, 0, 0, 0)] = np.array([1], dtype=np.uint8)
-    for j in range(n1):
-        e = np.zeros(n1, dtype=np.uint8)
-        e[j] = 1
-        mult[(0, 0, 1, j)] = e
-        mult[(1, j, 0, 0)] = e.copy()
-    mult[(0, 0, 2, 0)] = u.copy()
-    mult[(2, 0, 0, 0)] = u.copy()
-    for i in range(n1):
-        for j in range(n1):
-            if kind.family == "orientable":
-                g = kind.param
-                paired = (j == i + g) or (i == j + g)
-            else:
-                paired = i == j
-            mult[(1, i, 1, j)] = u.copy() if paired else zero2.copy()
-    return GradedAlgebra(basis, mult)
+    dims = [1, len(deg1), 1]
+    mult = {
+        (p, q): np.zeros((dims[p], dims[q], dims[p + q]), dtype=np.uint8)
+        for p in range(3)
+        for q in range(3 - p)
+    }
+    for q in range(3):
+        mult[(0, q)][0] = np.eye(dims[q], dtype=np.uint8)
+        mult[(q, 0)][:, 0] = np.eye(dims[q], dtype=np.uint8)
+    if kind.family == "orientable":
+        mult[(1, 1)][:, :, 0] = np.roll(np.eye(dims[1], dtype=np.uint8), kind.param, axis=1)
+    else:
+        mult[(1, 1)][:, :, 0] = np.eye(dims[1], dtype=np.uint8)
+    return GradedAlgebra([["1"], deg1, ["u"]], mult)
 
 
-def cup_product(algebra: GradedAlgebra, x: Element, y: Element) -> Element:
-    """Product in the given algebra; degree overflow collapses to zero."""
-    return algebra.mul(x, y)
-
-
-class KunnethAlgebra(GradedAlgebra):
+class KunnethAlgebra(_GradedBasis):
     """Tensor square of a surface ring with its swap involution.
 
     Basis elements in degree n are the pairs x|y with deg x + deg y = n,
     ordered by the degree of the left factor, then by the two factor
-    indices.  The swap exchanges the factors; the diagonal class is the
-    degree-2 element built from dual bases under the pairing of the
-    factor ring.
+    indices: degree n is a run of blocks (p, n - p), and block (p, q)
+    holds its dim p x dim q pairs in row-major order from offset[n][p].
+    The swap exchanges the factors; swap_perm[n] is the permutation of
+    degree n it induces on the basis.  There is no multiplication
+    table: `times` evaluates products from the factor's arrays.
     """
 
     def __init__(self, factor: GradedAlgebra):
         self.factor = factor
-        top = 2 * factor.top_degree
-        pairs: list[list[tuple[int, int, int, int]]] = []
+        top = factor.top_degree
         names: list[list[str]] = []
-        for n in range(top + 1):
-            level: list[tuple[int, int, int, int]] = []
+        self.offset: list[dict[int, int]] = []
+        self.swap_perm: list[np.ndarray] = []
+        for n in range(2 * top + 1):
+            blocks = range(max(0, n - top), min(n, top) + 1)
+            sizes = [factor.dim(p) * factor.dim(n - p) for p in blocks]
+            offset = dict(zip(blocks, np.cumsum([0] + sizes[:-1]).tolist()))
+            perm = np.empty(sum(sizes), dtype=np.int64)
             label: list[str] = []
-            for p in range(n + 1):
-                q = n - p
-                for i in range(factor.dim(p)):
-                    for j in range(factor.dim(q)):
-                        level.append((p, i, q, j))
-                        label.append(f"{factor.names(p)[i]}|{factor.names(q)[j]}")
-            pairs.append(level)
+            for p in blocks:
+                dp, dq = factor.dim(p), factor.dim(n - p)
+                label += [f"{x}|{y}" for x in factor.names(p) for y in factor.names(n - p)]
+                # x_i|y_j sits at offset + i dq + j, its swap y_j|x_i in block (q, p) at offset' + j dp + i
+                swapped = np.arange(dq) * dp + np.arange(dp)[:, None]
+                perm[offset[p] : offset[p] + dp * dq] = offset[n - p] + swapped.ravel()
+            if not np.array_equal(perm[perm], np.arange(len(perm))):
+                raise RuntimeError("swap is not an involution")
             names.append(label)
-        self.pairs = pairs
-        self.pair_index = [
-            {pair: k for k, pair in enumerate(level)} for level in pairs
-        ]
-        mult = self._build_mult(factor, names)
-        super().__init__(names, mult)
-        self.swap_perm = self._build_swaps()
+            self.offset.append(offset)
+            self.swap_perm.append(perm)
+        super().__init__(names)
         self.diagonal: Element | None = None
 
-    def _build_mult(self, factor, names):
-        top = len(names) - 1
-        mult: dict[tuple[int, int, int, int], np.ndarray] = {}
-        for m in range(top + 1):
-            for n in range(top + 1 - m):
-                for i, (p1, i1, p2, i2) in enumerate(self.pairs[m]):
-                    for j, (q1, j1, q2, j2) in enumerate(self.pairs[n]):
-                        out = np.zeros(len(names[m + n]), dtype=np.uint8)
-                        left = factor.mul(
-                            factor.basis_element(p1, i1), factor.basis_element(q1, j1)
-                        )
-                        right = factor.mul(
-                            factor.basis_element(p2, i2), factor.basis_element(q2, j2)
-                        )
-                        for s in np.nonzero(left.coeffs)[0]:
-                            for t in np.nonzero(right.coeffs)[0]:
-                                key = (left.degree, int(s), right.degree, int(t))
-                                out[self.pair_index[m + n][key]] ^= 1
-                        mult[(m, i, n, j)] = out
-        return mult
+    def _blocks(self, n: int) -> dict[int, int]:
+        return self.offset[n] if 0 <= n <= self.top_degree else {}
 
-    def _build_swaps(self) -> list[np.ndarray]:
-        perms = []
-        for n, level in enumerate(self.pairs):
-            perm = np.empty(len(level), dtype=np.int64)
-            for k, (p, i, q, j) in enumerate(level):
-                perm[k] = self.pair_index[n][(q, j, p, i)]
-            if len(level) and not np.array_equal(perm[perm], np.arange(len(level))):
-                raise RuntimeError("swap is not an involution")
-            perms.append(perm)
-        return perms
+    def times(self, a: int, z: Element) -> np.ndarray:
+        """Matrix of y -> y z on degree a, from (x1|x2)(y1|y2) = x1 y1 | x2 y2.
+
+        Each block (p1, p2) of degree a against each block (q1, q2) of z
+        contracts the factor arrays mult[(p1, q1)] and mult[(p2, q2)]
+        with z's coefficients on that block, one factor at a time; the
+        uint8 sums wrap modulo 256, which keeps their parity.
+        """
+        ring = self.factor
+        b = z.degree
+        out = np.zeros((self.dim(a), self.dim(a + b)), dtype=np.uint8)
+        for p1, row in self._blocks(a).items():
+            p2 = a - p1
+            for q1, start in self._blocks(b).items():
+                q2 = b - q1
+                left, right = ring.mult.get((p1, q1)), ring.mult.get((p2, q2))
+                coeffs = z.coeffs[start : start + ring.dim(q1) * ring.dim(q2)].reshape(ring.dim(q1), ring.dim(q2))
+                if left is None or right is None or not coeffs.any():
+                    continue
+                block = np.einsum("isl,jlt->ijst", np.einsum("iks,kl->isl", left, coeffs), right)
+                rows, cols = left.shape[0] * right.shape[0], left.shape[2] * right.shape[2]
+                col = self.offset[a + b][p1 + q1]
+                out[row : row + rows, col : col + cols] ^= block.reshape(rows, cols) & 1
+        return out
 
     def cross(self, x: Element, y: Element) -> Element:
         """External product of two factor-ring elements."""
-        deg = x.degree + y.degree
-        out = np.zeros(self.dim(deg), dtype=np.uint8)
-        for i in np.nonzero(x.coeffs)[0]:
-            for j in np.nonzero(y.coeffs)[0]:
-                out[self.pair_index[deg][(x.degree, int(i), y.degree, int(j))]] ^= 1
-        return Element(deg, out)
+        out = self.zero(x.degree + y.degree)
+        start = self.offset[out.degree][x.degree]
+        out.coeffs[start : start + x.coeffs.size * y.coeffs.size] = np.outer(x.coeffs, y.coeffs).ravel()
+        return out
 
     def swap(self, x: Element) -> Element:
         perm = self.swap_perm[x.degree]
@@ -365,32 +336,20 @@ class KunnethAlgebra(GradedAlgebra):
         out[perm] = x.coeffs
         return Element(x.degree, out)
 
-    def swap_matrix(self, degree: int) -> Mat2:
-        n = self.dim(degree)
-        dense = np.zeros((n, n), dtype=np.uint8)
-        perm = self.swap_perm[degree]
-        dense[perm, np.arange(n)] = 1
-        return Mat2.from_dense(dense)
-
-
-def swap_involution(square: KunnethAlgebra, x: Element) -> Element:
-    """Apply the coordinate swap of the square to an element."""
-    return square.swap(x)
-
 
 def diagonal_class(square: KunnethAlgebra) -> Element:
     """Diagonal class of the square, from dual bases under the pairing.
 
-    For each degree p, pair the degree-p basis with the complementary
-    degree via the coefficient of the top class in the product; the sum
-    of e x (dual of e) over all basis elements is the diagonal class.
-    A degenerate pairing raises ValueError.
+    For each degree p, the pairing with the complementary degree is the
+    top-class coefficient of the product, the array mult[(p, q)][:, :, 0];
+    the sum of e x (dual of e) over all basis elements is the diagonal
+    class.  A degenerate pairing raises ValueError.
     """
     ring = square.factor
     top = ring.top_degree
     if ring.dim(top) != 1:
         raise ValueError("top degree of the factor ring must be one-dimensional")
-    out = np.zeros(square.dim(top), dtype=np.uint8)
+    out = square.zero(top)
     for p in range(top + 1):
         q = top - p
         dp, dq = ring.dim(p), ring.dim(q)
@@ -398,21 +357,14 @@ def diagonal_class(square: KunnethAlgebra) -> Element:
             raise ValueError("pairing is degenerate: mismatched dimensions")
         if dp == 0:
             continue
-        pairing = np.zeros((dp, dq), dtype=np.uint8)
-        for i in range(dp):
-            for j in range(dq):
-                prod = ring.mul(ring.basis_element(p, i), ring.basis_element(q, j))
-                pairing[i, j] = prod.coeffs[0]
         try:
-            inv = invert(Mat2.from_dense(pairing))
+            inv = invert(Mat2.from_dense(ring.mult[(p, q)][:, :, 0]))
         except ValueError as exc:
             raise ValueError("pairing is degenerate") from exc
-        duals = inv.to_dense().T  # row i: coefficients of the dual of basis element i
-        for i in range(dp):
-            for j in range(dq):
-                if duals[i, j]:
-                    out[square.pair_index[top][(p, i, q, j)]] ^= 1
-    return Element(top, out)
+        # row i of the transposed inverse: coefficients of the dual of basis element i
+        start = square.offset[top][p]
+        out.coeffs[start : start + dp * dq] = inv.to_dense().T.ravel()
+    return out
 
 
 def build_kunneth(ring: GradedAlgebra) -> KunnethAlgebra:

@@ -1,0 +1,147 @@
+"""The quotient route of the symbolic side, kept as a test-only reference.
+
+H^q(Conf(2, M)) is the quotient of the square's degree q by the
+restriction kernel.  This route builds that quotient: a projection, a
+section picking the non-pivot coordinates, the swap pushed through them
+and `rep_decompose` of the induced swap.  The kernel is spanned element
+by element, from `square.mul` of (x cross 1) with the diagonal class.
+`conf_symbolic` reads the same dims, t and f off the swap's fixed points
+without building a quotient; the tests compare the two.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from conf2.conf_symbolic import TOP_DEGREE, RepDecomposition, rep_decompose
+from conf2.gf2 import Mat2, rank, rref
+from conf2.surfaces import KunnethAlgebra, SurfaceKind, build_kunneth, build_surface_ring
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """Row span of an independent basis inside F2^ambient_dim."""
+
+    ambient_dim: int
+    basis: Mat2
+
+    def __post_init__(self):
+        if self.basis.cols != self.ambient_dim:
+            raise ValueError("basis width does not match the ambient dimension")
+
+    @staticmethod
+    def zero(ambient_dim: int) -> "Subspace":
+        return Subspace(ambient_dim, Mat2.zeros(0, ambient_dim))
+
+    @staticmethod
+    def spanned_by(ambient_dim: int, vectors) -> "Subspace":
+        """Subspace spanned by arbitrary (possibly dependent) row vectors."""
+        m = vectors if isinstance(vectors, Mat2) else Mat2.from_rows(vectors, cols=ambient_dim)
+        if m.cols != ambient_dim:
+            raise ValueError("vector width does not match the ambient dimension")
+        R, piv = rref(m)
+        return Subspace(ambient_dim, R.take_rows(range(len(piv))))
+
+    @property
+    def dim(self) -> int:
+        return self.basis.rows
+
+    def contains(self, vec) -> bool:
+        v = np.asarray(vec, dtype=np.uint8).reshape(1, -1)
+        if v.shape[1] != self.ambient_dim:
+            raise ValueError("vector lives in the wrong ambient space")
+        stacked = Mat2.vstack([self.basis, Mat2.from_dense(v)])
+        return rank(stacked) == rank(self.basis)
+
+
+def subspace_equal(a: Subspace, b: Subspace) -> bool:
+    """True iff the two row spans coincide."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("subspaces live in different ambient spaces")
+    ra = rank(a.basis)
+    rb = rank(b.basis)
+    if ra != rb:
+        return False
+    return rank(Mat2.vstack([a.basis, b.basis])) == ra
+
+
+def quotient_map_with_section(ambient_dim: int, sub: Subspace) -> tuple[Mat2, Mat2, int]:
+    """Quotient projection plus the section picking non-pivot coordinates.
+
+    The rref of the subspace basis fixes pivot columns; the remaining
+    coordinates represent the quotient.  The section maps quotient basis
+    vector k to the ambient basis vector at the k-th non-pivot column,
+    so projection . section = identity.
+    """
+    if sub.ambient_dim != ambient_dim:
+        raise ValueError("subspace does not match the ambient dimension")
+    R, piv = rref(sub.basis)
+    if len(piv) != sub.basis.rows:
+        raise ValueError("subspace basis rows are dependent")
+    pivset = set(piv)
+    nonpiv = [c for c in range(ambient_dim) if c not in pivset]
+    qdim = len(nonpiv)
+    proj = np.zeros((qdim, ambient_dim), dtype=np.uint8)
+    if qdim:
+        proj[np.arange(qdim), nonpiv] = 1
+        if piv:
+            Rd = R.to_dense()
+            proj[:, piv] = Rd[: len(piv), :][:, nonpiv].T
+    section = np.zeros((ambient_dim, qdim), dtype=np.uint8)
+    if qdim:
+        section[nonpiv, np.arange(qdim)] = 1
+    return Mat2.from_dense(proj), Mat2.from_dense(section), qdim
+
+
+@dataclass(frozen=True)
+class QuotientDegree:
+    """One degree of the quotient: projection onto it and the swap in its coordinates."""
+
+    q: int
+    dim: int
+    projection: Mat2
+    induced_swap: Mat2
+    decomposition: RepDecomposition
+
+
+def kernel_subspace(square: KunnethAlgebra, q: int) -> Subspace:
+    """Span of (x cross 1) d, x over a basis of the factor ring in degree q-2."""
+    ring = square.factor
+    one = ring.unit()
+    rows = [
+        square.mul(square.cross(ring.basis_element(q - 2, i), one), square.diagonal).coeffs
+        for i in range(ring.dim(q - 2))
+    ]
+    return Subspace.spanned_by(square.dim(q), rows) if rows else Subspace.zero(square.dim(q))
+
+
+def swap_matrix(square: KunnethAlgebra, q: int) -> Mat2:
+    """The swap of degree q as a dense permutation matrix (column i has its one at row perm[i])."""
+    n = square.dim(q)
+    dense = np.zeros((n, n), dtype=np.uint8)
+    dense[square.swap_perm[q], np.arange(n)] = 1
+    return Mat2.from_dense(dense)
+
+
+def quotient_degrees(kind: SurfaceKind) -> list[QuotientDegree]:
+    """Every degree of H*(Conf(2, M)) through the quotient and its induced swap.
+
+    Raises RuntimeError when the kernel is not swap-stable or the
+    induced swap is not an involution.
+    """
+    square = build_kunneth(build_surface_ring(kind))
+    degrees = []
+    for q in range(TOP_DEGREE + 1):
+        ambient = square.dim(q)
+        ker = kernel_subspace(square, q)
+        sigma = swap_matrix(square, q)
+        if ker.dim and not subspace_equal(ker, Subspace.spanned_by(ambient, ker.basis.mul(sigma))):
+            raise RuntimeError(f"restriction kernel is not swap-stable in degree {q}")
+        proj, section, qdim = quotient_map_with_section(ambient, ker)
+        induced = proj.mul(sigma).mul(section)
+        if induced.mul(induced) != Mat2.identity(qdim):
+            raise RuntimeError(f"induced swap is not an involution in degree {q}")
+        degrees.append(QuotientDegree(q, qdim, proj, induced, rep_decompose(qdim, induced)))
+    return degrees

@@ -15,13 +15,15 @@ from conf2.conf_symbolic import conf_cohomology, kernel_ideal_check
 from conf2.gf2 import Mat2
 from conf2.report import RunConfig, run_pipeline
 from conf2.simplicial import barycentric_subdivide, builtin_triangulation, connected_sum
-from conf2.surfaces import SurfaceKind, build_kunneth, build_surface_ring, swap_involution
+from conf2.surfaces import SurfaceKind, build_kunneth, build_surface_ring
 
 ALL_KINDS = (
     [SurfaceKind.sphere()]
     + [SurfaceKind.orientable(g) for g in range(1, 5)]
     + [SurfaceKind.nonorientable(k) for k in range(1, 5)]
 )
+# criteria 6 and 7 again, at the symbolic side's reach
+WIDE_KINDS = [SurfaceKind(family, n) for family in ("orientable", "nonorientable") for n in range(1, 17)]
 
 _CACHE: dict[str, tuple] = {}
 
@@ -132,32 +134,52 @@ def test_criterion_5_heights():
     print("criterion 5: PASS (heights 2/3 by orientability, exact)")
 
 
+def _check_diagonal_closed_form(kind: SurfaceKind) -> None:
+    ring = build_surface_ring(kind)
+    square = build_kunneth(ring)
+    one = ring.unit()
+    u = ring.element(2, ["u"])
+    expected = square.cross(u, one) + square.cross(one, u)
+    if kind.family == "orientable":
+        for i in range(1, kind.param + 1):
+            a = ring.element(1, [f"a{i}"])
+            b = ring.element(1, [f"b{i}"])
+            expected = expected + square.cross(a, b) + square.cross(b, a)
+    elif kind.family == "nonorientable":
+        for i in range(1, kind.param + 1):
+            w = ring.element(1, [f"w{i}"])
+            expected = expected + square.cross(w, w)
+    assert square.diagonal == expected, kind.label
+
+
+def _check_kernel_ideal(kind: SurfaceKind) -> None:
+    square = build_kunneth(build_surface_ring(kind))
+    for q in range(5):
+        assert kernel_ideal_check(square, q), (kind.label, q)
+
+
 def test_criterion_6_diagonal_closed_forms():
     for kind in ALL_KINDS:
-        ring = build_surface_ring(kind)
-        square = build_kunneth(ring)
-        one = ring.unit()
-        u = ring.element(2, ["u"])
-        expected = square.cross(u, one) + square.cross(one, u)
-        if kind.family == "orientable":
-            for i in range(1, kind.param + 1):
-                a = ring.element(1, [f"a{i}"])
-                b = ring.element(1, [f"b{i}"])
-                expected = expected + square.cross(a, b) + square.cross(b, a)
-        elif kind.family == "nonorientable":
-            for i in range(1, kind.param + 1):
-                w = ring.element(1, [f"w{i}"])
-                expected = expected + square.cross(w, w)
-        assert square.diagonal == expected, kind.label
+        _check_diagonal_closed_form(kind)
     print("criterion 6: PASS (diagonal class closed forms, g,k <= 4, exact)")
+
+
+def test_criterion_6_diagonal_closed_forms_to_sixteen():
+    for kind in WIDE_KINDS:
+        _check_diagonal_closed_form(kind)
+    print("criterion 6: PASS (diagonal class closed forms, g,k <= 16, exact)")
 
 
 def test_criterion_7_kernel_ideal():
     for kind in ALL_KINDS:
-        square = build_kunneth(build_surface_ring(kind))
-        for q in range(5):
-            assert kernel_ideal_check(square, q), (kind.label, q)
+        _check_kernel_ideal(kind)
     print("criterion 7: PASS (restriction kernel is the diagonal ideal, g,k <= 4, all degrees, exact)")
+
+
+def test_criterion_7_kernel_ideal_to_sixteen():
+    for kind in WIDE_KINDS:
+        _check_kernel_ideal(kind)
+    print("criterion 7: PASS (restriction kernel is the diagonal ideal, g,k <= 16, all degrees, exact)")
 
 
 def test_criterion_8_stated_table_mismatches():
@@ -206,7 +228,7 @@ def test_criterion_9_property_sweep():
     # the diagonal class is swap-invariant for every kind
     for kind in ALL_KINDS:
         square = build_kunneth(build_surface_ring(kind))
-        assert swap_involution(square, square.diagonal) == square.diagonal
+        assert square.swap(square.diagonal) == square.diagonal
 
     # dimension accounting and tower reconstruction across computed reports
     for label in ("sphere", "orientable:1", "orientable:2", "nonorientable:1", "nonorientable:2", "nonorientable:3"):

@@ -10,8 +10,9 @@ from conf2.conf_symbolic import (
     kernel_ideal_check,
     rep_decompose,
 )
-from conf2.gf2 import Mat2, Subspace, subspace_equal
+from conf2.gf2 import Mat2
 from conf2.surfaces import SurfaceKind, build_kunneth, build_surface_ring
+from sym_reference import Subspace, quotient_degrees, subspace_equal
 
 SPHERE = SurfaceKind.sphere()
 TORUS = SurfaceKind.orientable(1)
@@ -59,15 +60,15 @@ def test_euler_identity(kind):
 def test_kernel_degree_two_is_the_diagonal_class():
     square = build_kunneth(build_surface_ring(TORUS))
     ker = gysin_kernel(square, 2)
-    assert ker.dim == 1
-    assert ker.contains(square.diagonal.coeffs)
+    assert ker.rows == 1
+    assert Subspace(square.dim(2), ker).contains(square.diagonal.coeffs)
 
 
 def test_kernel_degree_three_torus():
     square = build_kunneth(build_surface_ring(TORUS))
     ring = square.factor
     u = ring.element(2, ["u"])
-    ker = gysin_kernel(square, 3)
+    ker = Subspace(square.dim(3), gysin_kernel(square, 3))
     assert ker.dim == 2
     expected_rows = []
     for name in ("a1", "b1"):
@@ -81,8 +82,8 @@ def test_kernel_degree_three_torus():
 def test_kernel_low_degrees_vanish():
     for kind in SWEEP:
         square = build_kunneth(build_surface_ring(kind))
-        assert gysin_kernel(square, 0).dim == 0
-        assert gysin_kernel(square, 1).dim == 0
+        assert gysin_kernel(square, 0).rows == 0
+        assert gysin_kernel(square, 1).rows == 0
 
 
 def test_kernel_degree_four_is_top_class():
@@ -90,8 +91,8 @@ def test_kernel_degree_four_is_top_class():
     ring = square.factor
     u = ring.element(2, ["u"])
     ker = gysin_kernel(square, 4)
-    assert ker.dim == 1
-    assert ker.contains(square.cross(u, u).coeffs)
+    assert ker.rows == 1
+    assert Subspace(square.dim(4), ker).contains(square.cross(u, u).coeffs)
 
 
 def test_kernel_rejects_out_of_range_degrees():
@@ -139,15 +140,39 @@ def test_rep_decompose_rejects_non_involution():
 
 def test_swap_acts_trivially_on_degree_three_quotient():
     # x cross u and u cross x agree once the kernel is divided out
-    result = conf_cohomology(GENUS2)
-    deg = result.degrees[3]
+    deg = quotient_degrees(GENUS2)[3]
     assert deg.induced_swap == Mat2.identity(deg.dim)
 
 
 def test_projection_kills_kernel():
     square = build_kunneth(build_surface_ring(TORUS))
-    result = conf_cohomology(TORUS)
+    degrees = quotient_degrees(TORUS)
     for q in (2, 3):
         ker = gysin_kernel(square, q)
-        proj = result.degrees[q].projection
-        assert proj.mul(ker.basis.transpose()).is_zero()
+        assert ker.rows
+        assert degrees[q].projection.mul(ker.transpose()).is_zero()
+
+
+REFERENCE_KINDS = [SPHERE] + [SurfaceKind(family, n) for family in ("orientable", "nonorientable") for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("kind", REFERENCE_KINDS, ids=[k.label for k in REFERENCE_KINDS])
+def test_fixed_points_match_the_quotient_route(kind):
+    reference = quotient_degrees(kind)
+    result = conf_cohomology(kind)
+    assert result.dims() == [d.dim for d in reference]
+    assert result.decompositions() == [d.decomposition for d in reference]
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_closed_forms_at_scale(n):
+    orientable = conf_cohomology(SurfaceKind.orientable(n))
+    assert orientable.dims() == [1, 4 * n, 4 * n * n + 1, 2 * n, 0]
+    assert [(d.t, d.f) for d in orientable.decompositions()] == [
+        (1, 0), (0, 2 * n), (2 * n + 1, 2 * n * n - n), (2 * n, 0), (0, 0)
+    ]
+    nonorientable = conf_cohomology(SurfaceKind.nonorientable(n))
+    assert nonorientable.dims() == [1, 2 * n, n * n + 1, n, 0]
+    assert [(d.t, d.f) for d in nonorientable.decompositions()] == [
+        (1, 0), (0, n), (n - 1, n * (n - 1) // 2 + 1), (n, 0), (0, 0)
+    ]

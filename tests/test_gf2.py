@@ -5,16 +5,14 @@ from hypothesis import strategies as st
 
 from conf2.gf2 import (
     Mat2,
-    Subspace,
     eliminate,
     invert,
-    quotient_map_with_section,
     rank,
     rref,
     select_independent_rows,
     solve_many,
-    subspace_equal,
 )
+from sym_reference import Subspace, quotient_map_with_section, subspace_equal
 
 
 def rank_and_kernel(m: Mat2) -> tuple[int, Mat2]:

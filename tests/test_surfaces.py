@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conf2.surfaces import (
+    Element,
+    GradedAlgebra,
+    KunnethAlgebra,
     SurfaceKind,
     build_kunneth,
     build_surface_ring,
-    cup_product,
     diagonal_class,
-    swap_involution,
 )
 
 SWEEP = [
@@ -23,6 +24,30 @@ SWEEP = [
     SurfaceKind.nonorientable(2),
     SurfaceKind.nonorientable(3),
 ]
+
+
+def describe(algebra, x: Element) -> str:
+    """The basis names in the support of x, joined by +; "0" for zero."""
+    names = [algebra.names(x.degree)[i] for i in np.nonzero(x.coeffs)[0]]
+    return " + ".join(names) if names else "0"
+
+
+def check_associative(algebra) -> None:
+    """Exhaustive associativity check over basis triples."""
+    top = algebra.top_degree
+    for p in range(top + 1):
+        for q in range(top + 1):
+            for r in range(top + 1 - p - q):
+                for i in range(algebra.dim(p)):
+                    x = algebra.basis_element(p, i)
+                    for j in range(algebra.dim(q)):
+                        y = algebra.basis_element(q, j)
+                        for k in range(algebra.dim(r)):
+                            z = algebra.basis_element(r, k)
+                            left = algebra.mul(algebra.mul(x, y), z)
+                            right = algebra.mul(x, algebra.mul(y, z))
+                            if left != right:
+                                raise RuntimeError("multiplication is not associative")
 
 
 def test_kind_labels_roundtrip():
@@ -60,13 +85,13 @@ def test_torus_products():
     a = ring.element(1, ["a1"])
     b = ring.element(1, ["b1"])
     u = ring.element(2, ["u"])
-    assert cup_product(ring, a, b) == u
-    assert cup_product(ring, b, a) == u
-    assert cup_product(ring, a, a).is_zero()
-    assert cup_product(ring, b, b).is_zero()
+    assert ring.mul(a, b) == u
+    assert ring.mul(b, a) == u
+    assert ring.mul(a, a).is_zero()
+    assert ring.mul(b, b).is_zero()
     # top-degree products overflow to zero
-    assert cup_product(ring, u, u).is_zero()
-    assert cup_product(ring, u, a).is_zero()
+    assert ring.mul(u, u).is_zero()
+    assert ring.mul(u, a).is_zero()
 
 
 def test_genus_two_products():
@@ -98,13 +123,13 @@ def test_unit_and_describe():
     one = ring.unit()
     w = ring.element(1, ["w1"])
     assert ring.mul(one, w) == w
-    assert ring.describe(w) == "w1"
-    assert ring.describe(ring.zero(1)) == "0"
+    assert describe(ring, w) == "w1"
+    assert describe(ring, ring.zero(1)) == "0"
 
 
 @pytest.mark.parametrize("kind", SWEEP)
 def test_ring_associativity(kind):
-    build_surface_ring(kind).check_associative()
+    check_associative(build_surface_ring(kind))
 
 
 def test_square_dimensions():
@@ -141,7 +166,7 @@ def test_swap_exchanges_factors():
     ring = square.factor
     a = ring.element(1, ["a1"])
     u = ring.element(2, ["u"])
-    assert swap_involution(square, square.cross(a, u)) == square.cross(u, a)
+    assert square.swap(square.cross(a, u)) == square.cross(u, a)
 
 
 def test_diagonal_class_sphere():
@@ -176,7 +201,7 @@ def test_diagonal_class_klein_bottle():
 @pytest.mark.parametrize("kind", SWEEP)
 def test_diagonal_swap_invariant(kind):
     square = build_kunneth(build_surface_ring(kind))
-    assert swap_involution(square, square.diagonal) == square.diagonal
+    assert square.swap(square.diagonal) == square.diagonal
 
 
 @pytest.mark.parametrize("kind", SWEEP)
@@ -199,25 +224,66 @@ def test_diagonal_absorbs_the_swap(kind):
     [SurfaceKind.orientable(1), SurfaceKind.orientable(2), SurfaceKind.nonorientable(2)],
 )
 def test_square_associativity(kind):
-    build_kunneth(build_surface_ring(kind)).check_associative()
+    check_associative(build_kunneth(build_surface_ring(kind)))
 
 
 def test_degenerate_pairing_rejected():
-    from conf2.surfaces import GradedAlgebra, KunnethAlgebra
-
     # one degree-1 class that squares to zero: the pairing matrix is singular
-    mult = {
-        (0, 0, 0, 0): np.array([1], dtype=np.uint8),
-        (0, 0, 1, 0): np.array([1], dtype=np.uint8),
-        (1, 0, 0, 0): np.array([1], dtype=np.uint8),
-        (0, 0, 2, 0): np.array([1], dtype=np.uint8),
-        (2, 0, 0, 0): np.array([1], dtype=np.uint8),
-        (1, 0, 1, 0): np.array([0], dtype=np.uint8),
-    }
+    one = np.ones((1, 1, 1), dtype=np.uint8)
+    mult = {(0, 0): one, (0, 1): one, (1, 0): one, (0, 2): one, (2, 0): one, (1, 1): np.zeros((1, 1, 1))}
     ring = GradedAlgebra([["1"], ["v"], ["u"]], mult)
     square = KunnethAlgebra(ring)
     with pytest.raises(ValueError):
         diagonal_class(square)
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (lambda m: m.pop((1, 1)), "does not cover"),
+        (lambda m: m.update({(1, 1): np.zeros((1, 1, 2))}), "wrong shape"),
+        (lambda m: m.update({(0, 1): np.zeros((1, 1, 1))}), "not commutative"),
+        (lambda m: m.update({(0, 1): np.zeros((1, 1, 1)), (1, 0): np.zeros((1, 1, 1))}), "not a unit"),
+    ],
+    ids=["missing", "shape", "commutative", "unit"],
+)
+def test_factor_table_is_validated(change, message):
+    mult = dict(build_surface_ring(SurfaceKind.nonorientable(1)).mult)
+    change(mult)
+    with pytest.raises(ValueError, match=message):
+        GradedAlgebra([["1"], ["w1"], ["u"]], mult)
+
+
+@pytest.mark.parametrize("kind", SWEEP[:3] + SWEEP[4:6], ids=lambda k: k.label)
+def test_square_product_is_the_factorwise_product(kind):
+    """(x1|x2)(y1|y2) = x1 y1 | x2 y2 on every pair of basis elements."""
+    square = build_kunneth(build_surface_ring(kind))
+    ring = square.factor
+    basis = [
+        (ring.basis_element(p, i), ring.basis_element(n - p, j))
+        for n in range(square.top_degree + 1)
+        for p in square.offset[n]
+        for i in range(ring.dim(p))
+        for j in range(ring.dim(n - p))
+    ]
+    for x1, x2 in basis:
+        for y1, y2 in basis:
+            got = square.mul(square.cross(x1, x2), square.cross(y1, y2))
+            left, right = ring.mul(x1, y1), ring.mul(x2, y2)
+            if left.degree > ring.top_degree or right.degree > ring.top_degree:
+                assert got.is_zero()
+            else:
+                assert got == square.cross(left, right)
+
+
+def test_square_basis_order_and_swap_at_scale():
+    square = build_kunneth(build_surface_ring(SurfaceKind.orientable(64)))
+    assert square.dims() == [1, 256, 16386, 256, 1]
+    assert square.names(2)[:2] == ["1|u", "a1|a1"] and square.names(2)[-1] == "u|1"
+    a, b = square.factor.element(1, ["a3"]), square.factor.element(1, ["b5"])
+    assert square.swap(square.cross(a, b)) == square.cross(b, a)
+    fixed = np.flatnonzero(square.swap_perm[2] == np.arange(square.dim(2)))
+    assert [square.names(2)[i] for i in fixed[:2]] == ["a1|a1", "a2|a2"] and len(fixed) == 128
 
 
 @st.composite
@@ -231,8 +297,6 @@ def square_elements(draw, square, degree=None):
             max_size=square.dim(degree),
         )
     )
-    from conf2.surfaces import Element
-
     return Element(degree, np.array(bits, dtype=np.uint8))
 
 
