@@ -256,9 +256,13 @@ def cohomology_f2(C: CellComplex) -> CohomologyResult:
 
     Degree by degree, eliminating boundary d+1 (one row per d-cell)
     gives the echelon basis of B^{d+1} and, in its row transform, the
-    cocycles Z^d.  The transform starts as the identity of C^d reduced
-    modulo B^d, so the cocycles it carries vanish on the pivot columns of
-    B^d and their echelon basis is a set of class representatives.
+    cocycles Z^d.  Only the rows off the pivot columns of B^d are
+    eliminated (clearing): row k of B^d's echelon basis E is a cocycle,
+    one at its pivot p_k and zero at the other pivots, so row p_k of the
+    boundary is the sum of kept rows at E[k]'s other ones.  The kept rows
+    therefore span B^{d+1}, and the cocycles supported on them, the ones
+    vanishing on B^d's pivots, have an echelon basis that is a set of
+    class representatives.
     """
     reps, rep_pivots, cobs, cob_pivots = [], [], [], []
     E, P = Mat2.zeros(0, C.n_cells(0)), []
@@ -266,11 +270,11 @@ def cohomology_f2(C: CellComplex) -> CohomologyResult:
         n = C.n_cells(d)
         cobs.append(E)
         cob_pivots.append(P)
-        transform = Mat2.identity(n)
-        # row p_k becomes e_{p_k} + E[k], which vanishes on every pivot column of E
-        transform.words[np.asarray(P, dtype=np.int64)] ^= E.words
+        cleared = set(P)
+        keep = [i for i in range(n) if i not in cleared]
         boundary = C.boundaries[d + 1] if d < C.top_dim else Mat2.zeros(n, 0)
-        E, P, classes, class_pivots = eliminate(boundary, transform)
+        transform = Mat2.from_entries(len(keep), n, range(len(keep)), keep)
+        E, P, classes, class_pivots = eliminate(boundary.take_rows(keep), transform)
         reps.append(classes)
         rep_pivots.append(class_pivots)
     result = CohomologyResult(reps, rep_pivots, cobs, cob_pivots)

@@ -1,23 +1,24 @@
 """Dense exact linear algebra over the two-element field.
 
 Each matrix row is packed into 64-bit words, so a row operation is a
-word-parallel XOR.  Elimination loops over pivot columns in Python but
-vectorises the row selection and the XOR across all rows with numpy,
-which keeps the few-thousand-column matrices produced by this package
-well under a second.  `eliminate` carries a row transform in the same
-words as the matrix it reduces, so one elimination of a boundary matrix
-gives both its row space and its left kernel.  A product runs over the
-ones of its left factor, so products with sparse boundary matrices cost
-what their ones cost.
+word-parallel XOR.  Elimination converts each row to one Python int,
+column c at bit c, and reduces the rows one at a time against a table
+of pivot rows keyed by their lowest one: every XOR runs over whole rows
+in C, and a row costs only the pivots it hits.  `eliminate` carries a
+row transform in the same rows as the matrix it reduces, so one
+elimination of a boundary matrix gives both its row space and its left
+kernel.  A product runs over the ones of its left factor, so products
+with sparse boundary matrices cost what their ones cost.
 
-Pivot choice is deterministic everywhere: columns are scanned left to
-right, candidate rows top to bottom.  Everything downstream (kernel
-bases, cohomology representatives) inherits that determinism.
+Pivot choice is deterministic everywhere: a pivot is the leftmost one
+of its row, and the reduced row-echelon form is unique.  Everything
+downstream (kernel bases, cohomology representatives) inherits that
+determinism.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -124,8 +125,8 @@ class Mat2:
     def hstack(cls, left: "Mat2", right: "Mat2") -> "Mat2":
         if left.rows != right.rows:
             raise ValueError("row mismatch")
-        dense = np.hstack([left.to_dense(), right.to_dense()])
-        return cls.from_dense(dense)
+        rows = (a | b << left.cols for a, b in zip(_row_ints(left.words), _row_ints(right.words)))
+        return _from_row_ints(left.rows, left.cols + right.cols, rows)
 
     # -- access -------------------------------------------------------
 
@@ -227,34 +228,68 @@ class Mat2:
         return (bits.sum(axis=1) & 1).astype(np.uint8)
 
 
+def _row_ints(words: np.ndarray) -> Iterator[int]:
+    """Each row of packed words as one Python int, column c at bit c.
+
+    Lazy, so a caller that reduces the rows as they come holds no second
+    copy of the matrix.
+    """
+    rows, nw = words.shape
+    if nw == 0:
+        return iter([0] * rows)
+    data = memoryview(np.ascontiguousarray(words).reshape(-1).view(np.uint8))
+    return (int.from_bytes(data[k : k + 8 * nw], "little") for k in range(0, len(data), 8 * nw))
+
+
+def _from_row_ints(rows: int, cols: int, ints: Iterable[int]) -> Mat2:
+    """The rows x cols matrix whose leading rows are ints, column c at bit c; the rows after them are zero."""
+    out = Mat2(rows, cols)
+    step = 8 * out.words.shape[1]
+    data = memoryview(out.words.reshape(-1).view(np.uint8))
+    for k, x in enumerate(ints):
+        data[k * step : (k + 1) * step] = x.to_bytes(step, "little")
+    return out
+
+
+def _insert(x: int, pivots: dict[int, int]) -> bool:
+    """Reduce the row x by the rows of pivots, each keyed by its lowest one, and add what is left.
+
+    Returns False when x reduces to zero, i.e. lies in their span.
+    """
+    while x:
+        low = (x & -x).bit_length() - 1
+        p = pivots.get(low)
+        if p is None:
+            pivots[low] = x
+            return True
+        x ^= p
+    return False
+
+
 def rref(m: Mat2) -> tuple[Mat2, list[int]]:
     """Reduced row-echelon form and the ordered list of pivot columns.
 
-    Deterministic: the pivot for each column is the first not-yet-used row
-    with a nonzero entry, scanning columns left to right.
+    Lowest-one reduction: each row is reduced against the pivot rows
+    found so far and kept when a one is left; back-substitution from
+    the highest pivot down then clears every pivot column outside its
+    own row.  The nonzero rows come first, ordered by pivot column.
     """
-    w = m.words.copy()
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        wi = c >> 6
-        sh = np.uint64(c & 63)
-        col = (w[r:, wi] >> sh) & _ONE
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            w[[r, p]] = w[[p, r]]
-        mask = ((w[:, wi] >> sh) & _ONE).astype(bool)
-        mask[r] = False
-        if mask.any():
-            w[mask] ^= w[r]
-        pivots.append(c)
-        r += 1
-    return Mat2(m.rows, m.cols, w), pivots
+    pivots: dict[int, int] = {}
+    for x in _row_ints(m.words):
+        _insert(x, pivots)
+    order = sorted(pivots)
+    higher = 0  # the pivot columns above c
+    for c in reversed(order):
+        x = pivots[c]
+        # the rows of the higher pivots are reduced already, so each clears one pivot bit and sets none
+        hits = x & higher
+        while hits:
+            low = hits & -hits
+            x ^= pivots[low.bit_length() - 1]
+            hits ^= low
+        pivots[c] = x
+        higher |= 1 << c
+    return _from_row_ints(m.rows, m.cols, [pivots[c] for c in order]), order
 
 
 def rank(m: Mat2) -> int:
@@ -284,30 +319,12 @@ def eliminate(m: Mat2, transform: Mat2) -> tuple[Mat2, list[int], Mat2, list[int
 def select_independent_rows(m: Mat2) -> list[int]:
     """Greedy independent subset of the rows, earlier rows preferred.
 
-    Swap-free elimination: for each column (left to right) the first
-    still-unused row with a nonzero entry becomes a pivot and is XORed
-    into every other row carrying that bit.  Rows of an echelon prefix
-    are therefore always kept, which is what basis completion needs.
+    A row is kept exactly when it does not reduce to zero against the
+    rows kept before it, so the rows of an echelon prefix are always
+    kept, which is what basis completion needs.
     """
-    w = m.words.copy()
-    used = np.zeros(m.rows, dtype=bool)
-    picked: list[int] = []
-    for c in range(m.cols):
-        if len(picked) == m.rows:
-            break
-        wi = c >> 6
-        sh = np.uint64(c & 63)
-        col = ((w[:, wi] >> sh) & _ONE).astype(bool)
-        cand = np.nonzero(col & ~used)[0]
-        if cand.size == 0:
-            continue
-        p = int(cand[0])
-        used[p] = True
-        picked.append(p)
-        col[p] = False
-        if col.any():
-            w[col] ^= w[p]
-    return sorted(picked)
+    pivots: dict[int, int] = {}
+    return [i for i, x in enumerate(_row_ints(m.words)) if _insert(x, pivots)]
 
 
 def solve_many(m: Mat2, rhs: Mat2) -> list[np.ndarray | None]:

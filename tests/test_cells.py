@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conf2.cells import (
     CellComplex,
+    CohomologyResult,
     cohomology_f2,
     deleted_product,
     induced_involution,
@@ -14,7 +15,7 @@ from conf2.cells import (
     quotient_complex,
 )
 from conf2.conf_symbolic import conf_cohomology, rep_decompose
-from conf2.gf2 import Mat2, invert, rank
+from conf2.gf2 import Mat2, eliminate, invert, rank
 from conf2.simplicial import (
     SimplicialComplex,
     barycentric_subdivide,
@@ -262,3 +263,39 @@ def test_solve_matches_the_stacked_system_and_rejects_non_cocycles(case):
             assert reference_classes(H, d, Mat2.from_dense(row[None])) == [None]
             with pytest.raises(RuntimeError, match="not a cocycle"):
                 H.solve(d, Mat2.from_dense(row[None]))
+
+
+def full_rows_cohomology(C: CellComplex) -> CohomologyResult:
+    """`cohomology_f2` without clearing: every row of each boundary is eliminated.
+
+    The transform is the identity of C^d with row p_k replaced by
+    e_{p_k} + E[k], E the echelon basis of B^d with pivots p_k.
+    """
+    reps, rep_pivots, cobs, cob_pivots = [], [], [], []
+    E, P = Mat2.zeros(0, C.n_cells(0)), []
+    for d in range(C.top_dim + 1):
+        n = C.n_cells(d)
+        cobs.append(E)
+        cob_pivots.append(P)
+        transform = Mat2.identity(n)
+        transform.words[np.asarray(P, dtype=np.int64)] ^= E.words
+        boundary = C.boundaries[d + 1] if d < C.top_dim else Mat2.zeros(n, 0)
+        E, P, classes, class_pivots = eliminate(boundary, transform)
+        reps.append(classes)
+        rep_pivots.append(class_pivots)
+    return CohomologyResult(reps, rep_pivots, cobs, cob_pivots)
+
+
+@settings(deadline=None, max_examples=100)
+@given(chain_complexes())
+def test_clearing_matches_full_rows_on_random_complexes(case):
+    C, _ = case
+    assert cohomology_f2(C) == full_rows_cohomology(C)
+
+
+@pytest.mark.parametrize(
+    "kind", [SurfaceKind.orientable(g) for g in (1, 2, 3)] + [SurfaceKind.nonorientable(g) for g in (1, 2, 3)]
+)
+def test_clearing_matches_full_rows_on_orbit_complexes(kind):
+    Q = quotient_complex(builtin_triangulation(kind))
+    assert cohomology_f2(Q) == full_rows_cohomology(Q)

@@ -12,6 +12,7 @@ from conf2.gf2 import (
     select_independent_rows,
     solve_many,
 )
+from gf2_reference import reference_rref
 from sym_reference import Subspace, quotient_map_with_section, subspace_equal
 
 
@@ -173,6 +174,29 @@ def mat2s(draw, max_rows=7, max_cols=7):
         )
     )
     return Mat2.from_rows(bits, cols=c)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 24), st.integers(0, 140), st.integers(0, 30), st.integers(0, 2**32 - 1))
+def test_rref_matches_the_column_loop_reference(rows, cols, inner, seed):
+    """Products of rows x inner and inner x cols factors, so tall ones are rank-deficient;
+    rows of the left factor zeroed at random give zero rows, and zero sizes give empty shapes."""
+    rng = np.random.default_rng(seed)
+    left = rng.integers(0, 2, size=(rows, inner)) * (rng.random((rows, 1)) < 0.8)
+    m = Mat2.from_dense(left @ rng.integers(0, 2, size=(inner, cols)) % 2)
+    R, piv = rref(m)
+    expected, expected_piv = reference_rref(m)
+    assert piv == expected_piv
+    assert R == expected
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 9), st.integers(0, 140), st.integers(0, 140), st.integers(0, 2**32 - 1))
+def test_hstack_matches_dense(rows, left_cols, right_cols, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2, size=(rows, left_cols), dtype=np.uint8)
+    b = rng.integers(0, 2, size=(rows, right_cols), dtype=np.uint8)
+    assert Mat2.hstack(Mat2.from_dense(a), Mat2.from_dense(b)) == Mat2.from_dense(np.hstack([a, b]))
 
 
 @settings(deadline=None, max_examples=150)
