@@ -22,10 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .cells import CellComplex, CohomologyResult, product_faces
-from .gf2 import Mat2, rank, solve_many  # solve_many: not run here; kept importable under its traced name
+from .gf2 import (  # solve_many: not run here; kept importable under its traced name
+    Mat2,
+    from_ones,
+    rank,
+    solve_many,
+    xor_rows,
+)
 from .simplicial import SimplicialComplex
 
 __all__ = [
@@ -186,28 +190,30 @@ def check_norm_map(
     Each one is solved for its class with `HQ.solve`, which raises
     RuntimeError when it is no cocycle.  Phi is not used.
     """
-    reps = [HK.cocycle_basis[p].to_dense() for p in range(len(HK.dims))]
+    reps = [HK.cocycle_basis[p].data for p in range(len(HK.dims))]
     ranks = [0] * len(Q.cells)
     for n, cells in enumerate(Q.cells):
         if not cells:
             continue
-        ds = np.array([len(s) - 1 for s, _ in cells])
-        si = np.array([K.simplex_index(s) for s, _ in cells])
-        ti = np.array([K.simplex_index(t) for _, t in cells])
-        blocks = []
+        # on_s[p][k] (on_t[p][k]): the cells whose s (t) is the p-simplex k, as a mask over the cells
+        on_s = [[[] for _ in K.simplices(p)] for p in range(len(reps))]
+        on_t = [[[] for _ in K.simplices(p)] for p in range(len(reps))]
+        for c, (s, t) in enumerate(cells):
+            on_s[len(s) - 1][K.simplex_index(s)].append(c)
+            on_t[len(t) - 1][K.simplex_index(t)].append(c)
+        on_s = [[from_ones(c) for c in level] for level in on_s]
+        on_t = [[from_ones(c) for c in level] for level in on_t]
+        # S[p][i] (T[p][i]): the cells {s, t} with the p-cocycle i equal to 1 on s (on t)
+        S = [[xor_rows(on_s[p], a) for a in reps[p]] for p in range(len(reps))]
+        T = [[xor_rows(on_t[p], a) for a in reps[p]] for p in range(len(reps))]
+        rows = []
         # norm(a, b) = norm(b, a) and norm(a, a) = 0: take p <= n - p, and i < j when p = n - p.
         for p in range(max(0, n - len(reps) + 1), n // 2 + 1):
-            a, b = reps[p], reps[n - p]
-            norm = np.zeros((len(a), len(b), len(cells)), dtype=np.uint8)
-            here = ds == p  # a on s, b on t
-            norm[:, :, here] ^= a[:, None, si[here]] & b[None, :, ti[here]]
-            swapped = ds == n - p  # a on t, b on s
-            norm[:, :, swapped] ^= a[:, None, ti[swapped]] & b[None, :, si[swapped]]
-            if p == n - p:
-                blocks.append(norm[np.triu_indices(len(a), k=1)])
-            else:
-                blocks.append(norm.reshape(-1, len(cells)))
-        got = rank(HQ.solve(n, Mat2.from_dense(np.vstack(blocks))))
+            q = n - p
+            for i in range(len(reps[p])):
+                for j in range(i + 1 if p == q else 0, len(reps[q])):
+                    rows.append(S[p][i] & T[q][j] ^ S[q][j] & T[p][i])
+        got = rank(HQ.solve(n, Mat2(len(rows), len(cells), rows)))
         expected = HQ.dims[n] - A.rank(n, 1)
         if got != expected:
             raise RuntimeError(

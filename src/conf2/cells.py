@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .gf2 import (  # select_independent_rows, solve_many: not run here; kept importable under their traced names
     Mat2,
     eliminate,
+    from_ones,
+    ones,
     select_independent_rows,
     solve_many,
 )
@@ -44,9 +44,9 @@ class CellComplex:
     """Chain complex of F2 vector spaces with labeled cells per dimension.
 
     boundaries[d] maps d-chains to (d-1)-chains; boundaries[0] has no
-    rows.  involution, when given, is one permutation array per
-    dimension; it must square to the identity and commute with the
-    boundary, both checked here.
+    rows.  involution, when given, is one permutation (a sequence of
+    cell indices) per dimension; it must square to the identity and
+    commute with the boundary, both checked here.
     """
 
     def __init__(self, cells, boundaries, involution=None):
@@ -63,20 +63,19 @@ class CellComplex:
             if not self.boundaries[d - 1].mul(self.boundaries[d]).is_zero():
                 raise RuntimeError(f"boundary squared is nonzero at dimension {d}")
         if involution is not None:
-            involution = [np.asarray(p, dtype=np.int64) for p in involution]
+            involution = [[int(i) for i in perm] for perm in involution]
             if len(involution) != len(self.cells):
                 raise ValueError("one involution permutation per dimension is required")
             for d, perm in enumerate(involution):
                 n = len(self.cells[d])
-                if perm.shape != (n,):
+                if len(perm) != n:
                     raise ValueError(f"involution at dimension {d} has the wrong length")
-                if n and not np.array_equal(perm[perm], np.arange(n)):
+                if any(not 0 <= i < n for i in perm) or [perm[i] for i in perm] != list(range(n)):
                     raise ValueError(f"involution at dimension {d} does not square to the identity")
             for d in range(1, len(self.cells)):
                 # The ones of the boundary, as a set, must be fixed by the involution on rows and columns.
-                i, j = self.boundaries[d].entries()
-                moved = np.sort(involution[d - 1][i] * len(self.cells[d]) + involution[d][j])
-                if not np.array_equal(moved, i * len(self.cells[d]) + j):
+                B = self.boundaries[d]
+                if B.take_rows(involution[d - 1]).take_cols(involution[d]) != B:
                     raise RuntimeError(f"involution does not commute with the boundary at dimension {d}")
             self.involution = involution
 
@@ -99,10 +98,7 @@ class CellComplex:
     def is_free(self) -> bool:
         if self.involution is None:
             return False
-        return all(
-            not np.any(perm == np.arange(len(perm))) if len(perm) else True
-            for perm in self.involution
-        )
+        return all(i != j for perm in self.involution for i, j in enumerate(perm))
 
     def __repr__(self) -> str:
         return f"CellComplex(counts={self.cell_counts()}, involution={self.involution is not None})"
@@ -192,10 +188,7 @@ def deleted_product(K: SimplicialComplex) -> CellComplex:
     """
     cells = [list(_disjoint_pairs(K, d)) for d in range(2 * _top_dim(K) + 1)]
     index = [{c: i for i, c in enumerate(level)} for level in cells]
-    involution = [
-        np.array([index[d][(t, s)] for (s, t) in cells[d]], dtype=np.int64)
-        for d in range(len(cells))
-    ]
+    involution = [[index[d][(t, s)] for (s, t) in cells[d]] for d in range(len(cells))]
     out = CellComplex(cells, _pair_boundaries(cells), involution)
     if not out.is_free():
         raise RuntimeError("deleted product involution has a fixed cell")
@@ -239,16 +232,29 @@ class CohomologyResult:
     def solve(self, d: int, cochains: Mat2) -> Mat2:
         """Class coordinates of the degree-d cocycles in the rows of cochains, one row each.
 
-        Clearing the coboundary pivots leaves each row's class part, whose
-        entries at the class pivots are its coordinates; a nonzero rest
-        after taking those classes away means the row is no cocycle and
-        raises RuntimeError.
+        Each row walks its ones at the coboundary pivots, clearing each
+        with that pivot's row, which touches no other pivot; the ones
+        then left at the class pivots are its coordinates.  A nonzero
+        rest after taking those classes away means the row is no
+        cocycle and raises RuntimeError.
         """
-        T = cochains ^ cochains.take_cols(self.coboundary_pivots[d]).mul(self.coboundary_basis[d])
-        coords = T.take_cols(self.class_pivots[d])
-        if not (T ^ coords.mul(self.cocycle_basis[d])).is_zero():
-            raise RuntimeError(f"a row is not a cocycle in degree {d}")
-        return coords
+        coboundaries = dict(zip(self.coboundary_pivots[d], self.coboundary_basis[d].data))
+        classes = {p: k for k, p in enumerate(self.class_pivots[d])}
+        reps = self.cocycle_basis[d].data
+        on_coboundaries, on_classes = from_ones(coboundaries), from_ones(classes)
+        coords = []
+        for x in cochains.data:
+            for p in ones(x & on_coboundaries):
+                x ^= coboundaries[p]
+            c = 0
+            for p in ones(x & on_classes):
+                k = classes[p]
+                c |= 1 << k
+                x ^= reps[k]
+            if x:
+                raise RuntimeError(f"a row is not a cocycle in degree {d}")
+            coords.append(c)
+        return Mat2(cochains.rows, len(reps), coords)
 
 
 def cohomology_f2(C: CellComplex) -> CohomologyResult:
@@ -273,7 +279,7 @@ def cohomology_f2(C: CellComplex) -> CohomologyResult:
         cleared = set(P)
         keep = [i for i in range(n) if i not in cleared]
         boundary = C.boundaries[d + 1] if d < C.top_dim else Mat2.zeros(n, 0)
-        transform = Mat2.from_entries(len(keep), n, range(len(keep)), keep)
+        transform = Mat2(len(keep), n, [1 << i for i in keep])
         E, P, classes, class_pivots = eliminate(boundary.take_rows(keep), transform)
         reps.append(classes)
         rep_pivots.append(class_pivots)

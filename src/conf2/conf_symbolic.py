@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .gf2 import Mat2, rank, rref
 from .surfaces import (
     KunnethAlgebra,
@@ -81,7 +79,7 @@ def _times_diagonal(square: KunnethAlgebra, q: int) -> tuple[Mat2, Mat2]:
     if not 0 <= q <= TOP_DEGREE:
         raise ValueError(f"degree out of range: {q}")
     d = square.diagonal if square.diagonal is not None else diagonal_class(square)
-    rows = Mat2.from_dense(square.times(q - 2, d))
+    rows = square.times(q - 2, d)
     if q < 2:
         return rows, rows
     start = square.offset[q - 2][q - 2]
@@ -140,7 +138,7 @@ def conf_cohomology(kind: SurfaceKind) -> ConfCohomology:
         swapped = K.take_cols(perm)
         if rank(Mat2.vstack([K, swapped])) != K.rows:
             raise RuntimeError(f"restriction kernel is not swap-stable in degree {q}")
-        fixed = np.flatnonzero(perm == np.arange(len(perm)))
+        fixed = [i for i, j in enumerate(perm) if i == j]
         cycles = (len(perm) - len(fixed)) // 2
         # k in K lies in im(1 + sigma) iff k + k sigma = 0 and k vanishes on the fixed basis elements
         meet = K.rows - rank(Mat2.hstack(K ^ swapped, K.take_cols(fixed)))

@@ -15,8 +15,6 @@ from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
-import numpy as np
-
 from .gf2 import Mat2, rank
 from .surfaces import SurfaceKind
 
@@ -100,13 +98,14 @@ class SimplicialComplex:
             return self._boundaries[d]
         cols = self.simplices(d)
         rows = self.simplices(d - 1) if d >= 1 else ()
-        dense = np.zeros((len(rows), len(cols)), dtype=np.uint8)
+        i, j = [], []
         if d >= 1:
             idx = self._index[d - 1]
-            for j, s in enumerate(cols):
+            for k, s in enumerate(cols):
                 for face in combinations(s, d):
-                    dense[idx[face], j] ^= 1
-        out = Mat2.from_dense(dense)
+                    i.append(idx[face])
+                    j.append(k)
+        out = Mat2.from_entries(len(rows), len(cols), i, j)
         self._boundaries[d] = out
         return out
 

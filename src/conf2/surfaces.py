@@ -1,9 +1,9 @@
 """Mod-2 cohomology rings of closed surfaces and of their squares.
 
 A surface ring is a graded F2 algebra concentrated in degrees 0..2,
-given by its structure constants: one array per pair of degrees.  The
+given by its structure constants: one table per pair of degrees.  The
 square M x M keeps no multiplication table.  Its product
-(a x b)(c x e) = ac x be is evaluated from the factor's arrays in one
+(a x b)(c x e) = ac x be is evaluated from the factor's tables in one
 place, `KunnethAlgebra.times`, the matrix of y -> y z.  The square
 carries the coordinate swap, a permutation of its basis, and the
 diagonal class, the degree-2 element that generates the image of the
@@ -16,9 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
-from .gf2 import Mat2, invert
+from .gf2 import Mat2, from_ones, invert, ones, pack, xor_rows
 
 __all__ = [
     "SurfaceKind",
@@ -99,13 +97,17 @@ class SurfaceKind:
 
 
 class Element:
-    """Homogeneous element: a degree plus a coefficient vector."""
+    """Homogeneous element: a degree plus its coefficients, one int with basis element i at bit i.
+
+    The coefficients may also be given as any sequence of 0/1 entries,
+    entry i for basis element i.
+    """
 
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree: int, coeffs):
         self.degree = degree
-        self.coeffs = np.asarray(coeffs, dtype=np.uint8) & 1
+        self.coeffs = coeffs if isinstance(coeffs, int) else pack(coeffs)
 
     def __add__(self, other: "Element") -> "Element":
         if self.degree != other.degree:
@@ -115,16 +117,24 @@ class Element:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.degree == other.degree and np.array_equal(self.coeffs, other.coeffs)
+        return self.degree == other.degree and self.coeffs == other.coeffs
 
     def __hash__(self):
         raise TypeError("Element is not hashable")
 
     def is_zero(self) -> bool:
-        return not self.coeffs.any()
+        return not self.coeffs
 
     def __repr__(self) -> str:
-        return f"Element(degree={self.degree}, coeffs={self.coeffs.tolist()})"
+        return f"Element(degree={self.degree}, coeffs={ones(self.coeffs)})"
+
+
+def _outer(u: int, v: int, width: int) -> int:
+    """The outer product of u and v, v of the given width, flattened row-major: bit s*width + t is u_s v_t."""
+    acc = 0
+    for s in ones(u):
+        acc ^= v << s * width
+    return acc
 
 
 class _GradedBasis:
@@ -158,72 +168,85 @@ class _GradedBasis:
     # -- elements -------------------------------------------------------
 
     def zero(self, degree: int) -> Element:
-        return Element(degree, np.zeros(self.dim(degree), dtype=np.uint8))
+        return Element(degree, 0)
 
     def basis_element(self, degree: int, i: int) -> Element:
-        v = np.zeros(self.dim(degree), dtype=np.uint8)
-        v[i] = 1
-        return Element(degree, v)
+        if not 0 <= i < self.dim(degree):
+            raise IndexError(f"no basis element {i} in degree {degree}")
+        return Element(degree, 1 << i)
 
     def element(self, degree: int, names: Iterable[str]) -> Element:
-        v = np.zeros(self.dim(degree), dtype=np.uint8)
-        for name in names:
-            v[self.index[degree][name]] ^= 1
-        return Element(degree, v)
+        return Element(degree, from_ones(self.index[degree][name] for name in names))
 
     def unit(self) -> Element:
         return self.basis_element(0, 0)
 
     # -- multiplication ---------------------------------------------------
 
-    def times(self, a: int, z: Element) -> np.ndarray:
-        """0/1 matrix of y -> y z on degree a: row i is basis element i times z."""
+    def times(self, a: int, z: Element) -> Mat2:
+        """Matrix of y -> y z on degree a: row i is basis element i times z."""
         raise NotImplementedError
 
     def mul(self, x: Element, y: Element) -> Element:
-        """Product; degrees above the top are zero.
+        """Product; degrees above the top are zero."""
+        return Element(x.degree + y.degree, xor_rows(self.times(x.degree, y).data, x.coeffs))
 
-        The uint8 sums wrap modulo 256, which keeps their parity.
-        """
-        return Element(x.degree + y.degree, x.coeffs @ self.times(x.degree, y))
+
+def _table(entries, shape: tuple[int, int, int]) -> list[list[int]]:
+    """A structure-constant table of the given shape as rows of ints.
+
+    entries is nested (dim p) x (dim q), each entry either an int over
+    the basis of degree p+q or a sequence of 0/1 entries of that length;
+    anything else raises ValueError.
+    """
+    rows, cols, width = shape
+    bad = ValueError("multiplication table entry has the wrong shape")
+    table = [[e if isinstance(e, int) else list(e) for e in row] for row in entries]
+    if len(table) != rows or any(len(row) != cols for row in table):
+        raise bad
+    for row in table:
+        for j, e in enumerate(row):
+            if not isinstance(e, int):
+                if len(e) != width:
+                    raise bad
+                row[j] = pack(e)
+    if any(min(row) < 0 or max(row) >> width for row in table if row):
+        raise bad
+    return table
 
 
 class GradedAlgebra(_GradedBasis):
-    """Graded-commutative F2 algebra given by structure-constant arrays.
+    """Graded-commutative F2 algebra given by structure constants.
 
-    mult[(p, q)], for p + q up to the top degree, has shape
-    (dim p, dim q, dim p+q): entry [i, j] is the product of basis
-    elements i and j.  Degrees above the top are not represented;
-    products landing there are zero.
+    mult[(p, q)], for p + q up to the top degree, is a (dim p) x (dim q)
+    table whose entry [i][j] is the product of basis elements i and j,
+    an int over the basis of degree p+q.  The constructor also takes
+    nested 0/1 arrays of shape (dim p, dim q, dim p+q).  Degrees above
+    the top are not represented; products landing there are zero.
     """
 
-    def __init__(self, basis: list[list[str]], mult: Mapping[tuple[int, int], np.ndarray]):
+    def __init__(self, basis: list[list[str]], mult: Mapping[tuple[int, int], object]):
         super().__init__(basis)
-        self.mult = {k: np.asarray(v, dtype=np.uint8) & 1 for k, v in mult.items()}
-        self._check_table()
-
-    def times(self, a: int, z: Element) -> np.ndarray:
-        table = self.mult.get((a, z.degree))
-        if table is None:
-            return np.zeros((self.dim(a), self.dim(a + z.degree)), dtype=np.uint8)
-        return np.einsum("ijk,j->ik", table, z.coeffs) & 1
-
-    def _check_table(self) -> None:
         if self.dim(0) != 1:
             raise ValueError("expected a one-dimensional degree 0")
         top = self.top_degree
-        if set(self.mult) != {(p, q) for p in range(top + 1) for q in range(top + 1 - p)}:
+        if set(mult) != {(p, q) for p in range(top + 1) for q in range(top + 1 - p)}:
             raise ValueError("multiplication table does not cover exactly the degrees up to the top")
-        for (p, q), table in self.mult.items():
-            if table.shape != (self.dim(p), self.dim(q), self.dim(p + q)):
-                raise ValueError("multiplication table entry has the wrong shape")
+        self.mult = {(p, q): _table(v, (self.dim(p), self.dim(q), self.dim(p + q))) for (p, q), v in mult.items()}
         for (p, q), table in self.mult.items():
             # commutativity holds on the nose in characteristic 2
-            if not np.array_equal(table, self.mult[(q, p)].transpose(1, 0, 2)):
+            transposed = [list(column) for column in zip(*table)] if table else [[]] * self.dim(q)
+            if transposed != self.mult[(q, p)]:
                 raise ValueError("multiplication table is not commutative")
         for q in range(top + 1):
-            if not np.array_equal(self.mult[(0, q)][0], np.eye(self.dim(q), dtype=np.uint8)):
+            if self.mult[(0, q)][0] != [1 << j for j in range(self.dim(q))]:
                 raise ValueError("degree-0 generator is not a unit")
+
+    def times(self, a: int, z: Element) -> Mat2:
+        table = self.mult.get((a, z.degree))
+        if table is None:
+            return Mat2(self.dim(a), self.dim(a + z.degree))
+        return Mat2(len(table), self.dim(a + z.degree), [xor_rows(row, z.coeffs) for row in table])
 
 
 def build_surface_ring(kind: SurfaceKind) -> GradedAlgebra:
@@ -242,18 +265,14 @@ def build_surface_ring(kind: SurfaceKind) -> GradedAlgebra:
     else:
         deg1 = [f"w{i}" for i in range(1, kind.param + 1)]
     dims = [1, len(deg1), 1]
-    mult = {
-        (p, q): np.zeros((dims[p], dims[q], dims[p + q]), dtype=np.uint8)
-        for p in range(3)
-        for q in range(3 - p)
-    }
+    mult = {(p, q): [[0] * dims[q] for _ in range(dims[p])] for p in range(3) for q in range(3 - p)}
     for q in range(3):
-        mult[(0, q)][0] = np.eye(dims[q], dtype=np.uint8)
-        mult[(q, 0)][:, 0] = np.eye(dims[q], dtype=np.uint8)
-    if kind.family == "orientable":
-        mult[(1, 1)][:, :, 0] = np.roll(np.eye(dims[1], dtype=np.uint8), kind.param, axis=1)
-    else:
-        mult[(1, 1)][:, :, 0] = np.eye(dims[1], dtype=np.uint8)
+        mult[(0, q)][0] = [1 << j for j in range(dims[q])]
+        for i in range(dims[q]):
+            mult[(q, 0)][i][0] = 1 << i
+    shift = kind.param if kind.family == "orientable" else 0
+    for i in range(dims[1]):
+        mult[(1, 1)][i][(i + shift) % dims[1]] = 1
     return GradedAlgebra([["1"], deg1, ["u"]], mult)
 
 
@@ -266,7 +285,8 @@ class KunnethAlgebra(_GradedBasis):
     holds its dim p x dim q pairs in row-major order from offset[n][p].
     The swap exchanges the factors; swap_perm[n] is the permutation of
     degree n it induces on the basis.  There is no multiplication
-    table: `times` evaluates products from the factor's arrays.
+    table: `times` evaluates products from the factor's structure
+    constants.
     """
 
     def __init__(self, factor: GradedAlgebra):
@@ -274,20 +294,21 @@ class KunnethAlgebra(_GradedBasis):
         top = factor.top_degree
         names: list[list[str]] = []
         self.offset: list[dict[int, int]] = []
-        self.swap_perm: list[np.ndarray] = []
+        self.swap_perm: list[list[int]] = []
         for n in range(2 * top + 1):
-            blocks = range(max(0, n - top), min(n, top) + 1)
-            sizes = [factor.dim(p) * factor.dim(n - p) for p in blocks]
-            offset = dict(zip(blocks, np.cumsum([0] + sizes[:-1]).tolist()))
-            perm = np.empty(sum(sizes), dtype=np.int64)
+            offset, size = {}, 0
+            for p in range(max(0, n - top), min(n, top) + 1):
+                offset[p] = size
+                size += factor.dim(p) * factor.dim(n - p)
+            perm = [0] * size
             label: list[str] = []
-            for p in blocks:
+            for p, start in offset.items():
                 dp, dq = factor.dim(p), factor.dim(n - p)
                 label += [f"{x}|{y}" for x in factor.names(p) for y in factor.names(n - p)]
-                # x_i|y_j sits at offset + i dq + j, its swap y_j|x_i in block (q, p) at offset' + j dp + i
-                swapped = np.arange(dq) * dp + np.arange(dp)[:, None]
-                perm[offset[p] : offset[p] + dp * dq] = offset[n - p] + swapped.ravel()
-            if not np.array_equal(perm[perm], np.arange(len(perm))):
+                # x_i|y_j sits at start + i dq + j, its swap y_j|x_i in block (q, p) at offset' + j dp + i
+                for i in range(dp):
+                    perm[start + i * dq : start + (i + 1) * dq] = range(offset[n - p] + i, offset[n - p] + dq * dp, dp)
+            if [perm[k] for k in perm] != list(range(size)):
                 raise RuntimeError("swap is not an involution")
             names.append(label)
             self.offset.append(offset)
@@ -298,58 +319,71 @@ class KunnethAlgebra(_GradedBasis):
     def _blocks(self, n: int) -> dict[int, int]:
         return self.offset[n] if 0 <= n <= self.top_degree else {}
 
-    def times(self, a: int, z: Element) -> np.ndarray:
+    def times(self, a: int, z: Element) -> Mat2:
         """Matrix of y -> y z on degree a, from (x1|x2)(y1|y2) = x1 y1 | x2 y2.
 
-        Each block (p1, p2) of degree a against each block (q1, q2) of z
-        contracts the factor arrays mult[(p1, q1)] and mult[(p2, q2)]
-        with z's coefficients on that block, one factor at a time; the
-        uint8 sums wrap modulo 256, which keeps their parity.
+        For each block (p1, p2) of degree a and each block (q1, q2) of z,
+        z's coefficients c[k][l] on that block are first summed into
+        the second factor, R[k] = sum over l of c[k][l] (x2 y2_l); row
+        x1|x2 of the block product is then the sum over k of the outer
+        products (x1 y1_k) x R[k].
         """
         ring = self.factor
         b = z.degree
-        out = np.zeros((self.dim(a), self.dim(a + b)), dtype=np.uint8)
+        out = [0] * self.dim(a)
         for p1, row in self._blocks(a).items():
             p2 = a - p1
             for q1, start in self._blocks(b).items():
                 q2 = b - q1
                 left, right = ring.mult.get((p1, q1)), ring.mult.get((p2, q2))
-                coeffs = z.coeffs[start : start + ring.dim(q1) * ring.dim(q2)].reshape(ring.dim(q1), ring.dim(q2))
-                if left is None or right is None or not coeffs.any():
+                dq2 = ring.dim(q2)
+                block = z.coeffs >> start & ((1 << ring.dim(q1) * dq2) - 1)
+                if left is None or right is None or not block:
                     continue
-                block = np.einsum("isl,jlt->ijst", np.einsum("iks,kl->isl", left, coeffs), right)
-                rows, cols = left.shape[0] * right.shape[0], left.shape[2] * right.shape[2]
-                col = self.offset[a + b][p1 + q1]
-                out[row : row + rows, col : col + cols] ^= block.reshape(rows, cols) & 1
-        return out
+                by_l: list[list[int]] = [[] for _ in range(dq2)]  # by_l[l]: the k with c[k][l] = 1
+                for pos in ones(block):
+                    by_l[pos % dq2].append(pos // dq2)
+                left_ones = [[(k, u) for k, u in enumerate(products) if u] for products in left]
+                width, col = ring.dim(p2 + q2), self.offset[a + b][p1 + q1]
+                for i2, products in enumerate(right):
+                    R: dict[int, int] = {}
+                    for l, v in enumerate(products):
+                        if v:
+                            for k in by_l[l]:
+                                R[k] = R.get(k, 0) ^ v
+                    if not R:
+                        continue
+                    for i1, hits in enumerate(left_ones):
+                        acc = 0
+                        for k, u in hits:
+                            if k in R:
+                                acc ^= _outer(u, R[k], width)
+                        out[row + i1 * len(right) + i2] ^= acc << col
+        return Mat2(len(out), self.dim(a + b), out)
 
     def cross(self, x: Element, y: Element) -> Element:
         """External product of two factor-ring elements."""
-        out = self.zero(x.degree + y.degree)
-        start = self.offset[out.degree][x.degree]
-        out.coeffs[start : start + x.coeffs.size * y.coeffs.size] = np.outer(x.coeffs, y.coeffs).ravel()
-        return out
+        n = x.degree + y.degree
+        return Element(n, _outer(x.coeffs, y.coeffs, self.factor.dim(y.degree)) << self.offset[n][x.degree])
 
     def swap(self, x: Element) -> Element:
         perm = self.swap_perm[x.degree]
-        out = np.zeros_like(x.coeffs)
-        out[perm] = x.coeffs
-        return Element(x.degree, out)
+        return Element(x.degree, from_ones(perm[i] for i in ones(x.coeffs)))
 
 
 def diagonal_class(square: KunnethAlgebra) -> Element:
     """Diagonal class of the square, from dual bases under the pairing.
 
     For each degree p, the pairing with the complementary degree is the
-    top-class coefficient of the product, the array mult[(p, q)][:, :, 0];
-    the sum of e x (dual of e) over all basis elements is the diagonal
-    class.  A degenerate pairing raises ValueError.
+    top-class coefficient of the product, bit 0 of the entries of
+    mult[(p, q)]; the sum of e x (dual of e) over all basis elements is
+    the diagonal class.  A degenerate pairing raises ValueError.
     """
     ring = square.factor
     top = ring.top_degree
     if ring.dim(top) != 1:
         raise ValueError("top degree of the factor ring must be one-dimensional")
-    out = square.zero(top)
+    coeffs = 0
     for p in range(top + 1):
         q = top - p
         dp, dq = ring.dim(p), ring.dim(q)
@@ -357,14 +391,16 @@ def diagonal_class(square: KunnethAlgebra) -> Element:
             raise ValueError("pairing is degenerate: mismatched dimensions")
         if dp == 0:
             continue
+        pairing = Mat2(dp, dq, [pack(e & 1 for e in products) for products in ring.mult[(p, q)]])
         try:
-            inv = invert(Mat2.from_dense(ring.mult[(p, q)][:, :, 0]))
+            inv = invert(pairing)
         except ValueError as exc:
             raise ValueError("pairing is degenerate") from exc
         # row i of the transposed inverse: coefficients of the dual of basis element i
         start = square.offset[top][p]
-        out.coeffs[start : start + dp * dq] = inv.to_dense().T.ravel()
-    return out
+        for i, dual in enumerate(inv.transpose().data):
+            coeffs |= dual << start + i * dq
+    return Element(top, coeffs)
 
 
 def build_kunneth(ring: GradedAlgebra) -> KunnethAlgebra:

@@ -21,6 +21,7 @@ from conf2.conf_symbolic import rep_decompose
 from conf2.gf2 import Mat2, rank, solve_many
 from conf2.simplicial import builtin_triangulation
 from conf2.surfaces import SurfaceKind
+from gf2_reference import bits, entries
 
 
 def reference_classes(H: CohomologyResult, d: int, cochains: Mat2) -> list[np.ndarray | None]:
@@ -30,7 +31,7 @@ def reference_classes(H: CohomologyResult, d: int, cochains: Mat2) -> list[np.nd
     eliminated afresh on every call.
     """
     system = Mat2.vstack([H.cocycle_basis[d], H.coboundary_basis[d]]).transpose()
-    return [None if sol is None else sol[: H.dims[d]] for sol in solve_many(system, cochains)]
+    return [None if sol is None else bits(sol, system.cols)[: H.dims[d]] for sol in solve_many(system, cochains)]
 
 
 def orbit_representatives(C: CellComplex) -> list[np.ndarray]:
@@ -43,7 +44,7 @@ def orbit_representatives(C: CellComplex) -> list[np.ndarray]:
     if C.involution is None:
         raise ValueError("complex has no involution")
     reps = []
-    for d, perm in enumerate(C.involution):
+    for d, perm in enumerate(np.asarray(p, dtype=np.int64) for p in C.involution):
         ids = np.arange(len(perm))
         if np.any(perm == ids):
             raise ValueError(f"free action violated: fixed cell in dimension {d}")
@@ -66,7 +67,7 @@ def orbit_quotient(C: CellComplex) -> CellComplex:
     """
     rep_lists = orbit_representatives(C)
     orbit_of: list[np.ndarray] = []
-    for perm, reps in zip(C.involution, rep_lists):
+    for perm, reps in zip((np.asarray(p, dtype=np.int64) for p in C.involution), rep_lists):
         idx = np.empty(len(perm), dtype=np.int64)
         idx[reps] = np.arange(len(reps))
         idx[perm[reps]] = np.arange(len(reps))
@@ -74,7 +75,7 @@ def orbit_quotient(C: CellComplex) -> CellComplex:
     cells = [[C.cells[d][i] for i in rep_lists[d]] for d in range(C.top_dim + 1)]
     boundaries = [Mat2.zeros(0, len(cells[0]))]
     for d in range(1, C.top_dim + 1):
-        i, j = C.boundaries[d].entries()
+        i, j = entries(C.boundaries[d])
         col = _positions(rep_lists[d], C.n_cells(d))[j]
         on_rep = col >= 0
         boundaries.append(Mat2.from_entries(len(cells[d - 1]), len(cells[d]), orbit_of[d - 1][i[on_rep]], col[on_rep]))
@@ -91,7 +92,7 @@ def transfer_phi(C: CellComplex, Q: CellComplex) -> list[Mat2]:
     reps = orbit_representatives(C)
     phi = []
     for n in range(C.top_dim):
-        i, j = C.boundaries[n + 1].entries()
+        i, j = entries(C.boundaries[n + 1])
         row = _positions(reps[n], C.n_cells(n))[i]
         col = _positions(reps[n + 1], C.n_cells(n + 1))[j]
         both = (row >= 0) & (col >= 0)

@@ -1,23 +1,80 @@
-"""The column-loop GF(2) elimination, kept as a test-only reference.
+"""numpy as the tests' independent reference for the int-row GF(2) code.
 
-`gf2.rref` reduces one row at a time on Python-int bitsets.  This is
-the kernel it replaced: it loops over the columns left to right, takes
-the first not-yet-used row with a one in the column as its pivot, and
-XORs it into every other row carrying that bit, with numpy selecting
-and XORing the rows in packed words.  A reduced row-echelon form is
-unique, so both must give the same matrix and pivot columns bit for bit.
+`conf2` keeps every matrix row and vector as one Python int, column c
+at bit c, and imports no numpy.  The tests build their inputs and check
+their answers with numpy arrays, so the dense conversions live here:
+`from_dense`/`to_dense` between a 0/1 array and a `Mat2`, `bits` for one
+int vector, `entries` for the ones of a matrix and `mul_vec` for a
+matrix-vector product on arrays.
+
+`reference_rref` is the column-loop elimination `gf2.rref` replaced: it
+loops over the columns left to right, takes the first not-yet-used row
+with a one in the column as its pivot, and XORs it into every other row
+carrying that bit, with numpy selecting and XORing the rows in packed
+64-bit words.  A reduced row-echelon form is unique, so both must give
+the same matrix and pivot columns bit for bit.
 """
 
 import numpy as np
 
-from conf2.gf2 import Mat2
+from conf2.gf2 import Mat2, ones
 
 _ONE = np.uint64(1)
 
 
+def bits(x: int, n: int) -> np.ndarray:
+    """The int x as a 0/1 uint8 vector of length n, bit i at entry i; OverflowError when x is wider."""
+    raw = np.frombuffer(x.to_bytes((n + 7) >> 3, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:n].copy()
+
+
+def _words(m: Mat2) -> np.ndarray:
+    """The rows of m packed into 64-bit words, column c at bit c & 63 of word c >> 6."""
+    nw = (m.cols + 63) >> 6
+    raw = b"".join(x.to_bytes(8 * nw, "little") for x in m.data)
+    return np.frombuffer(raw, dtype=np.uint64).reshape(m.rows, nw).copy()
+
+
+def to_dense(m: Mat2) -> np.ndarray:
+    """m as a rows x cols 0/1 uint8 array."""
+    if m.rows == 0 or m.cols == 0:
+        return np.zeros((m.rows, m.cols), dtype=np.uint8)
+    unpacked = np.unpackbits(_words(m).view(np.uint8), axis=1, bitorder="little")
+    return np.ascontiguousarray(unpacked[:, : m.cols])
+
+
+def from_dense(dense) -> Mat2:
+    """A 2-d array of 0/1 entries (each counts by its parity) as a Mat2."""
+    arr = np.asarray(dense).astype(np.uint8) & 1
+    if arr.ndim != 2:
+        raise ValueError("expected a 2-d array of bits")
+    packed = np.packbits(arr, axis=1, bitorder="little")
+    return Mat2(arr.shape[0], arr.shape[1], [int.from_bytes(row.tobytes(), "little") for row in packed])
+
+
+def entries(m: Mat2) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the ones, in row-major order; costs the ones, not the dense size."""
+    i: list[int] = []
+    j: list[int] = []
+    for r, x in enumerate(m.data):
+        cols = ones(x)
+        i += [r] * len(cols)
+        j += cols
+    return np.array(i, dtype=np.int64), np.array(j, dtype=np.int64)
+
+
+def mul_vec(m: Mat2, vec) -> np.ndarray:
+    """m times a 0/1 column vector, through `Mat2.mul_vec`, as a uint8 array."""
+    v = np.asarray(vec, dtype=np.uint8).reshape(-1)
+    if v.shape[0] != m.cols:
+        raise ValueError("length mismatch")
+    x = int.from_bytes(np.packbits(v & 1, bitorder="little").tobytes(), "little")
+    return bits(m.mul_vec(x), m.rows)
+
+
 def reference_rref(m: Mat2) -> tuple[Mat2, list[int]]:
     """Reduced row-echelon form and pivot columns by a Python loop over the columns."""
-    w = m.words.copy()
+    w = _words(m)
     pivots: list[int] = []
     r = 0
     for c in range(m.cols):
@@ -38,4 +95,4 @@ def reference_rref(m: Mat2) -> tuple[Mat2, list[int]]:
             w[mask] ^= w[r]
         pivots.append(c)
         r += 1
-    return Mat2(m.rows, m.cols, w), pivots
+    return Mat2(m.rows, m.cols, [int.from_bytes(row.tobytes(), "little") for row in w]), pivots

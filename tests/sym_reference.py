@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from conf2.conf_symbolic import TOP_DEGREE, RepDecomposition, rep_decompose
-from conf2.gf2 import Mat2, rank, rref
+from conf2.gf2 import Mat2, pack, rank, rref
 from conf2.surfaces import KunnethAlgebra, SurfaceKind, build_kunneth, build_surface_ring
+from gf2_reference import from_dense, to_dense
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,13 @@ class Subspace:
 
     @staticmethod
     def spanned_by(ambient_dim: int, vectors) -> "Subspace":
-        """Subspace spanned by arbitrary (possibly dependent) row vectors."""
-        m = vectors if isinstance(vectors, Mat2) else Mat2.from_rows(vectors, cols=ambient_dim)
+        """Subspace spanned by arbitrary (possibly dependent) row vectors: a Mat2, ints or 0/1 rows."""
+        if isinstance(vectors, Mat2):
+            m = vectors
+        elif all(isinstance(v, int) for v in vectors):
+            m = Mat2(len(vectors), ambient_dim, list(vectors))
+        else:
+            m = Mat2.from_rows(vectors, cols=ambient_dim)
         if m.cols != ambient_dim:
             raise ValueError("vector width does not match the ambient dimension")
         R, piv = rref(m)
@@ -49,10 +55,17 @@ class Subspace:
         return self.basis.rows
 
     def contains(self, vec) -> bool:
-        v = np.asarray(vec, dtype=np.uint8).reshape(1, -1)
-        if v.shape[1] != self.ambient_dim:
+        """Membership of a vector given as an int or as 0/1 entries."""
+        if isinstance(vec, int):
+            v = vec
+        else:
+            vec = list(vec)
+            if len(vec) != self.ambient_dim:
+                raise ValueError("vector lives in the wrong ambient space")
+            v = pack(vec)
+        if v >> self.ambient_dim:
             raise ValueError("vector lives in the wrong ambient space")
-        stacked = Mat2.vstack([self.basis, Mat2.from_dense(v)])
+        stacked = Mat2.vstack([self.basis, Mat2(1, self.ambient_dim, [v])])
         return rank(stacked) == rank(self.basis)
 
 
@@ -87,12 +100,12 @@ def quotient_map_with_section(ambient_dim: int, sub: Subspace) -> tuple[Mat2, Ma
     if qdim:
         proj[np.arange(qdim), nonpiv] = 1
         if piv:
-            Rd = R.to_dense()
+            Rd = to_dense(R)
             proj[:, piv] = Rd[: len(piv), :][:, nonpiv].T
     section = np.zeros((ambient_dim, qdim), dtype=np.uint8)
     if qdim:
         section[nonpiv, np.arange(qdim)] = 1
-    return Mat2.from_dense(proj), Mat2.from_dense(section), qdim
+    return from_dense(proj), from_dense(section), qdim
 
 
 @dataclass(frozen=True)
@@ -122,7 +135,7 @@ def swap_matrix(square: KunnethAlgebra, q: int) -> Mat2:
     n = square.dim(q)
     dense = np.zeros((n, n), dtype=np.uint8)
     dense[square.swap_perm[q], np.arange(n)] = 1
-    return Mat2.from_dense(dense)
+    return from_dense(dense)
 
 
 def quotient_degrees(kind: SurfaceKind) -> list[QuotientDegree]:

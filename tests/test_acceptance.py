@@ -219,7 +219,7 @@ def test_criterion_9_property_sweep():
         for d in range(1, dp.top_dim + 1):
             assert dp.boundaries[d - 1].mul(dp.boundaries[d]).is_zero()
         # the swap squares to the identity on cells and on cohomology
-        for perm in dp.involution:
+        for perm in (np.asarray(p, dtype=np.int64) for p in dp.involution):
             assert np.array_equal(perm[perm], np.arange(len(perm)))
         H = cohomology_f2(dp)
         for q, swap in enumerate(H.induced_involution):

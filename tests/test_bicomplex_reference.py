@@ -28,6 +28,7 @@ from conf2.cells import CellComplex, cohomology_f2, deleted_product, quotient_co
 from conf2.gf2 import Mat2, rank
 from conf2.simplicial import SimplicialComplex, builtin_triangulation
 from conf2.surfaces import SurfaceKind
+from gf2_reference import from_dense, to_dense
 from dp_reference import alpha_module, builtin_reference, check_smith_gysin, conf_rows, reference_classes
 
 SWEEP = ("sphere", "orientable:1", "orientable:2", "nonorientable:1", "nonorientable:2", "nonorientable:3")
@@ -56,7 +57,7 @@ class EquivariantComplex:
         for q in range(top + 1):
             n = self.block_dims[q]
             if q < top:
-                deltas.append(base.boundaries[q + 1].to_dense().T)
+                deltas.append(to_dense(base.boundaries[q + 1]).T)
             else:
                 deltas.append(np.zeros((0, n), dtype=np.uint8))
             sigma = np.zeros((n, n), dtype=np.uint8)
@@ -79,8 +80,8 @@ class EquivariantComplex:
                 if q + 1 <= top:
                     d0 = tgt_off[q + 1]
                     dense[d0 : d0 + deltas[q].shape[0], o : o + w] = deltas[q]
-            self.differentials.append(Mat2.from_dense(dense))
-            self.shifts.append(Mat2.from_dense(shift))
+            self.differentials.append(from_dense(dense))
+            self.shifts.append(from_dense(shift))
         for n in range(window):
             assert self.differentials[n + 1].mul(self.differentials[n]).is_zero()
             left = self.differentials[n + 1].mul(self.shifts[n])
@@ -109,12 +110,12 @@ def bicomplex_alpha_module(C: CellComplex, window: int) -> AlphaModule:
         nxt = result.dims[n + 1]
         # the shift is a blockwise prefix embedding: pad with zeros
         mapped = np.zeros((reps.rows, E.total_dim(n + 1)), dtype=np.uint8)
-        mapped[:, : reps.cols] = reps.to_dense()
+        mapped[:, : reps.cols] = to_dense(reps)
         cols = np.zeros((nxt, reps.rows), dtype=np.uint8)
-        for j, sol in enumerate(reference_classes(result, n + 1, Mat2.from_dense(mapped))):
+        for j, sol in enumerate(reference_classes(result, n + 1, from_dense(mapped))):
             assert sol is not None, f"shifted representative left the span in degree {n}"
             cols[:, j] = sol
-        alpha_maps.append(Mat2.from_dense(cols))
+        alpha_maps.append(from_dense(cols))
     module = AlphaModule(dims=result.dims[: window + 1], alpha_maps=alpha_maps)
     module.towers = module_decompose(module)
     return module
@@ -141,7 +142,7 @@ def composite_ranks(A: AlphaModule) -> dict[tuple[int, int], int]:
 
 
 def antipodal_circle() -> CellComplex:
-    boundary = Mat2.from_dense(np.array([[1, 1], [1, 1]], dtype=np.uint8))
+    boundary = from_dense(np.array([[1, 1], [1, 1]], dtype=np.uint8))
     return CellComplex(
         [["p", "q"], ["a", "b"]],
         [Mat2.zeros(0, 2), boundary],

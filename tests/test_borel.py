@@ -27,6 +27,7 @@ from conf2.cells import (
 from conf2.gf2 import Mat2, rank
 from conf2.simplicial import SimplicialComplex, builtin_triangulation
 from conf2.surfaces import SurfaceKind
+from gf2_reference import from_dense
 from dp_reference import alpha_module, check_smith_gysin, orbit_quotient, transfer_phi
 
 
@@ -52,7 +53,7 @@ POINT = CellComplex([["p"]], [Mat2.zeros(0, 1)])
 
 def antipodal_circle() -> CellComplex:
     """Square circle with the antipode: two vertices, two edges, free swap."""
-    boundary = Mat2.from_dense(np.array([[1, 1], [1, 1]], dtype=np.uint8))
+    boundary = from_dense(np.array([[1, 1], [1, 1]], dtype=np.uint8))
     return CellComplex(
         [["p", "q"], ["a", "b"]],
         [Mat2.zeros(0, 2), boundary],
@@ -146,7 +147,7 @@ def test_alpha_rejects_an_image_off_the_cocycles():
     bad = np.zeros(phi[0].shape, dtype=np.uint8)
     bad[0, 0] = 1
     with pytest.raises(RuntimeError):
-        equivariant_cohomology_with_alpha([Mat2.from_dense(bad)] + phi[1:], cohomology_f2(Q))
+        equivariant_cohomology_with_alpha([from_dense(bad)] + phi[1:], cohomology_f2(Q))
 
 
 def test_smith_gysin_check_rejects_wrong_counts():
@@ -192,7 +193,7 @@ def test_norm_check_rejects_a_norm_class_off_the_cocycles():
     # a single vertex is no cocycle of K, so its norms with other classes need not be cocycles of Q
     point = np.zeros((1, K.vertex_count), dtype=np.uint8)
     point[0, 0] = 1
-    bad = replace(HK, cocycle_basis=[Mat2.from_dense(point)] + HK.cocycle_basis[1:])
+    bad = replace(HK, cocycle_basis=[from_dense(point)] + HK.cocycle_basis[1:])
     with pytest.raises(RuntimeError, match="not a cocycle"):
         norm_check(K, HK=bad)
 

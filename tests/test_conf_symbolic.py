@@ -12,6 +12,7 @@ from conf2.conf_symbolic import (
 )
 from conf2.gf2 import Mat2
 from conf2.surfaces import SurfaceKind, build_kunneth, build_surface_ring
+from gf2_reference import from_dense
 from sym_reference import Subspace, quotient_degrees, subspace_equal
 
 SPHERE = SurfaceKind.sphere()
@@ -124,13 +125,13 @@ def test_rep_decompose_identity_has_no_free_part():
 
 
 def test_rep_decompose_transposition():
-    swap = Mat2.from_dense(np.array([[0, 1], [1, 0]], dtype=np.uint8))
+    swap = from_dense(np.array([[0, 1], [1, 0]], dtype=np.uint8))
     out = rep_decompose(2, swap)
     assert (out.t, out.f) == (0, 1)
 
 
 def test_rep_decompose_rejects_non_involution():
-    bad = Mat2.from_dense(np.array([[0, 1], [0, 0]], dtype=np.uint8))
+    bad = from_dense(np.array([[0, 1], [0, 0]], dtype=np.uint8))
     assert bad.mul(bad) != Mat2.identity(2)
     with pytest.raises(ValueError):
         rep_decompose(2, bad)

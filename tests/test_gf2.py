@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 from conf2.gf2 import (
     Mat2,
     eliminate,
+    from_ones,
     invert,
+    ones,
     rank,
     rref,
     select_independent_rows,
     solve_many,
+    xor_rows,
 )
-from gf2_reference import reference_rref
+from gf2_reference import bits, entries, from_dense, mul_vec, reference_rref, to_dense
 from sym_reference import Subspace, quotient_map_with_section, subspace_equal
 
 
@@ -23,13 +26,14 @@ def rank_and_kernel(m: Mat2) -> tuple[int, Mat2]:
 
 
 def solve_one(m: Mat2, b) -> np.ndarray | None:
-    return solve_many(m, Mat2.from_dense(np.asarray(b, dtype=np.uint8).reshape(1, -1)))[0]
+    sol = solve_many(m, from_dense(np.asarray(b, dtype=np.uint8).reshape(1, -1)))[0]
+    return None if sol is None else bits(sol, m.cols)
 
 
 def test_rref_collapses_equal_rows():
     m = Mat2.from_rows([[1, 1], [1, 1]])
     R, piv = rref(m)
-    assert R.to_dense().tolist() == [[1, 1], [0, 0]]
+    assert to_dense(R).tolist() == [[1, 1], [0, 0]]
     assert piv == [0]
 
 
@@ -44,7 +48,7 @@ def test_rref_rank_two_example():
     m = Mat2.from_rows([[0, 1, 1], [1, 1, 0], [1, 0, 1]])
     R, piv = rref(m)
     assert piv == [0, 1]
-    assert R.to_dense().tolist() == [[1, 0, 1], [0, 1, 1], [0, 0, 0]]
+    assert to_dense(R).tolist() == [[1, 0, 1], [0, 1, 1], [0, 0, 0]]
 
 
 def test_rank_and_kernel_zero_matrix():
@@ -63,7 +67,7 @@ def test_rank_and_kernel_rank_one():
     r, ker = rank_and_kernel(Mat2.from_rows([[1, 1], [1, 1]]))
     assert r == 1
     assert ker.rows == 1
-    assert ker.to_dense().tolist() == [[1, 1]]
+    assert to_dense(ker).tolist() == [[1, 1]]
 
 
 def test_solve_identity():
@@ -75,7 +79,7 @@ def test_solve_underdetermined_row():
     m = Mat2.from_rows([[1, 1]])
     x = solve_one(m, [1])
     assert x is not None
-    assert m.mul_vec(x).tolist() == [1]
+    assert mul_vec(m, x).tolist() == [1]
 
 
 def test_solve_inconsistent():
@@ -88,15 +92,15 @@ def test_solve_many_mixed():
     sols = solve_many(m, Mat2.from_rows([[1, 0], [1, 1]]))
     assert sols[0] is None
     assert sols[1] is not None
-    assert m.mul_vec(sols[1]).tolist() == [1, 1]
+    assert mul_vec(m, bits(sols[1], m.cols)).tolist() == [1, 1]
 
 
 def test_quotient_of_diagonal_line():
     sub = Subspace.spanned_by(2, [[1, 1]])
     proj, _, qdim = quotient_map_with_section(2, sub)
     assert qdim == 1
-    assert proj.mul_vec([1, 0]).tolist() == proj.mul_vec([0, 1]).tolist()
-    assert proj.mul_vec([1, 1]).tolist() == [0]
+    assert mul_vec(proj, [1, 0]).tolist() == mul_vec(proj, [0, 1]).tolist()
+    assert mul_vec(proj, [1, 1]).tolist() == [0]
 
 
 def test_quotient_by_zero_subspace_is_identity():
@@ -110,8 +114,8 @@ def test_quotient_section_splits_projection():
     proj, sec, qdim = quotient_map_with_section(4, sub)
     assert qdim == 2
     assert proj.mul(sec) == Mat2.identity(2)
-    for row in sub.basis.to_dense():
-        assert not proj.mul_vec(row).any()
+    for row in to_dense(sub.basis):
+        assert not mul_vec(proj, row).any()
 
 
 def test_subspace_equal_duplicate_generator():
@@ -183,7 +187,7 @@ def test_rref_matches_the_column_loop_reference(rows, cols, inner, seed):
     rows of the left factor zeroed at random give zero rows, and zero sizes give empty shapes."""
     rng = np.random.default_rng(seed)
     left = rng.integers(0, 2, size=(rows, inner)) * (rng.random((rows, 1)) < 0.8)
-    m = Mat2.from_dense(left @ rng.integers(0, 2, size=(inner, cols)) % 2)
+    m = from_dense(left @ rng.integers(0, 2, size=(inner, cols)) % 2)
     R, piv = rref(m)
     expected, expected_piv = reference_rref(m)
     assert piv == expected_piv
@@ -196,7 +200,7 @@ def test_hstack_matches_dense(rows, left_cols, right_cols, seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 2, size=(rows, left_cols), dtype=np.uint8)
     b = rng.integers(0, 2, size=(rows, right_cols), dtype=np.uint8)
-    assert Mat2.hstack(Mat2.from_dense(a), Mat2.from_dense(b)) == Mat2.from_dense(np.hstack([a, b]))
+    assert Mat2.hstack(from_dense(a), from_dense(b)) == from_dense(np.hstack([a, b]))
 
 
 @settings(deadline=None, max_examples=150)
@@ -212,8 +216,8 @@ def test_rref_is_idempotent(m):
 def test_rank_plus_kernel_dim_is_width(m):
     r, ker = rank_and_kernel(m)
     assert r + ker.rows == m.cols
-    for row in ker.to_dense():
-        assert not m.mul_vec(row).any()
+    for row in to_dense(ker):
+        assert not mul_vec(m, row).any()
 
 
 @settings(deadline=None, max_examples=150)
@@ -226,10 +230,10 @@ def test_rank_equals_transpose_rank(m):
 @given(mat2s(max_rows=6, max_cols=6))
 def test_solve_recovers_consistent_systems(m):
     for x in ([0] * m.cols, [1] * m.cols):
-        b = m.mul_vec(x) if m.cols else np.zeros(m.rows, dtype=np.uint8)
+        b = mul_vec(m, x) if m.cols else np.zeros(m.rows, dtype=np.uint8)
         got = solve_one(m, b)
         assert got is not None
-        assert m.mul_vec(got).tolist() == b.tolist()
+        assert mul_vec(m, got).tolist() == b.tolist()
 
 
 @settings(deadline=None, max_examples=100)
@@ -238,8 +242,8 @@ def test_quotient_projection_kills_exactly_the_subspace(m):
     sub = Subspace.spanned_by(m.cols, m)
     proj, _, qdim = quotient_map_with_section(m.cols, sub)
     assert qdim == m.cols - sub.dim
-    for row in m.to_dense():
-        assert not proj.mul_vec(row).any()
+    for row in to_dense(m):
+        assert not mul_vec(proj, row).any()
     assert rank(proj) == qdim
 
 
@@ -259,21 +263,21 @@ def test_from_entries_cancels_repeated_positions():
     m = Mat2.from_entries(2, 70, [0, 1, 1, 0, 1], [3, 69, 69, 3, 0])
     dense = np.zeros((2, 70), dtype=np.uint8)
     dense[1, 0] = 1
-    assert m == Mat2.from_dense(dense)
+    assert m == from_dense(dense)
     assert Mat2.from_entries(0, 0, [], []) == Mat2.zeros(0, 0)
 
 
 @settings(deadline=None, max_examples=150)
 @given(mat2s(max_rows=9, max_cols=70))
 def test_entries_round_trip(m):
-    i, j = m.entries()
-    assert list(zip(i.tolist(), j.tolist())) == [tuple(ij) for ij in np.argwhere(m.to_dense()).tolist()]
+    i, j = entries(m)
+    assert list(zip(i.tolist(), j.tolist())) == [tuple(ij) for ij in np.argwhere(to_dense(m)).tolist()]
     assert Mat2.from_entries(m.rows, m.cols, i, j) == m
 
 
 def test_entries_cross_word_boundaries():
     rows, cols = [0, 0, 1, 2], [0, 63, 64, 129]
-    i, j = Mat2.from_entries(3, 130, rows, cols).entries()
+    i, j = entries(Mat2.from_entries(3, 130, rows, cols))
     assert i.tolist() == rows and j.tolist() == cols
 
 
@@ -281,7 +285,7 @@ def test_entries_cross_word_boundaries():
 @given(st.integers(0, 2100), st.integers(0, 70), st.integers(0, 2**32 - 1))
 def test_transpose_matches_dense_across_row_blocks(rows, cols, seed):
     dense = np.random.default_rng(seed).integers(0, 2, size=(rows, cols), dtype=np.uint8)
-    assert Mat2.from_dense(dense).transpose() == Mat2.from_dense(dense.T)
+    assert from_dense(dense).transpose() == from_dense(dense.T)
 
 
 @settings(deadline=None, max_examples=150)
@@ -291,21 +295,21 @@ def test_mul_matches_dense_product(rows, inner, cols, seed):
     a = rng.integers(0, 2, size=(rows, inner), dtype=np.uint8)
     b = rng.integers(0, 2, size=(inner, cols), dtype=np.uint8)
     expected = (a.astype(np.int64) @ b.astype(np.int64)) % 2
-    assert Mat2.from_dense(a).mul(Mat2.from_dense(b)) == Mat2.from_dense(expected)
+    assert from_dense(a).mul(from_dense(b)) == from_dense(expected)
 
 
 @settings(deadline=None, max_examples=100)
 @given(mat2s(max_rows=9, max_cols=70), st.data())
 def test_take_cols_matches_dense(m, data):
     idx = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=9)) if m.cols else []
-    assert m.take_cols(idx) == Mat2.from_dense(m.to_dense()[:, idx])
+    assert m.take_cols(idx) == from_dense(to_dense(m)[:, idx])
 
 
 @settings(deadline=None, max_examples=150)
 @given(mat2s(max_rows=8, max_cols=70), st.data())
 def test_eliminate_splits_row_space_and_left_kernel(m, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=m.rows * 5, max_size=m.rows * 5))
-    transform = Mat2.from_dense(np.array(bits, dtype=np.uint8).reshape(m.rows, 5))
+    transform = from_dense(np.array(bits, dtype=np.uint8).reshape(m.rows, 5))
     basis, pivots, kernel, kernel_pivots = eliminate(m, Mat2.identity(m.rows))
     R, piv = rref(m)
     assert pivots == piv and basis == R.take_rows(range(len(piv)))
@@ -315,3 +319,83 @@ def test_eliminate_splits_row_space_and_left_kernel(m, data):
     _, _, image, image_pivots = eliminate(m, transform)
     R, piv = rref(kernel.mul(transform))
     assert image == R.take_rows(range(len(piv))) and image_pivots == piv
+
+
+# -- the int-row code against numpy on dense 0/1 arrays -----------------------
+# Shapes run from empty to 140 columns, so rows cross one and two 64-bit boundaries.
+
+
+def random_bits(seed: int, rows: int, cols: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 2, size=(rows, cols), dtype=np.uint8)
+
+
+SHAPES = (st.integers(0, 12), st.integers(0, 140), st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=100)
+@given(*SHAPES)
+def test_dense_round_trip_and_row_constructor(rows, cols, seed):
+    a = random_bits(seed, rows, cols)
+    m = from_dense(a)
+    assert m.shape == a.shape and np.array_equal(to_dense(m), a)
+    assert Mat2.from_rows(a, cols=cols) == m
+    assert all(ones(x) == np.flatnonzero(row).tolist() for x, row in zip(m.data, a))
+
+
+@settings(deadline=None, max_examples=100)
+@given(*SHAPES)
+def test_transpose_matches_numpy(rows, cols, seed):
+    a = random_bits(seed, rows, cols)
+    assert from_dense(a).transpose() == from_dense(a.T)
+
+
+@settings(deadline=None, max_examples=100)
+@given(*SHAPES, st.data())
+def test_take_cols_matches_numpy_with_repeats(rows, cols, seed, data):
+    a = random_bits(seed, rows, cols)
+    idx = data.draw(st.lists(st.integers(0, cols - 1), max_size=150)) if cols else []
+    assert from_dense(a).take_cols(idx) == from_dense(a[:, idx])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=4), st.integers(0, 140), st.integers(0, 2**32 - 1))
+def test_vstack_matches_numpy(heights, cols, seed):
+    parts = [random_bits(seed + k, rows, cols) for k, rows in enumerate(heights)]
+    assert Mat2.vstack([from_dense(p) for p in parts]) == from_dense(np.vstack(parts))
+
+
+@settings(deadline=None, max_examples=100)
+@given(*SHAPES)
+def test_xor_matches_numpy(rows, cols, seed):
+    a, b = random_bits(seed, rows, cols), random_bits(seed + 1, rows, cols)
+    assert from_dense(a) ^ from_dense(b) == from_dense(a ^ b)
+
+
+@settings(deadline=None, max_examples=100)
+@given(*SHAPES)
+def test_vector_products_match_numpy(rows, cols, seed):
+    a = random_bits(seed, rows, cols)
+    x, v = random_bits(seed + 1, 1, rows)[0], random_bits(seed + 2, 1, cols)[0]
+    m = from_dense(a)
+    assert xor_rows(m.data, from_dense(x[None]).data[0]) == from_dense((x @ a.astype(np.int64) % 2)[None]).data[0]
+    assert mul_vec(m, v).tolist() == (a.astype(np.int64) @ v % 2).tolist()
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 12), st.integers(0, 140), st.data())
+def test_from_entries_keeps_parity(rows, cols, data):
+    """Repeated positions cancel in pairs, in any order, also across 64-bit words."""
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    listed = data.draw(st.lists(cells, max_size=60)) if rows and cols else []
+    counts = np.zeros((rows, cols), dtype=np.int64)
+    for i, j in listed:
+        counts[i, j] += 1
+    i, j = ([p[k] for p in listed] for k in (0, 1))
+    assert Mat2.from_entries(rows, cols, i, j) == from_dense(counts % 2)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.integers(0, 300), max_size=40))
+def test_from_ones_keeps_parity(positions):
+    odd = np.flatnonzero(np.bincount(np.asarray(positions, dtype=np.int64), minlength=1) % 2).tolist()
+    assert ones(from_ones(positions)) == odd

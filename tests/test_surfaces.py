@@ -14,6 +14,7 @@ from conf2.surfaces import (
     build_surface_ring,
     diagonal_class,
 )
+from gf2_reference import bits
 
 SWEEP = [
     SurfaceKind.sphere(),
@@ -28,7 +29,7 @@ SWEEP = [
 
 def describe(algebra, x: Element) -> str:
     """The basis names in the support of x, joined by +; "0" for zero."""
-    names = [algebra.names(x.degree)[i] for i in np.nonzero(x.coeffs)[0]]
+    names = [algebra.names(x.degree)[i] for i in np.nonzero(bits(x.coeffs, algebra.dim(x.degree)))[0]]
     return " + ".join(names) if names else "0"
 
 
@@ -157,7 +158,7 @@ def test_swap_is_involution():
     for kind in SWEEP:
         square = build_kunneth(build_surface_ring(kind))
         for n in range(square.top_degree + 1):
-            perm = square.swap_perm[n]
+            perm = np.asarray(square.swap_perm[n], dtype=np.int64)
             assert np.array_equal(perm[perm], np.arange(len(perm)))
 
 
