@@ -16,7 +16,10 @@ run the parent first, odd pairs the change first.  After the pairs, one
 The output holds every run's end-to-end metrics, each side's quartiles
 (`statistics.quantiles`, n=4) and how many pairs the change won.  Every
 end-to-end metric is lower-is-better; a tie counts for neither side.
-The exit status is 1 when any run reported a wrong or failed surface.
+A run that reports `correct: false` or failed surfaces keeps the
+`perfbench: ...` lines of its stderr, which name the problem, as
+`problems` in its record.  The exit status is 1 when any run reported
+a wrong or failed surface.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def run_seconds(root: Path) -> float:
 
 
 def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The result object of one perfbench run in the checkout at root."""
+    """The result object of one perfbench run in the checkout at root, with its problems when it failed."""
     argv = [
         sys.executable, "perfbench/run.py",
         "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
@@ -50,7 +53,10 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(argv)} in {root} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if not result["correct"] or result["failed"]:
+        result["problems"] = [line for line in proc.stderr.splitlines() if line.startswith("perfbench: ")]
+    return result
 
 
 def revision(root: Path) -> str | None:
@@ -102,6 +108,8 @@ def main(argv=None) -> int:
                 run = {"workload": workload, "pair": pair, "seed": seed, "side": side,
                        "correct": result["correct"], "failed": result["failed"]}
                 run.update({m: round(result["metrics"][m]["value"], 4) for m in METRICS})
+                if "problems" in result:
+                    run["problems"] = result["problems"]
                 runs.append(run)
                 print(json.dumps(run), file=sys.stderr)
         traced[workload] = {"seed": args.seed, "seconds": TRACE_SECONDS}
@@ -112,6 +120,8 @@ def main(argv=None) -> int:
                 "failed": result["failed"],
                 "metrics": {name: round(m["value"], 4) for name, m in sorted(result["metrics"].items())},
             }
+            if "problems" in result:
+                traced[workload][side]["problems"] = result["problems"]
 
     doc = {
         "what": (

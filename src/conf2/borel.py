@@ -8,8 +8,9 @@ first Stiefel-Whitney class of the double cover.  On cochains it is
 Phi_n: lift a Q-cochain onto the representative pair (s, t) of each
 orbit, take the coboundary in dp, and read the result back on the
 representatives.  Q's cells are those representatives, so Phi comes
-from Q alone.  Composite ranks of alpha cut H*(Q) into truncated
-polynomial towers, whose head tower measures the height; Q has no cells
+from Q alone: it is Q's boundary without the faces the quotient
+folded.  Composite ranks of alpha cut H*(Q) into truncated polynomial
+towers, whose head tower measures the height; Q has no cells
 above its top dimension, so the towers are exact.  Exactness also gives
 the cohomology of dp with its swap (`cover_counts`), and the norm map
 from H*(K) x H*(K) checks alpha without using Phi (`check_norm_map`).
@@ -20,9 +21,10 @@ computing H*(Q) left behind, never by a new elimination.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .cells import CellComplex, CohomologyResult, product_faces
+from .cells import CellComplex, CohomologyResult
 from .gf2 import (  # solve_many: not run here; kept importable under its traced name
     Mat2,
     from_ones,
@@ -103,19 +105,20 @@ def equivariant_cochain_complex(Q: CellComplex) -> list[Mat2]:
     Q is `quotient_complex(K)`, whose cells are the representative pairs
     (s, t).  Entry n has a 1 in row i, column j when the degree-n
     representative i is itself a face of the degree-(n+1) representative
-    j, so a row cochain z maps to z.mul(entry n).  Raises RuntimeError
-    when Phi fails to commute with the coboundary of Q.
+    j, so a row cochain z maps to z.mul(entry n).  That is Q's boundary
+    minus the folded faces: a face (s, f) of (s, t) stored as (f, s).  A
+    face (a, b) of (s, t) is folded exactly when b = s, so row (a, b) of
+    Phi_n is that of the boundary off the columns whose first member is
+    b.  Raises RuntimeError when Phi fails to commute with Q's coboundary.
     """
     phi = []
     for n in range(Q.top_dim):
-        index = {c: i for i, c in enumerate(Q.cells[n])}
-        rows, cols = [], []
-        for j, (s, t) in enumerate(Q.cells[n + 1]):
-            for face in product_faces(s, t):
-                if face in index:
-                    rows.append(index[face])
-                    cols.append(j)
-        phi.append(Mat2.from_entries(Q.n_cells(n), Q.n_cells(n + 1), rows, cols))
+        first = defaultdict(list)
+        for j, (s, _) in enumerate(Q.cells[n + 1]):
+            first[s].append(j)
+        folded = {s: from_ones(cols) for s, cols in first.items()}
+        rows = [row & ~folded.get(b, 0) for row, (_, b) in zip(Q.boundaries[n + 1].data, Q.cells[n])]
+        phi.append(Mat2(Q.n_cells(n), Q.n_cells(n + 1), rows))
     for n in range(Q.top_dim - 1):
         if phi[n].mul(Q.boundaries[n + 2]) != Q.boundaries[n + 1].mul(phi[n + 1]):
             raise RuntimeError(f"connecting map fails to commute with the coboundary at degree {n}")

@@ -4,18 +4,18 @@ The deleted product of a triangulated surface has one cell per ordered
 pair of disjoint simplices, and the factor swap is a cellwise free
 involution.  Its orbit complex Q, with one cell per unordered pair, is
 what the oracle computes with: `quotient_complex` builds it straight
-from the triangulation.  Cohomology is computed with explicit cocycle
-representatives: one elimination per boundary matrix gives the
+from the triangulation in one walk.  Cohomology is computed with explicit
+cocycle representatives: one elimination per boundary matrix gives the
 coboundaries, the cocycles and the classes, and its pivot tables stay on
 the result to solve later cocycles for their classes.  The deleted
-product itself, with the swap pushed onto its cohomology, stays as the
-reference route the tests compare with.
+product itself, built by the product face rule, with the swap pushed
+onto its cohomology, stays as the reference route the tests compare with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .gf2 import (  # select_independent_rows, solve_many: not run here; kept importable under their traced names
     Mat2,
@@ -108,7 +108,8 @@ def product_faces(s: tuple, t: tuple) -> list[tuple]:
     """Codimension-one faces of the product cell s x t, as ordered pairs.
 
     Over F2 no signs appear: the faces are (f, t) for each facet f of s
-    and (s, f) for each facet f of t; a vertex factor has none.
+    and (s, f) for each facet f of t; a vertex factor has none.  Only the
+    reference route, `deleted_product`, applies this rule face by face.
     """
     faces = [(f, t) for f in combinations(s, len(s) - 1)] if len(s) > 1 else []
     if len(t) > 1:
@@ -118,6 +119,12 @@ def product_faces(s: tuple, t: tuple) -> list[tuple]:
 
 def _top_dim(K: SimplicialComplex) -> int:
     return max((len(f) for f in K.facets), default=1) - 1
+
+
+def _numbered(K: SimplicialComplex) -> tuple[list[tuple], list[int]]:
+    """K's simplices by dimension, then in `K.simplices` order, and the vertex mask of each."""
+    simplices = [s for d in range(_top_dim(K) + 1) for s in K.simplices(d)]
+    return simplices, [sum(1 << v for v in s) for s in simplices]
 
 
 def _disjoint_pairs(K: SimplicialComplex, d: int):
@@ -136,48 +143,63 @@ def _disjoint_pairs(K: SimplicialComplex, d: int):
 
 
 def _pair_boundaries(cells: list[list[tuple]]) -> list[Mat2]:
-    """Boundary matrices of pair cells by the product face rule.
-
-    A face (a, b) that is not a cell of the degree below is looked up as
-    (b, a), which folds the faces of a deleted product onto swap orbits.
-    """
+    """Boundary matrices of the deleted product's ordered pair cells by the product face rule."""
     index = {c: i for level in cells for i, c in enumerate(level)}
     boundaries = [Mat2.zeros(0, len(cells[0]))]
     for d in range(1, len(cells)):
         rows, cols = [], []
         for j, (s, t) in enumerate(cells[d]):
-            for a, b in product_faces(s, t):
-                rows.append(index[(a, b)] if (a, b) in index else index[(b, a)])
+            for face in product_faces(s, t):
+                rows.append(index[face])
                 cols.append(j)
         boundaries.append(Mat2.from_entries(len(cells[d - 1]), len(cells[d]), rows, cols))
     return boundaries
 
 
 def quotient_complex(K: SimplicialComplex) -> CellComplex:
-    """Orbit complex of the deleted product, built from K alone.
+    """Orbit complex of the deleted product, built from K alone in one walk over integer keys.
 
-    One cell per unordered pair {s, t} of disjoint simplices, stored as
-    the ordered pair with (dim s, index s) < (dim t, index t): the member
-    of its swap orbit the deleted product lists first.  The boundary of
-    a cell is the image of the product-cell boundary, each face replaced
-    by its orbit.  Cells and boundaries equal the orbit complex of
-    `deleted_product(K)` under its swap.  Computing cohomology of the
-    result gives the unordered-space Betti numbers.
+    With K's N simplices numbered by (dim, index), one cell per unordered
+    pair {s, t} of disjoint simplices is stored as (s, t) with s < t, the
+    member of its swap orbit the deleted product lists first, and keyed
+    s * N + t.  Each face of the product cell is replaced by its orbit:
+    (f, t), f a facet of s, is a cell, and (s, f), f a facet of t, is the
+    cell (s, f) when s < f and (f, s) otherwise.  Cells and boundaries
+    equal the orbit complex of `deleted_product(K)` under its swap.
     """
-
-    def first(s, t) -> bool:
-        return (len(s), K.simplex_index(s)) < (len(t), K.simplex_index(t))
-
-    cells = [
-        [(s, t) for s, t in _disjoint_pairs(K, d) if first(s, t)] for d in range(2 * _top_dim(K) + 1)
-    ]
-    return CellComplex(cells, _pair_boundaries(cells))
+    top = _top_dim(K)
+    simplices, masks = _numbered(K)
+    N = len(simplices)
+    number = {s: a for a, s in enumerate(simplices)}
+    facets = [[number[f] for f in combinations(s, len(s) - 1)] if len(s) > 1 else [] for s in simplices]
+    start = [0, *accumulate(len(K.simplices(d)) for d in range(top + 1))]
+    cells, boundaries, row_of = [], [], {}
+    for d in range(2 * top + 1):
+        # by (dim s, s, t), with dim s <= dim t and s < t: the deleted product's cell order
+        keys = []
+        for ds in range(max(0, d - top), d // 2 + 1):
+            for s in range(start[ds], start[ds + 1]):
+                m = masks[s]
+                keys.extend(s * N + t for t in range(max(s + 1, start[d - ds]), start[d - ds + 1]) if not m & masks[t])
+        data = [0] * len(row_of)
+        for j, key in enumerate(keys):
+            s, t = divmod(key, N)
+            bit = 1 << j
+            for f in facets[s]:
+                data[row_of[f * N + t]] ^= bit
+            for f in facets[t]:
+                data[row_of[s * N + f if s < f else f * N + s]] ^= bit
+        boundaries.append(Mat2(len(row_of), len(keys), data))
+        row_of = {key: i for i, key in enumerate(keys)}
+        cells.append([(simplices[key // N], simplices[key % N]) for key in keys])
+    return CellComplex(cells, boundaries)
 
 
 def deleted_product_euler(K: SimplicialComplex) -> int:
     """Euler characteristic of the deleted product, counted over all ordered disjoint pairs of K."""
-    simplices = [s for d in range(_top_dim(K) + 1) for s in K.simplices(d)]
-    return sum((-1) ** (len(s) + len(t)) for s in simplices for t in simplices if set(s).isdisjoint(t))
+    simplices, masks = _numbered(K)
+    signed = [(1 - 2 * (len(s) & 1), m) for s, m in zip(simplices, masks)]
+    return sum(x * y for x, m in signed for y, n in signed if not m & n)
 
 
 def deleted_product(K: SimplicialComplex) -> CellComplex:

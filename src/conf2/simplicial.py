@@ -308,16 +308,16 @@ def _glue(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex | N
 def connected_sum(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
     """Glue two closed surfaces along a removed facet of each.
 
-    Falls back to one barycentric subdivision of both inputs when the
-    direct gluing damages a vertex link.
+    Falls back to one barycentric subdivision of both inputs, computed
+    only then, when the direct gluing damages a vertex link.
     """
     r1 = validate_surface(K1)
     r2 = validate_surface(K2)
     if not (r1["closed"] and r1["connected"] and r2["closed"] and r2["connected"]):
         raise ValueError("connected sum needs closed connected surfaces")
     target = r1["euler"] + r2["euler"] - 2
-    for a, b in ((K1, K2), (barycentric_subdivide(K1), barycentric_subdivide(K2))):
-        out = _glue(a, b)
+    for step in (lambda K: K, barycentric_subdivide):
+        out = _glue(step(K1), step(K2))
         if out is None:
             continue
         report = validate_surface(out)

@@ -8,7 +8,10 @@ summed over the matrix arguments).  Each budget is the count measured
 when it was set plus 10%.  A change may lower a budget; one that raises
 it says why.  The product path solves cocycles with the pivot tables of
 `CohomologyResult`, so the stacked-system solver and the row selection
-it replaced must not run at all.
+it replaced must not run at all, and the orbit complex and its
+connecting map come from one walk over K, so the product face rule
+that the deleted-product reference applies cell by cell must not run
+either.  The orbit complex's cell counts per degree are pinned exactly.
 """
 
 import functools
@@ -19,11 +22,22 @@ import pytest
 from conf2 import borel, cells, gf2
 from conf2.report import RunConfig, run_pipeline
 from conf2.simplicial import builtin_triangulation
+from conf2.surfaces import SurfaceKind
 
 SWEEP = ("sphere", "orientable:1", "orientable:2", "nonorientable:1", "nonorientable:2", "nonorientable:3")
 # (calls, operand bits) measured on the sweep when the budgets were set.
 MEASURED = {"rref": (308, 2_155_140), "mul": (132, 10_902_185)}
 UNUSED = ("solve_many", "select_independent_rows")
+FACE_RULE = "product_faces"
+# Cells per degree of quotient_complex(K) for each sweep surface.
+QUOTIENT_CELLS = {
+    "sphere": (6, 12, 7, 0, 0),
+    "orientable:1": (21, 105, 161, 84, 7),
+    "orientable:2": (55, 351, 694, 504, 109),
+    "nonorientable:1": (15, 60, 75, 30, 0),
+    "nonorientable:2": (36, 189, 315, 198, 36),
+    "nonorientable:3": (66, 390, 738, 540, 127),
+}
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +57,7 @@ def sweep_counts() -> dict[str, tuple[int, int]]:
     patch.setattr(gf2, "rref", counted("rref", gf2.rref))
     patch.setattr(gf2.Mat2, "mul", counted("mul", gf2.Mat2.mul))
     for module in (gf2, cells, borel):
-        for name in UNUSED:
+        for name in UNUSED + (FACE_RULE,):
             if hasattr(module, name):
                 patch.setattr(module, name, counted(name, getattr(module, name)))
     # the triangulations are cached; build them inside the count
@@ -67,3 +81,13 @@ def test_sweep_stays_within_budget(sweep_counts, name):
 @pytest.mark.parametrize("name", UNUSED)
 def test_product_path_does_not_solve_stacked_systems(sweep_counts, name):
     assert name not in sweep_counts
+
+
+def test_sweep_does_not_apply_the_product_face_rule(sweep_counts):
+    assert FACE_RULE not in sweep_counts
+
+
+@pytest.mark.parametrize("label", SWEEP)
+def test_quotient_cell_counts(label):
+    K = builtin_triangulation(SurfaceKind.from_label(label))
+    assert cells.quotient_complex(K).cell_counts() == QUOTIENT_CELLS[label]

@@ -8,7 +8,9 @@ with the induced swap, and its Euler characteristic.  Besides the
 builtin surfaces up to genus and crosscap count 3, three files run:
 a randomly relabelled torus, and relabelled barycentric subdivisions of
 the sphere and of the torus, so that simplex order and vertex labels
-differ from the builtin ones.
+differ from the builtin ones.  Four complexes that are no surfaces run
+as well, so that `quotient_complex` also meets edge-only complexes, a
+pendant edge, several components and an isolated vertex.
 
 The subdivided torus has a deleted product of 56,112 cells, whose
 cohomology is out of reach of a quick test.  Its conf rows are compared
@@ -46,6 +48,12 @@ BUILTIN = (
 FILES = ("relabelled torus", "relabelled subdivided sphere", "relabelled subdivided torus")
 # The builtin surface whose deleted-product cohomology stands in for a file's own.
 SAME_SURFACE = {"relabelled subdivided torus": "orientable:1"}
+NOT_SURFACES = {
+    "path": SimplicialComplex(3, [(0, 1), (1, 2)]),
+    "triangle with a pendant edge": SimplicialComplex(4, [(0, 1, 2), (2, 3)]),
+    "two disjoint edges": SimplicialComplex(4, [(0, 1), (2, 3)]),
+    "isolated vertex beside a triangle": SimplicialComplex(4, [(0, 1, 2), (3,)]),
+}
 
 
 def relabelled(K: SimplicialComplex, seed: int) -> SimplicialComplex:
@@ -64,6 +72,10 @@ def case(label: str, tmp_dir):
         K = builtin_triangulation(SurfaceKind.from_label(label))
         dp, H = builtin_reference(label)
         return K, dp, H, quotient_complex(K), orbit_quotient(dp)
+    if label in NOT_SURFACES:
+        K = NOT_SURFACES[label]
+        dp = deleted_product(K)
+        return K, dp, cohomology_f2(dp), quotient_complex(K), orbit_quotient(dp)
     if label == "relabelled torus":
         K = relabelled(builtin_triangulation(SurfaceKind.orientable(1)), seed=7)
     elif label == "relabelled subdivided sphere":
@@ -83,7 +95,7 @@ def tmp_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("triangulations")
 
 
-LABELS = BUILTIN + FILES
+LABELS = BUILTIN + FILES + tuple(NOT_SURFACES)
 
 
 @pytest.mark.parametrize("label", LABELS)

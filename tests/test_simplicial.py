@@ -2,6 +2,7 @@
 
 import pytest
 
+from conf2 import simplicial
 from conf2.simplicial import (
     SimplicialComplex,
     barycentric_subdivide,
@@ -131,6 +132,29 @@ def test_connected_sum_rejects_open_input():
     disk = SimplicialComplex(3, [(0, 1, 2)])
     with pytest.raises(ValueError):
         connected_sum(disk, tetrahedron())
+
+
+def test_builtin_sums_glue_without_subdividing(monkeypatch):
+    subdivided = []
+    monkeypatch.setattr(simplicial, "barycentric_subdivide", lambda K: subdivided.append(K) or barycentric_subdivide(K))
+    builtin_triangulation.cache_clear()
+    builtin_triangulation(SurfaceKind.orientable(3))
+    assert subdivided == []
+
+
+def test_connected_sum_subdivides_when_direct_gluing_fails(monkeypatch):
+    glue, tried = simplicial._glue, []
+
+    def first_fails(a, b):
+        tried.append((a.vertex_count, b.vertex_count))
+        return None if len(tried) == 1 else glue(a, b)
+
+    monkeypatch.setattr(simplicial, "_glue", first_fails)
+    torus = builtin_triangulation(SurfaceKind.orientable(1))
+    out = connected_sum(torus, torus)
+    # the subdivided 7-vertex torus has one vertex per simplex: 7 + 21 + 14
+    assert tried == [(7, 7), (42, 42)]
+    assert validate_surface(out)["closed"] and out.betti() == (1, 4, 1)
 
 
 def test_subdivision_counts_for_sphere():
