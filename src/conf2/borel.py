@@ -37,7 +37,6 @@ from .simplicial import SimplicialComplex
 __all__ = [
     "AlphaModule",
     "Tower",
-    "SWHeight",
     "equivariant_cochain_complex",
     "equivariant_cohomology_with_alpha",
     "cover_counts",
@@ -87,16 +86,6 @@ class AlphaModule:
     @property
     def euler(self) -> int:
         return sum((-1) ** n * d for n, d in enumerate(self.dims))
-
-
-@dataclass(frozen=True)
-class SWHeight:
-    """Largest power of the polynomial generator not killing the unit."""
-
-    value: int
-
-    def __str__(self) -> str:
-        return str(self.value)
 
 
 def equivariant_cochain_complex(Q: CellComplex) -> list[Mat2]:
@@ -227,8 +216,8 @@ def check_norm_map(
     return ranks
 
 
-def sw_height(A: AlphaModule) -> SWHeight:
-    """Height of the unit class under the polynomial action."""
+def sw_height(A: AlphaModule) -> int:
+    """Height of the unit class: the largest power of the polynomial generator not killing it."""
     if not A.dims or A.dims[0] != 1:
         raise ValueError("height needs a connected degree zero")
-    return SWHeight(max(ell for ell in range(len(A.dims)) if A.rank(0, ell) >= 1))
+    return max(ell for ell in range(len(A.dims)) if A.rank(0, ell) >= 1)

@@ -8,8 +8,9 @@ from the triangulation in one walk.  Cohomology is computed with explicit
 cocycle representatives: one elimination per boundary matrix gives the
 coboundaries, the cocycles and the classes, and its pivot tables stay on
 the result to solve later cocycles for their classes.  The deleted
-product itself, built by the product face rule, with the swap pushed
-onto its cohomology, stays as the reference route the tests compare with.
+product itself, built by the product face rule and carrying the swap,
+stays as the reference route the tests compare with; its callers push
+the swap onto its cohomology with `induced_involution`.
 """
 
 from __future__ import annotations
@@ -234,14 +235,12 @@ class CohomologyResult:
     B^d with pivot columns coboundary_pivots[d]; cocycle_basis[d] holds
     cocycles whose classes form a basis, reduced-echelon with pivot
     columns class_pivots[d] and zero on the coboundary pivots.
-    induced_involution is filled when the complex carries one.
     """
 
     cocycle_basis: list[Mat2]
     class_pivots: list[list[int]]
     coboundary_basis: list[Mat2]
     coboundary_pivots: list[list[int]]
-    induced_involution: list[Mat2] | None = None
 
     @property
     def dims(self) -> list[int]:
@@ -280,7 +279,7 @@ class CohomologyResult:
 
 
 def cohomology_f2(C: CellComplex) -> CohomologyResult:
-    """Cohomology over F2 from one elimination per boundary matrix, and the induced swap when C has one.
+    """Cohomology over F2 from one elimination per boundary matrix.
 
     Degree by degree, eliminating boundary d+1 (one row per d-cell)
     gives the echelon basis of B^{d+1} and, in its row transform, the
@@ -305,10 +304,7 @@ def cohomology_f2(C: CellComplex) -> CohomologyResult:
         E, P, classes, class_pivots = eliminate(boundary.take_rows(keep), transform)
         reps.append(classes)
         rep_pivots.append(class_pivots)
-    result = CohomologyResult(reps, rep_pivots, cobs, cob_pivots)
-    if C.involution is not None:
-        result.induced_involution = induced_involution(C, result)
-    return result
+    return CohomologyResult(reps, rep_pivots, cobs, cob_pivots)
 
 
 def induced_involution(C: CellComplex, H: CohomologyResult) -> list[Mat2]:

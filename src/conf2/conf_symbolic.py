@@ -8,7 +8,8 @@ the group algebra of the swap sigma.  No quotient is built: with c the
 number of 2-cycles of sigma on the square's basis,
 f = dim((1 + sigma)V + K) - dim K = c - dim(K meet im(1 + sigma)), and
 im(1 + sigma) is the set of sigma-fixed vectors that vanish on sigma's
-fixed basis elements.
+fixed basis elements.  Each degree is one `ConfRow(q, dim, t, f)`, the
+row type the oracle's transfer route builds too.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .surfaces import (
 )
 
 __all__ = [
-    "RepDecomposition",
-    "ConfDegree",
+    "ConfRow",
     "ConfCohomology",
     "gysin_kernel",
     "kernel_ideal_check",
@@ -38,40 +38,26 @@ TOP_DEGREE = 4  # Conf(2, surface) is an open 4-manifold
 
 
 @dataclass(frozen=True)
-class RepDecomposition:
-    """Multiplicities of trivial (t) and free (f) swap-module summands."""
-
-    t: int
-    f: int
-
-    @property
-    def dim(self) -> int:
-        return self.t + 2 * self.f
-
-
-@dataclass(frozen=True)
-class ConfDegree:
-    """One cohomology degree of the configuration space."""
+class ConfRow:
+    """Degree q of H*(Conf(2,M)): its dimension, t trivial and f free swap-module summands."""
 
     q: int
     dim: int
-    decomposition: RepDecomposition
+    t: int
+    f: int
 
 
 @dataclass(frozen=True)
 class ConfCohomology:
     kind: SurfaceKind
     square: KunnethAlgebra
-    degrees: tuple[ConfDegree, ...]
+    rows: list[ConfRow]
 
     def dims(self) -> list[int]:
-        return [d.dim for d in self.degrees]
-
-    def decompositions(self) -> list[RepDecomposition]:
-        return [d.decomposition for d in self.degrees]
+        return [r.dim for r in self.rows]
 
     def euler(self) -> int:
-        return sum((-1) ** d.q * d.dim for d in self.degrees)
+        return sum((-1) ** r.q * r.dim for r in self.rows)
 
 
 def _times_diagonal(square: KunnethAlgebra, q: int) -> tuple[Mat2, Mat2]:
@@ -106,8 +92,8 @@ def kernel_ideal_check(square: KunnethAlgebra, q: int) -> bool:
     return rank(kernel) == rank(everything)
 
 
-def rep_decompose(dim: int, swap: Mat2) -> RepDecomposition:
-    """Split a swap module into t trivial and f free summands.
+def rep_decompose(dim: int, swap: Mat2) -> tuple[int, int]:
+    """Split a swap module into (t, f): t trivial and f free summands.
 
     f is the rank of (identity + swap); t is what remains.  The swap
     must be an involution.
@@ -120,7 +106,7 @@ def rep_decompose(dim: int, swap: Mat2) -> RepDecomposition:
     t = dim - 2 * f
     if t < 0:
         raise RuntimeError("trivial multiplicity came out negative")
-    return RepDecomposition(t=t, f=f)
+    return t, f
 
 
 def conf_cohomology(kind: SurfaceKind) -> ConfCohomology:
@@ -131,7 +117,7 @@ def conf_cohomology(kind: SurfaceKind) -> ConfCohomology:
     degree-4 quotient.
     """
     square = build_kunneth(build_surface_ring(kind))
-    degrees = []
+    rows = []
     for q in range(TOP_DEGREE + 1):
         K = gysin_kernel(square, q)
         perm = square.swap_perm[q]
@@ -146,7 +132,7 @@ def conf_cohomology(kind: SurfaceKind) -> ConfCohomology:
         f = cycles - meet
         if dim - 2 * f < 0:
             raise RuntimeError("trivial multiplicity came out negative")
-        degrees.append(ConfDegree(q, dim, RepDecomposition(t=dim - 2 * f, f=f)))
-    if degrees[TOP_DEGREE].dim != 0:
+        rows.append(ConfRow(q, dim, dim - 2 * f, f))
+    if rows[TOP_DEGREE].dim != 0:
         raise RuntimeError("top-degree quotient failed to vanish")
-    return ConfCohomology(kind=kind, square=square, degrees=tuple(degrees))
+    return ConfCohomology(kind=kind, square=square, rows=rows)

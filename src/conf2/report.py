@@ -5,11 +5,14 @@ triangulation-based oracle next to it, records named pass/fail checks
 for everything the two sides can compare, and renders the result as JSON
 or markdown.  The oracle works on the orbit complex Q of the deleted
 product alone: the unordered space is H*(Q) with alpha, and the ordered
-space's rows come from the transfer sequence.  `paper_check`
-additionally compares the computed multiplicities against the stated
-classification tables, encoded both as printed and as the accompanying
-generator lists imply; disagreements become first-class mismatch
-records, never silent corrections.
+space's rows come from the transfer sequence, as the same `ConfRow`s the
+closed form gives.  A report holds only what it emits: the closed-form
+rows (the oracle's for an unclassified file), the unordered summary with
+its integer height, and the check records, which carry both sides.
+`paper_check` additionally compares the computed multiplicities against
+the stated classification tables, encoded both as printed and as the
+accompanying generator lists imply; disagreements become first-class
+mismatch records, never silent corrections.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .borel import (
-    SWHeight,
     Tower,
     check_norm_map,
     cover_counts,
@@ -34,7 +36,7 @@ from .cells import (
     quotient_complex,
     simplicial_cell_complex,
 )
-from .conf_symbolic import TOP_DEGREE, ConfCohomology, conf_cohomology, kernel_ideal_check
+from .conf_symbolic import TOP_DEGREE, ConfCohomology, ConfRow, conf_cohomology, kernel_ideal_check
 from .simplicial import SimplicialComplex, builtin_triangulation, read_triangulation, validate_surface
 from .surfaces import SurfaceKind
 
@@ -60,16 +62,8 @@ class RunConfig:
         for source, _ in self.surfaces:
             if source not in ("kind", "file"):
                 raise ValueError(f"unknown surface source: {source!r}")
-        if self.output_format not in ("json", "md", "markdown"):
+        if self.output_format not in ("json", "md"):
             raise ValueError(f"unknown output format: {self.output_format!r}")
-
-
-@dataclass(frozen=True)
-class ConfRow:
-    q: int
-    dim: int
-    t: int
-    f: int
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,7 @@ class MismatchRecord:
 class UConfSummary:
     dims: tuple[int, ...]
     towers: tuple[Tower, ...]
-    height: SWHeight
+    height: int
 
 
 @dataclass
@@ -108,7 +102,6 @@ class SurfaceReport:
     surface: str
     kind: SurfaceKind | None = None
     conf: list[ConfRow] = field(default_factory=list)
-    oracle_conf: list[ConfRow] | None = None
     uconf: UConfSummary | None = None
     checks: list[CheckRecord] = field(default_factory=list)
     discrepancies: list[MismatchRecord] = field(default_factory=list)
@@ -170,55 +163,37 @@ def _surface_report(source: str, value: str, cfg: RunConfig) -> SurfaceReport:
 
 def _kind_report(kind: SurfaceKind, label: str, K: SimplicialComplex | None, cfg: RunConfig) -> SurfaceReport:
     sym = conf_cohomology(kind)
-    rows = [ConfRow(d.q, d.dim, d.decomposition.t, d.decomposition.f) for d in sym.degrees]
     chi = kind.euler
     checks = _symbolic_checks(sym, chi)
     if K is not None:
         checks.append(CheckRecord("euler-matches-classification", K.euler == chi, chi, K.euler))
 
-    oracle_rows = None
     uconf = None
     if cfg.oracle_enabled:
         if K is None:
             K = builtin_triangulation(kind)
         oracle_rows, uconf, oracle_checks = _oracle_side(K, chi)
         checks.extend(oracle_checks)
-        sym_dims = [r.dim for r in rows]
+        sym_dims = sym.dims()
         ora_dims = [r.dim for r in oracle_rows]
         checks.append(CheckRecord("oracle-conf-dims", ora_dims == sym_dims, sym_dims, ora_dims))
-        sym_tf = [[r.t, r.f] for r in rows]
+        sym_tf = [[r.t, r.f] for r in sym.rows]
         ora_tf = [[r.t, r.f] for r in oracle_rows]
         checks.append(CheckRecord("oracle-conf-decomposition", ora_tf == sym_tf, sym_tf, ora_tf))
         expected_h = 2 if kind.family in ("sphere", "orientable") else 3
-        got_h = uconf.height.value
-        checks.append(CheckRecord("sw-height-by-family", got_h == expected_h, expected_h, got_h))
+        checks.append(CheckRecord("sw-height-by-family", uconf.height == expected_h, expected_h, uconf.height))
 
-    return SurfaceReport(
-        surface=label,
-        kind=kind,
-        conf=rows,
-        oracle_conf=oracle_rows,
-        uconf=uconf,
-        checks=checks,
-    )
+    return SurfaceReport(surface=label, kind=kind, conf=sym.rows, uconf=uconf, checks=checks)
 
 
 def _ambiguous_report(label: str, K: SimplicialComplex, b1: int) -> SurfaceReport:
     chi = K.euler
-    oracle_rows, uconf, checks = _oracle_side(K, chi)
+    rows, uconf, checks = _oracle_side(K, chi)
     note = (
         f"Betti numbers (1, {b1}, 1) fit both orientable:{b1 // 2} and "
         f"nonorientable:{b1}; closed-form comparison skipped"
     )
-    return SurfaceReport(
-        surface=label,
-        kind=None,
-        conf=list(oracle_rows),
-        oracle_conf=oracle_rows,
-        uconf=uconf,
-        checks=checks,
-        notes=[note],
-    )
+    return SurfaceReport(surface=label, kind=None, conf=rows, uconf=uconf, checks=checks, notes=[note])
 
 
 def _symbolic_checks(sym: ConfCohomology, chi: int) -> list[CheckRecord]:
@@ -226,7 +201,7 @@ def _symbolic_checks(sym: ConfCohomology, chi: int) -> list[CheckRecord]:
     checks = [CheckRecord("conf-top-degree-vanishes", dims[TOP_DEGREE] == 0, 0, dims[TOP_DEGREE])]
     expected = chi * chi - chi
     checks.append(CheckRecord("conf-euler-identity", sym.euler() == expected, expected, sym.euler()))
-    accounted = [d.t + 2 * d.f for d in sym.decompositions()]
+    accounted = [r.t + 2 * r.f for r in sym.rows]
     checks.append(CheckRecord("conf-dimension-accounting", accounted == dims, dims, accounted))
     kernel = [kernel_ideal_check(sym.square, q) for q in range(TOP_DEGREE + 1)]
     checks.append(CheckRecord("gysin-kernel-is-diagonal-ideal", all(kernel), [True] * len(kernel), kernel))
@@ -291,7 +266,7 @@ def paper_check(report: SurfaceReport) -> list[MismatchRecord]:
         if towers is not None:
             comparisons.append(("sphere-module-head", "F_2[alpha] (no truncation)", 3, _head_length(towers)))
         if report.uconf is not None:
-            comparisons.append(("corollary-sw-height", 2, 2, report.uconf.height.value))
+            comparisons.append(("corollary-sw-height", 2, 2, report.uconf.height))
     elif report.kind.family == "orientable":
         g = report.kind.param
         comparisons += [
@@ -310,7 +285,7 @@ def paper_check(report: SurfaceReport) -> list[MismatchRecord]:
             if zdeg is not None:
                 comparisons.append(("theorem-1.2-z-degree", 3, 2, zdeg))
         if report.uconf is not None:
-            comparisons.append(("corollary-sw-height", 2, 2, report.uconf.height.value))
+            comparisons.append(("corollary-sw-height", 2, 2, report.uconf.height))
     else:
         k = report.kind.param
         comparisons += [
@@ -328,7 +303,7 @@ def paper_check(report: SurfaceReport) -> list[MismatchRecord]:
                 ("theorem-1.4-z-count", k - 1, k - 1, _tower_count(towers, length=2)),
             ]
         if report.uconf is not None:
-            comparisons.append(("corollary-sw-height", 3, 3, report.uconf.height.value))
+            comparisons.append(("corollary-sw-height", 3, 3, report.uconf.height))
 
     return [
         MismatchRecord(name=name, stated=stated, consistent=consistent, computed=computed)
@@ -353,16 +328,10 @@ def _length_two_start(towers: list[Tower]):
     starts = sorted({t.start for t in towers if t.length == 2})
     if not starts:
         return None
-    return starts[0] if len(starts) == 1 else tuple(starts)
+    return starts[0] if len(starts) == 1 else starts
 
 
 # -- emission ----------------------------------------------------------------
-
-
-def _plain(value):
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
 
 
 def report_to_dict(report: SurfaceReport) -> dict:
@@ -377,22 +346,17 @@ def report_to_dict(report: SurfaceReport) -> dict:
         d["uconf"] = {
             "dims": list(report.uconf.dims),
             "towers": [{"start": t.start, "len": t.length} for t in report.uconf.towers],
-            "sw_height": report.uconf.height.value,
+            "sw_height": report.uconf.height,
         }
     else:
         d["uconf"] = None
     d["checks"] = [
-        {"name": c.name, "pass": c.passed, "expected": _plain(c.expected), "got": _plain(c.got)}
+        {"name": c.name, "pass": c.passed, "expected": c.expected, "got": c.got}
         for c in report.checks
     ]
     if report.paper_checked:
         d["discrepancies"] = [
-            {
-                "name": m.name,
-                "stated": _plain(m.stated),
-                "consistent": _plain(m.consistent),
-                "computed": _plain(m.computed),
-            }
+            {"name": m.name, "stated": m.stated, "consistent": m.consistent, "computed": m.computed}
             for m in report.discrepancies
         ]
     if report.notes:
@@ -405,7 +369,7 @@ def emit_report(reports: list[SurfaceReport], output_format: str = "json") -> st
     if output_format == "json":
         doc = {"schema": SCHEMA, "reports": [report_to_dict(r) for r in reports]}
         return json.dumps(doc, indent=2) + "\n"
-    if output_format in ("md", "markdown"):
+    if output_format == "md":
         return _markdown(reports)
     raise ValueError(f"unknown output format: {output_format!r}")
 
@@ -470,7 +434,7 @@ def _grouped_towers(towers: tuple[Tower, ...]) -> str:
 
 
 def _compact(value) -> str:
-    return json.dumps(_plain(value)) if isinstance(value, (list, tuple)) else str(value)
+    return json.dumps(value) if isinstance(value, (list, tuple)) else str(value)
 
 
 def exit_code(reports: list[SurfaceReport]) -> int:

@@ -74,10 +74,6 @@ class SurfaceKind:
         return 2 - self.param
 
     @property
-    def is_orientable(self) -> bool:
-        return self.family != "nonorientable"
-
-    @property
     def label(self) -> str:
         if self.family == "sphere":
             return "sphere"

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from conf2.borel import AlphaModule, equivariant_cohomology_with_alpha
-from conf2.cells import CellComplex, CohomologyResult, cohomology_f2, deleted_product
+from conf2.cells import CellComplex, CohomologyResult, cohomology_f2, deleted_product, induced_involution
 from conf2.conf_symbolic import rep_decompose
 from conf2.gf2 import Mat2, rank, solve_many
 from conf2.simplicial import builtin_triangulation
@@ -109,13 +109,9 @@ def alpha_module(C: CellComplex) -> AlphaModule:
     return equivariant_cohomology_with_alpha(transfer_phi(C, Q), cohomology_f2(Q))
 
 
-def conf_rows(H: CohomologyResult) -> list[tuple[int, int, int]]:
-    """(dim, t, f) per degree of a cohomology with its induced swap."""
-    rows = []
-    for dim, swap in zip(H.dims, H.induced_involution):
-        dec = rep_decompose(dim, swap)
-        rows.append((dim, dec.t, dec.f))
-    return rows
+def conf_rows(C: CellComplex, H: CohomologyResult) -> list[tuple[int, int, int]]:
+    """(dim, t, f) per degree of the cohomology H of C, with the swap C carries."""
+    return [(dim, *rep_decompose(dim, swap)) for dim, swap in zip(H.dims, induced_involution(C, H))]
 
 
 def check_smith_gysin(A: AlphaModule, cover_dims: list[int], free: list[int]) -> None:
@@ -148,6 +144,6 @@ def check_smith_gysin(A: AlphaModule, cover_dims: list[int], free: list[int]) ->
 
 @lru_cache(maxsize=None)
 def builtin_reference(label: str) -> tuple[CellComplex, CohomologyResult]:
-    """The deleted product of a builtin surface and its cohomology with the swap."""
+    """The deleted product of a builtin surface, carrying the swap, and its cohomology."""
     dp = deleted_product(builtin_triangulation(SurfaceKind.from_label(label)))
     return dp, cohomology_f2(dp)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conf2.conf_symbolic import TOP_DEGREE, RepDecomposition, rep_decompose
+from conf2.conf_symbolic import TOP_DEGREE, rep_decompose
 from conf2.gf2 import Mat2, pack, rank, rref
 from conf2.surfaces import KunnethAlgebra, SurfaceKind, build_kunneth, build_surface_ring
 from gf2_reference import from_dense, to_dense
@@ -110,13 +110,13 @@ def quotient_map_with_section(ambient_dim: int, sub: Subspace) -> tuple[Mat2, Ma
 
 @dataclass(frozen=True)
 class QuotientDegree:
-    """One degree of the quotient: projection onto it and the swap in its coordinates."""
+    """One degree of the quotient: projection onto it, the swap in its coordinates, and its (t, f)."""
 
     q: int
     dim: int
     projection: Mat2
     induced_swap: Mat2
-    decomposition: RepDecomposition
+    decomposition: tuple[int, int]
 
 
 def kernel_subspace(square: KunnethAlgebra, q: int) -> Subspace:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conf2.borel import equivariant_cochain_complex, equivariant_cohomology_with_alpha, sw_height
-from conf2.cells import cohomology_f2, deleted_product, quotient_complex
+from conf2.cells import cohomology_f2, deleted_product, induced_involution, quotient_complex
 from conf2.conf_symbolic import conf_cohomology, kernel_ideal_check
 from conf2.gf2 import Mat2
 from conf2.report import RunConfig, run_pipeline
@@ -56,8 +56,7 @@ def test_criterion_1_sphere():
     assert Q.dims[:3] == [1, 1, 1] and not any(Q.dims[3:])
     A = equivariant_cohomology_with_alpha(equivariant_cochain_complex(quotient), Q)
     assert A.dims[:4] == [1, 1, 1, 0] and not any(A.dims[4:])
-    height = sw_height(A)
-    assert height.value == 2
+    assert sw_height(A) == 2
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(f"criterion 1: PASS (sphere pipeline, {elapsed:.2f}s < 1s)")
@@ -78,7 +77,7 @@ def test_criterion_2_torus():
     assert sorted((t.start, t.length) for t in report.uconf.towers) == [
         (0, 3), (1, 1), (1, 1), (2, 1), (2, 2), (2, 2),
     ]
-    assert report.uconf.height.value == 2
+    assert report.uconf.height == 2
     assert elapsed < 5.0
     print(f"criterion 2: PASS (torus, {elapsed:.2f}s < 5s)")
 
@@ -90,7 +89,7 @@ def test_criterion_3_projective_plane():
     assert report.uconf.dims[:4] == (1, 2, 2, 1)
     heads = [t for t in report.uconf.towers if t.start == 0]
     assert len(heads) == 1 and heads[0].length == 4
-    assert report.uconf.height.value == 3
+    assert report.uconf.height == 3
     assert elapsed < 5.0
     print(f"criterion 3: PASS (projective plane, {elapsed:.2f}s < 5s)")
 
@@ -129,8 +128,7 @@ def test_criterion_5_heights():
     }
     for label, value in expected.items():
         report, _ = _report(label)
-        height = report.uconf.height
-        assert height.value == value, label
+        assert report.uconf.height == value, label
     print("criterion 5: PASS (heights 2/3 by orientability, exact)")
 
 
@@ -222,7 +220,7 @@ def test_criterion_9_property_sweep():
         for perm in (np.asarray(p, dtype=np.int64) for p in dp.involution):
             assert np.array_equal(perm[perm], np.arange(len(perm)))
         H = cohomology_f2(dp)
-        for q, swap in enumerate(H.induced_involution):
+        for q, swap in enumerate(induced_involution(dp, H)):
             assert swap.mul(swap) == Mat2.identity(H.dims[q])
 
     # the diagonal class is swap-invariant for every kind

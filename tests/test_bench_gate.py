@@ -7,10 +7,12 @@ perfbench's own `workloads` and `layers` modules: each workload at two
 seeds through `python -m conf2`, in a temporary root laid out as
 perfbench lays out its work directory, and `oracle_sweep` once under
 `perfbench/tracer.py`.  The traced run must give the same bytes, one
-root span, every span inside its parent, no negative self time, and
-every traced name installed.  `layers.accounting_error` also asks the
-reported self times to sum to the traced wall time within a slack of
-a few spans' cost; that part depends on timing and is left out here.
+root span, every span inside its parent, no negative self time, every
+traced name installed, and per-layer metrics named exactly as the
+`per_layer` list of BENCHMARK.json, `trace.overhead_s` being the one
+name run.py adds.  `layers.accounting_error` also asks the reported self
+times to sum to the traced wall time within a slack of a few spans'
+cost; that part depends on timing and is left out here.
 """
 
 import json
@@ -23,6 +25,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+PER_LAYER = sorted(m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"])
 sys.path.insert(0, str(PERFBENCH))
 
 import layers  # noqa: E402
@@ -66,3 +69,6 @@ def test_traced_sweep_equals_the_golden_bytes_and_spans_form_one_tree(tmp_path):
     names = {name for _, _, name, _ in tracer.PATCHES}
     assert len(names) == 21
     assert set(trace["installed"]) == names
+    metrics = layers.layer_metrics(trace, len(workloads.ORACLE_SWEEP))
+    assert len(PER_LAYER) == 45
+    assert sorted([*metrics, "trace.overhead_s"]) == PER_LAYER

@@ -179,8 +179,8 @@ def test_transfer_alpha_matches_bicomplex(case):
 
 @pytest.mark.parametrize("label", SWEEP)
 def test_smith_gysin_identities(label):
-    _, H = builtin_reference(label)
-    free = [f for _, _, f in conf_rows(H)]
+    dp, H = builtin_reference(label)
+    free = [f for _, _, f in conf_rows(dp, H)]
     A = transfer_alpha_module(builtin_triangulation(SurfaceKind.from_label(label)))
     ranks = [rank(m) for m in A.alpha_maps] + [0]
     for n, h in enumerate(A.dims):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conf2.conf_symbolic import (
-    RepDecomposition,
     conf_cohomology,
     gysin_kernel,
     kernel_ideal_check,
@@ -42,14 +41,14 @@ def test_dims_and_decomposition(kind):
     result = conf_cohomology(kind)
     dims, tf = EXPECTED[kind]
     assert result.dims() == dims
-    assert [(d.t, d.f) for d in result.decompositions()] == tf
+    assert [(r.t, r.f) for r in result.rows] == tf
 
 
 @pytest.mark.parametrize("kind", SWEEP, ids=[k.label for k in SWEEP])
 def test_dimension_accounting(kind):
-    for deg in conf_cohomology(kind).degrees:
-        assert deg.decomposition.t + 2 * deg.decomposition.f == deg.dim
-        assert deg.decomposition.t >= 0 and deg.decomposition.f >= 0
+    for row in conf_cohomology(kind).rows:
+        assert row.t + 2 * row.f == row.dim
+        assert row.t >= 0 and row.f >= 0
 
 
 @pytest.mark.parametrize("kind", SWEEP, ids=[k.label for k in SWEEP])
@@ -119,15 +118,12 @@ def test_kernel_matches_ideal_sphere():
 
 
 def test_rep_decompose_identity_has_no_free_part():
-    out = rep_decompose(3, Mat2.identity(3))
-    assert (out.t, out.f) == (3, 0)
-    assert out.dim == 3
+    assert rep_decompose(3, Mat2.identity(3)) == (3, 0)
 
 
 def test_rep_decompose_transposition():
     swap = from_dense(np.array([[0, 1], [1, 0]], dtype=np.uint8))
-    out = rep_decompose(2, swap)
-    assert (out.t, out.f) == (0, 1)
+    assert rep_decompose(2, swap) == (0, 1)
 
 
 def test_rep_decompose_rejects_non_involution():
@@ -162,18 +158,18 @@ def test_fixed_points_match_the_quotient_route(kind):
     reference = quotient_degrees(kind)
     result = conf_cohomology(kind)
     assert result.dims() == [d.dim for d in reference]
-    assert result.decompositions() == [d.decomposition for d in reference]
+    assert [(r.t, r.f) for r in result.rows] == [d.decomposition for d in reference]
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
 def test_closed_forms_at_scale(n):
     orientable = conf_cohomology(SurfaceKind.orientable(n))
     assert orientable.dims() == [1, 4 * n, 4 * n * n + 1, 2 * n, 0]
-    assert [(d.t, d.f) for d in orientable.decompositions()] == [
+    assert [(r.t, r.f) for r in orientable.rows] == [
         (1, 0), (0, 2 * n), (2 * n + 1, 2 * n * n - n), (2 * n, 0), (0, 0)
     ]
     nonorientable = conf_cohomology(SurfaceKind.nonorientable(n))
     assert nonorientable.dims() == [1, 2 * n, n * n + 1, n, 0]
-    assert [(d.t, d.f) for d in nonorientable.decompositions()] == [
+    assert [(r.t, r.f) for r in nonorientable.rows] == [
         (1, 0), (0, n), (n - 1, n * (n - 1) // 2 + 1), (n, 0), (0, 0)
     ]

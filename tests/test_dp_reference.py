@@ -67,15 +67,15 @@ def relabelled(K: SimplicialComplex, seed: int) -> SimplicialComplex:
 
 @lru_cache(maxsize=None)
 def case(label: str, tmp_dir):
-    """K, its deleted product dp, dp's cohomology with the swap (see SAME_SURFACE), Q from K and Q folded from dp."""
+    """K, its deleted product dp, dp's conf rows (see SAME_SURFACE), Q from K and Q folded from dp."""
     if label in BUILTIN:
         K = builtin_triangulation(SurfaceKind.from_label(label))
         dp, H = builtin_reference(label)
-        return K, dp, H, quotient_complex(K), orbit_quotient(dp)
+        return K, dp, conf_rows(dp, H), quotient_complex(K), orbit_quotient(dp)
     if label in NOT_SURFACES:
         K = NOT_SURFACES[label]
         dp = deleted_product(K)
-        return K, dp, cohomology_f2(dp), quotient_complex(K), orbit_quotient(dp)
+        return K, dp, conf_rows(dp, cohomology_f2(dp)), quotient_complex(K), orbit_quotient(dp)
     if label == "relabelled torus":
         K = relabelled(builtin_triangulation(SurfaceKind.orientable(1)), seed=7)
     elif label == "relabelled subdivided sphere":
@@ -86,8 +86,11 @@ def case(label: str, tmp_dir):
     path.write_text(format_triangulation(K))
     K = read_triangulation(path)
     dp = deleted_product(K)
-    H = builtin_reference(SAME_SURFACE[label])[1] if label in SAME_SURFACE else cohomology_f2(dp)
-    return K, dp, H, quotient_complex(K), orbit_quotient(dp)
+    if label in SAME_SURFACE:
+        rows = conf_rows(*builtin_reference(SAME_SURFACE[label]))
+    else:
+        rows = conf_rows(dp, cohomology_f2(dp))
+    return K, dp, rows, quotient_complex(K), orbit_quotient(dp)
 
 
 @pytest.fixture(scope="module")
@@ -113,11 +116,11 @@ def test_connecting_map_matches_deleted_product(label, tmp_dir):
 
 @pytest.mark.parametrize("label", LABELS)
 def test_gysin_conf_rows_match_deleted_product_cohomology(label, tmp_dir):
-    _, _, H, Q, _ = case(label, tmp_dir)
+    _, _, rows, Q, _ = case(label, tmp_dir)
     A = equivariant_cohomology_with_alpha(equivariant_cochain_complex(Q), cohomology_f2(Q))
     gysin = [(dim, dim - 2 * free, free) for dim, free in cover_counts(A)]
-    assert gysin == conf_rows(H)
-    check_smith_gysin(A, H.dims, [f for _, _, f in conf_rows(H)])
+    assert gysin == rows
+    check_smith_gysin(A, [dim for dim, _, _ in rows], [f for _, _, f in rows])
 
 
 @pytest.mark.parametrize("label", LABELS)

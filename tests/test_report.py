@@ -5,18 +5,19 @@ from dataclasses import replace
 
 import pytest
 
-from conf2.borel import SWHeight, Tower, equivariant_cochain_complex
+from conf2.borel import Tower, equivariant_cochain_complex
 from conf2.cli import main
+from conf2.conf_symbolic import ConfRow, conf_cohomology
 from conf2.gf2 import Mat2
 from conf2.report import (
     CheckRecord,
-    ConfRow,
     RunConfig,
     SurfaceReport,
     UConfSummary,
     emit_report,
     exit_code,
     paper_check,
+    _oracle_side,
     run_pipeline,
 )
 from conf2.simplicial import builtin_triangulation, format_triangulation
@@ -51,8 +52,9 @@ def test_config_requires_surfaces():
 
 
 def test_config_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        RunConfig(surfaces=(("kind", "sphere"),), output_format="xml")
+    for output_format in ("xml", "markdown"):
+        with pytest.raises(ValueError):
+            RunConfig(surfaces=(("kind", "sphere"),), output_format=output_format)
 
 
 def test_config_rejects_unknown_source():
@@ -68,7 +70,7 @@ def test_sphere_report_values(sphere_reports):
     assert r.error is None
     assert [row.dim for row in r.conf] == [1, 0, 1, 0, 0]
     assert r.uconf.dims == (1, 1, 1, 0, 0)
-    assert r.uconf.height.value == 2
+    assert r.uconf.height == 2
     assert all(c.passed for c in r.checks)
 
 
@@ -88,12 +90,20 @@ def test_oracle_agreement_recorded(torus_reports):
     byname = {c.name: c for c in r.checks}
     assert byname["oracle-conf-dims"].passed
     assert byname["oracle-conf-decomposition"].passed
-    assert r.oracle_conf == r.conf
+
+
+@pytest.mark.parametrize(
+    "label", ["sphere", "orientable:1", "orientable:2", "nonorientable:1", "nonorientable:2", "nonorientable:3"]
+)
+def test_oracle_and_closed_form_give_equal_rows(label):
+    kind = SurfaceKind.from_label(label)
+    rows, _, _ = _oracle_side(builtin_triangulation(kind), kind.euler)
+    assert rows == conf_cohomology(kind).rows
 
 
 def test_no_oracle_runs_symbolic_only():
     (r,) = _run(("kind", "orientable:2"), oracle_enabled=False)
-    assert r.uconf is None and r.oracle_conf is None
+    assert r.uconf is None
     assert [row.dim for row in r.conf] == [1, 8, 17, 4, 0]
     assert {c.name for c in r.checks} == {
         "conf-top-degree-vanishes",
@@ -262,14 +272,14 @@ def _fabricated(kind, tf_rows, towers, height):
 def _genus_report(g):
     tf = [(1, 0), (0, 2 * g), (2 * g + 1, 2 * g * g - g), (2 * g, 0), (0, 0)]
     towers = [Tower(0, 3)] + [Tower(1, 1)] * (2 * g) + [Tower(2, 1)] * (2 * g * g - g) + [Tower(2, 2)] * (2 * g)
-    return _fabricated(SurfaceKind.orientable(g), tf, towers, SWHeight(2))
+    return _fabricated(SurfaceKind.orientable(g), tf, towers, 2)
 
 
 def _crosscap_report(k):
     f2 = k * (k - 1) // 2 + 1
     tf = [(1, 0), (0, k), (k - 1, f2), (k, 0), (0, 0)]
     towers = [Tower(0, 4)] + [Tower(1, 1)] * k + [Tower(2, 1)] * f2 + [Tower(2, 2)] * (k - 1)
-    return _fabricated(SurfaceKind.nonorientable(k), tf, towers, SWHeight(3))
+    return _fabricated(SurfaceKind.nonorientable(k), tf, towers, 3)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -356,8 +366,9 @@ def test_failed_check_keeps_both_values():
 
 
 def test_emit_rejects_unknown_format(sphere_reports):
-    with pytest.raises(ValueError):
-        emit_report(sphere_reports, "yaml")
+    for output_format in ("yaml", "markdown"):
+        with pytest.raises(ValueError):
+            emit_report(sphere_reports, output_format)
 
 
 # -- CLI --------------------------------------------------------------------------
