@@ -22,7 +22,7 @@ computing H*(Q) left behind, never by a new elimination.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cells import CellComplex, CohomologyResult
 from .gf2 import (  # solve_many: not run here; kept importable under its traced name
@@ -46,15 +46,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(NamedTuple):
     """Cyclic summand over the polynomial generator: start degree, length."""
 
     start: int
     length: int
 
 
-@dataclass
 class AlphaModule:
     """Graded module: dims per degree, the degree-raising maps, towers.
 
@@ -63,14 +61,12 @@ class AlphaModule:
     ranks every reader of the module needs are computed once, here.
     """
 
-    dims: list[int]
-    alpha_maps: list[Mat2]
-    towers: list[Tower] = field(default_factory=list)
-    _ranks: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._ranks = {}
-        N = len(self.dims) - 1
+    def __init__(self, dims: list[int], alpha_maps: list[Mat2]):
+        self.dims = dims
+        self.alpha_maps = alpha_maps
+        self.towers: list[Tower] = []  # equivariant_cohomology_with_alpha assigns module_decompose(self)
+        self._ranks: dict[tuple[int, int], int] = {}
+        N = len(dims) - 1
         for n in range(N + 1):
             self._ranks[(n, 0)] = self.dims[n]
             comp: Mat2 | None = None

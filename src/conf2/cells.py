@@ -15,8 +15,8 @@ the swap onto its cohomology with `induced_involution`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations
+from typing import NamedTuple
 
 from .gf2 import (  # select_independent_rows, solve_many: not run here; kept importable under their traced names
     Mat2,
@@ -227,8 +227,7 @@ def simplicial_cell_complex(K: SimplicialComplex) -> CellComplex:
     return CellComplex(cells, boundaries)
 
 
-@dataclass
-class CohomologyResult:
+class CohomologyResult(NamedTuple):
     """Per-degree class representatives with the pivot tables that solve for classes.
 
     coboundary_basis[d] is a reduced-echelon basis of the coboundaries

@@ -14,7 +14,7 @@ row type the oracle's transfer route builds too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf2 import Mat2, rank, rref
 from .surfaces import (
@@ -37,8 +37,7 @@ __all__ = [
 TOP_DEGREE = 4  # Conf(2, surface) is an open 4-manifold
 
 
-@dataclass(frozen=True)
-class ConfRow:
+class ConfRow(NamedTuple):
     """Degree q of H*(Conf(2,M)): its dimension, t trivial and f free swap-module summands."""
 
     q: int
@@ -47,8 +46,7 @@ class ConfRow:
     f: int
 
 
-@dataclass(frozen=True)
-class ConfCohomology:
+class ConfCohomology(NamedTuple):
     kind: SurfaceKind
     square: KunnethAlgebra
     rows: list[ConfRow]

@@ -18,8 +18,8 @@ mismatch records, never silent corrections.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
+from typing import NamedTuple
 
 from .borel import (
     Tower,
@@ -46,28 +46,26 @@ SCHEMA = "conf2-report/1"
 UCONF_TAIL_DEGREES = range(TOP_DEGREE, 9)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", "surfaces oracle_enabled output_format paper_check")):
     """What to run: surfaces as ("kind", label) or ("file", path) pairs."""
 
-    surfaces: tuple[tuple[str, str], ...]
-    oracle_enabled: bool = True
-    output_format: str = "json"
-    paper_check: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "surfaces", tuple((s, v) for s, v in self.surfaces))
-        if not self.surfaces:
+    def __new__(
+        cls, surfaces, oracle_enabled: bool = True, output_format: str = "json", paper_check: bool = False
+    ) -> "RunConfig":
+        surfaces = tuple((s, v) for s, v in surfaces)
+        if not surfaces:
             raise ValueError("at least one surface is required")
-        for source, _ in self.surfaces:
+        for source, _ in surfaces:
             if source not in ("kind", "file"):
                 raise ValueError(f"unknown surface source: {source!r}")
-        if self.output_format not in ("json", "md"):
-            raise ValueError(f"unknown output format: {self.output_format!r}")
+        if output_format not in ("json", "md"):
+            raise ValueError(f"unknown output format: {output_format!r}")
+        return super().__new__(cls, surfaces, oracle_enabled, output_format, paper_check)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One named cross-check; failed checks keep both compared values."""
 
     name: str
@@ -76,8 +74,7 @@ class CheckRecord:
     got: object
 
 
-@dataclass(frozen=True)
-class MismatchRecord:
+class MismatchRecord(NamedTuple):
     """A stated value that disagrees with the computation.
 
     `stated` is the multiplicity as printed in the theorem, `consistent`
@@ -90,24 +87,26 @@ class MismatchRecord:
     computed: object
 
 
-@dataclass(frozen=True)
-class UConfSummary:
+class UConfSummary(NamedTuple):
     dims: tuple[int, ...]
     towers: tuple[Tower, ...]
     height: int
 
 
-@dataclass
 class SurfaceReport:
-    surface: str
-    kind: SurfaceKind | None = None
-    conf: list[ConfRow] = field(default_factory=list)
-    uconf: UConfSummary | None = None
-    checks: list[CheckRecord] = field(default_factory=list)
-    discrepancies: list[MismatchRecord] = field(default_factory=list)
-    paper_checked: bool = False
-    notes: list[str] = field(default_factory=list)
-    error: str | None = None
+    """One surface's results; `error` replaces them when the surface failed."""
+
+    def __init__(self, surface, *, kind=None, conf=None, uconf=None, checks=None, notes=None, error=None):
+        self.surface: str = surface
+        self.kind: SurfaceKind | None = kind
+        self.conf: list[ConfRow] = [] if conf is None else conf
+        self.uconf: UConfSummary | None = uconf
+        self.checks: list[CheckRecord] = [] if checks is None else checks
+        self.notes: list[str] = [] if notes is None else notes
+        self.error: str | None = error
+        # run_pipeline sets these when it runs the stated-table comparison.
+        self.paper_checked = False
+        self.discrepancies: list[MismatchRecord] = []
 
 
 # -- pipeline ----------------------------------------------------------------

@@ -208,7 +208,7 @@ def parse_triangulation(text: str) -> SimplicialComplex:
         if parts[0] == "vertices":
             if vertex_count is not None:
                 raise ValueError(f"line {lineno}: repeated vertices header")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise ValueError(f"line {lineno}: expected 'vertices N'")
             vertex_count = int(parts[1])
             header_line = lineno

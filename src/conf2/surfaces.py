@@ -13,7 +13,7 @@ intersection pairing, never copied in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Mapping
 
 from .gf2 import Mat2, from_ones, invert, ones, pack, xor_rows
@@ -29,29 +29,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SurfaceKind:
+class SurfaceKind(namedtuple("SurfaceKind", "family param")):
     """Homeomorphism type of a closed surface.
 
     family is one of "sphere", "orientable", "nonorientable"; param is
     the genus or the crosscap count (0 for the sphere).
     """
 
-    family: str
-    param: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family == "sphere":
-            if self.param != 0:
+    def __new__(cls, family: str, param: int = 0) -> "SurfaceKind":
+        if family == "sphere":
+            if param != 0:
                 raise ValueError("sphere takes no parameter")
-        elif self.family == "orientable":
-            if self.param < 1:
+        elif family == "orientable":
+            if param < 1:
                 raise ValueError("orientable genus must be at least 1")
-        elif self.family == "nonorientable":
-            if self.param < 1:
+        elif family == "nonorientable":
+            if param < 1:
                 raise ValueError("crosscap count must be at least 1")
         else:
-            raise ValueError(f"unknown surface family: {self.family!r}")
+            raise ValueError(f"unknown surface family: {family!r}")
+        return super().__new__(cls, family, param)
 
     @staticmethod
     def sphere() -> "SurfaceKind":

@@ -1,7 +1,5 @@
 """Equivariant pipeline: transfer sequence, polynomial action, norm check, towers, height."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -192,7 +190,7 @@ def test_norm_check_rejects_a_norm_class_off_the_cocycles():
     # a single vertex is no cocycle of K, so its norms with other classes need not be cocycles of Q
     point = np.zeros((1, K.vertex_count), dtype=np.uint8)
     point[0, 0] = 1
-    bad = replace(HK, cocycle_basis=[from_dense(point)] + HK.cocycle_basis[1:])
+    bad = HK._replace(cocycle_basis=[from_dense(point)] + HK.cocycle_basis[1:])
     with pytest.raises(RuntimeError, match="not a cocycle"):
         norm_check(K, HK=bad)
 

@@ -1,16 +1,17 @@
 """Pipeline reports: cross-checks, stated-table comparison, emitters, CLI."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
 from conf2.borel import Tower, equivariant_cochain_complex
+from conf2.cells import CohomologyResult
 from conf2.cli import main
-from conf2.conf_symbolic import ConfRow, conf_cohomology
+from conf2.conf_symbolic import ConfCohomology, ConfRow, conf_cohomology
 from conf2.gf2 import Mat2
 from conf2.report import (
     CheckRecord,
+    MismatchRecord,
     RunConfig,
     SurfaceReport,
     UConfSummary,
@@ -47,19 +48,105 @@ def rp2_reports():
 
 
 def test_config_requires_surfaces():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^at least one surface is required$"):
         RunConfig(surfaces=())
 
 
 def test_config_rejects_unknown_format():
     for output_format in ("xml", "markdown"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^unknown output format: '{output_format}'$"):
             RunConfig(surfaces=(("kind", "sphere"),), output_format=output_format)
 
 
 def test_config_rejects_unknown_source():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown surface source: 'label'$"):
         RunConfig(surfaces=(("label", "sphere"),))
+
+
+def test_config_takes_keywords_and_normalises_surfaces():
+    cfg = RunConfig(surfaces=[["kind", "sphere"], ["file", "t.tri"]], output_format="md", paper_check=True)
+    assert cfg.surfaces == (("kind", "sphere"), ("file", "t.tri"))
+    assert all(type(pair) is tuple for pair in cfg.surfaces)
+    assert (cfg.oracle_enabled, cfg.output_format, cfg.paper_check) == (True, "md", True)
+
+
+# -- record semantics ------------------------------------------------------------
+
+_SPHERE = conf_cohomology(SurfaceKind.sphere())
+_TORUS = conf_cohomology(SurfaceKind.orientable(1))
+
+# Each record type with the fields of one instance and, per field, a different value.
+VALUE_RECORDS = {
+    "Tower": (Tower, {"start": 0, "length": 3}, {"start": 1, "length": 2}),
+    "ConfRow": (ConfRow, {"q": 2, "dim": 5, "t": 3, "f": 1}, {"q": 1, "dim": 4, "t": 2, "f": 0}),
+    "ConfCohomology": (
+        ConfCohomology,
+        {"kind": _SPHERE.kind, "square": _SPHERE.square, "rows": _SPHERE.rows},
+        {"kind": _TORUS.kind, "square": _TORUS.square, "rows": _TORUS.rows},
+    ),
+    "CohomologyResult": (
+        CohomologyResult,
+        {
+            "cocycle_basis": [Mat2.identity(1)],
+            "class_pivots": [[0]],
+            "coboundary_basis": [Mat2.zeros(0, 1)],
+            "coboundary_pivots": [[]],
+        },
+        {
+            "cocycle_basis": [Mat2.zeros(0, 1)],
+            "class_pivots": [[]],
+            "coboundary_basis": [Mat2.identity(1)],
+            "coboundary_pivots": [[0]],
+        },
+    ),
+    "CheckRecord": (
+        CheckRecord,
+        {"name": "c", "passed": True, "expected": [1, 2], "got": [1, 2]},
+        {"name": "d", "passed": False, "expected": 1, "got": 2},
+    ),
+    "MismatchRecord": (
+        MismatchRecord,
+        {"name": "m", "stated": 2, "consistent": 1, "computed": 1},
+        {"name": "n", "stated": 3, "consistent": 2, "computed": 2},
+    ),
+    "UConfSummary": (
+        UConfSummary,
+        {"dims": (1, 1, 1, 0, 0), "towers": (Tower(0, 3),), "height": 2},
+        {"dims": (1, 1, 1, 1, 0), "towers": (Tower(0, 4),), "height": 3},
+    ),
+    "SurfaceKind": (SurfaceKind, {"family": "orientable", "param": 2}, {"family": "nonorientable", "param": 3}),
+    "RunConfig": (
+        RunConfig,
+        {"surfaces": (("kind", "sphere"),), "oracle_enabled": True, "output_format": "json", "paper_check": False},
+        {"surfaces": (("file", "t.tri"),), "oracle_enabled": False, "output_format": "md", "paper_check": True},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_RECORDS))
+def test_value_records_compare_by_fields(name):
+    cls, fields, others = VALUE_RECORDS[name]
+    assert cls(**fields) == cls(**fields)
+    for field in fields:
+        assert cls(**{**fields, field: others[field]}) != cls(**fields), field
+
+
+@pytest.mark.parametrize("name", sorted(set(VALUE_RECORDS) - {"CohomologyResult"}))
+def test_frozen_records_reject_assignment(name):
+    cls, fields, others = VALUE_RECORDS[name]
+    record = cls(**fields)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, others[field])
+    assert record == cls(**fields)
+
+
+def test_surface_reports_get_fresh_lists():
+    a, b = SurfaceReport(surface="a"), SurfaceReport(surface="b")
+    for field in ("conf", "checks", "discrepancies", "notes"):
+        getattr(a, field).append(None)
+        assert getattr(b, field) == [], field
+    assert (b.kind, b.uconf, b.paper_checked, b.error) == (None, None, False, None)
 
 
 # -- pipeline content ----------------------------------------------------------
@@ -167,7 +254,7 @@ def test_miscounted_rank_fails_the_quotient_dims_record(monkeypatch):
         bases, pivots = list(H.coboundary_basis), list(H.coboundary_pivots)
         bases[d] = Mat2.vstack([bases[d], Mat2.zeros(1, bases[d].cols)])
         pivots[d] = pivots[d] + H.class_pivots[d][:1]
-        return replace(H, coboundary_basis=bases, coboundary_pivots=pivots)
+        return H._replace(coboundary_basis=bases, coboundary_pivots=pivots)
 
     monkeypatch.setattr(report_module, "cohomology_f2", miscounting)
     (r,) = _run(("kind", "sphere"))

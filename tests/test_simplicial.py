@@ -1,5 +1,7 @@
 """Triangulations: validation, built-ins, sums, subdivision, file format."""
 
+import re
+
 import pytest
 
 from conf2 import simplicial
@@ -196,20 +198,22 @@ def test_parse_ignores_comments_and_blanks():
     assert K.counts() == (4, 6, 4)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "f 0 1 2\n",
-        "vertices x\n",
-        "vertices 4\nvertices 4\n",
-        "vertices 3\nf 0 1 q\n",
-        "vertices 3\ntriangle 0 1 2\n",
-        "",
-        "vertices 3\nf 0 1 1\n",
-    ],
-)
+# Each malformed text with the start of the message it must raise.
+MALFORMED = {
+    "f 0 1 2\n": "line 1: facet before vertices header",
+    "vertices x\n": "line 1: expected 'vertices N'",
+    "vertices ²\nf 0 1 2\n": "line 1: expected 'vertices N'",
+    "vertices 4\nvertices 4\n": "line 2: repeated vertices header",
+    "vertices 3\nf 0 1 q\n": "line 2: bad facet indices",
+    "vertices 3\ntriangle 0 1 2\n": "line 2: unknown directive 'triangle'",
+    "": "missing vertices header",
+    "vertices 3\nf 0 1 1\n": "line 1: 'vertices 3' declares vertices no facet uses",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
 def test_parse_rejects_malformed_input(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^" + re.escape(MALFORMED[text])):
         parse_triangulation(text)
 
 

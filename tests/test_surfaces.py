@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conf2.simplicial import builtin_triangulation
 from conf2.surfaces import (
     Element,
     GradedAlgebra,
@@ -53,18 +54,25 @@ def check_associative(algebra) -> None:
 
 def test_kind_labels_roundtrip():
     for kind in SWEEP:
-        assert SurfaceKind.from_label(kind.label) == kind
+        parsed = SurfaceKind.from_label(kind.label)
+        assert parsed == kind and hash(parsed) == hash(kind)
+        # builtin_triangulation's cache keys on the kind, so the parsed one finds the same complex
+        assert builtin_triangulation(parsed) is builtin_triangulation(kind)
 
 
 def test_kind_rejects_bad_parameters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^orientable genus must be at least 1$"):
         SurfaceKind("orientable", 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^crosscap count must be at least 1$"):
         SurfaceKind("nonorientable", -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sphere takes no parameter$"):
         SurfaceKind("sphere", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown surface family: 'torus'$"):
+        SurfaceKind("torus", 1)
+    with pytest.raises(ValueError, match="^bad surface label: 'torus'$"):
         SurfaceKind.from_label("torus")
+    with pytest.raises(ValueError, match="^bad surface label: 'orientable:0'$"):
+        SurfaceKind.from_label("orientable:0")
 
 
 def test_euler_characteristics():
