@@ -172,9 +172,10 @@ def check_norm_map(
     HK is the cohomology of `simplicial_cell_complex(K)`, Q the orbit
     complex and HQ its cohomology.  Cocycles a, b of K give the Q-cochain
     {s, t} -> a(s)b(t) + a(t)b(s), the transfer of the cross product a x b
-    restricted to the deleted product.  Restriction from K x K onto the
-    deleted product is onto in cohomology and the image of the transfer
-    is ker alpha, so these classes span ker alpha_n in every degree n.
+    restricted to the deleted product.  For a closed manifold K,
+    restriction from K x K onto the deleted product is onto in cohomology
+    and the transfer's image is ker alpha, so these classes span ker
+    alpha_n in every degree n; on other K (the theta graph) they need not.
     Each one is solved for its class with `HQ.solve`, which raises
     RuntimeError when it is no cocycle.  Phi is not used.
     """

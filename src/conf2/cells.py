@@ -97,12 +97,7 @@ class CellComplex:
         return sum((-1) ** d * len(level) for d, level in enumerate(self.cells))
 
     def is_free(self) -> bool:
-        if self.involution is None:
-            return False
-        return all(i != j for perm in self.involution for i, j in enumerate(perm))
-
-    def __repr__(self) -> str:
-        return f"CellComplex(counts={self.cell_counts()}, involution={self.involution is not None})"
+        return self.involution is not None and all(i != j for perm in self.involution for i, j in enumerate(perm))
 
 
 def product_faces(s: tuple, t: tuple) -> list[tuple]:
@@ -244,10 +239,6 @@ class CohomologyResult(NamedTuple):
     @property
     def dims(self) -> list[int]:
         return [reps.rows for reps in self.cocycle_basis]
-
-    @property
-    def euler(self) -> int:
-        return sum((-1) ** d * n for d, n in enumerate(self.dims))
 
     def solve(self, d: int, cochains: Mat2) -> Mat2:
         """Class coordinates of the degree-d cocycles in the rows of cochains, one row each.

@@ -121,16 +121,6 @@ class Mat2:
         return cls(rows, cols, data)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "Mat2":
-        """From nested 0/1 rows, numpy arrays included; each entry counts by its parity."""
-        rows = [list(r) for r in rows]
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        if any(len(r) != cols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), cols, [pack(r) for r in rows])
-
-    @classmethod
     def vstack(cls, mats: Iterable["Mat2"]) -> "Mat2":
         mats = list(mats)
         if not mats:
@@ -147,9 +137,6 @@ class Mat2:
         return cls(left.rows, left.cols + right.cols, [a | b << left.cols for a, b in zip(left.data, right.data)])
 
     # -- access -------------------------------------------------------
-
-    def get(self, i: int, j: int) -> int:
-        return self.data[i] >> j & 1
 
     def take_rows(self, idx) -> "Mat2":
         data = [self.data[i] for i in idx]
@@ -174,12 +161,6 @@ class Mat2:
         if not isinstance(other, Mat2):
             return NotImplemented
         return self.shape == other.shape and self.data == other.data
-
-    def __hash__(self):
-        raise TypeError("Mat2 is not hashable")
-
-    def __repr__(self) -> str:
-        return f"Mat2({self.rows}x{self.cols})"
 
     # -- arithmetic ---------------------------------------------------
 

@@ -37,7 +37,7 @@ from .cells import (
     simplicial_cell_complex,
 )
 from .conf_symbolic import TOP_DEGREE, ConfCohomology, ConfRow, conf_cohomology, kernel_ideal_check
-from .simplicial import SimplicialComplex, builtin_triangulation, read_triangulation, validate_surface
+from .simplicial import SimplicialComplex, builtin_triangulation, irreducible, read_triangulation, validate_surface
 from .surfaces import SurfaceKind
 
 SCHEMA = "conf2-report/1"
@@ -210,11 +210,13 @@ def _symbolic_checks(sym: ConfCohomology, chi: int) -> list[CheckRecord]:
 def _oracle_side(K: SimplicialComplex, chi: int) -> tuple[list[ConfRow], UConfSummary, list[CheckRecord]]:
     """Conf rows, the unordered summary and the oracle's check records for a triangulation.
 
-    The deleted product is never built: its Euler characteristic is
-    counted from K's disjoint pairs.  Failed checks that raise (the
-    connecting map, alpha, the norm map) become the surface's error
-    record.
+    They depend on the surface alone, so they are computed on
+    `irreducible(K)`.  The deleted product is never built: its Euler
+    characteristic is counted from the disjoint pairs.  Failed checks
+    that raise (the contraction, the connecting map, alpha, the norm
+    map) become the surface's error record.
     """
+    K = irreducible(K)
     conf_chi = chi * chi - chi
     dp_euler = deleted_product_euler(K)
     checks = [CheckRecord("deleted-product-euler", dp_euler == conf_chi, conf_chi, dp_euler)]

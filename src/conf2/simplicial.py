@@ -2,16 +2,17 @@
 
 Complexes are given by facets of up to three vertices and closed
 downward.  The surface check (every edge in two triangles, every vertex
-link a single cycle, connected) gates the constructions that need a
-closed surface: connected sums, deleted products, and the oracle runs.
-Built-in triangulations are loaded from data files and re-validated;
-higher genus and crosscap counts are assembled by connected sum.
+link a single cycle, connected) gates what needs a closed surface:
+connected sums, edge contractions down to an irreducible triangulation,
+and the oracle.  Built-in triangulations are loaded from data files and
+re-validated; higher genus and crosscap counts come by connected sum.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import combinations
 from pathlib import Path
 
@@ -24,9 +25,10 @@ __all__ = [
     "builtin_triangulation",
     "connected_sum",
     "barycentric_subdivide",
+    "is_orientable",
+    "irreducible",
     "parse_triangulation",
     "read_triangulation",
-    "format_triangulation",
 ]
 
 
@@ -137,10 +139,6 @@ class SimplicialComplex:
                         stack.append(w)
         return parts
 
-    def __repr__(self) -> str:
-        v, e, t = self.counts()
-        return f"SimplicialComplex(vertices={v}, edges={e}, triangles={t})"
-
 
 def _links_are_single_cycles(K: SimplicialComplex) -> bool:
     link: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
@@ -247,12 +245,6 @@ def read_triangulation(path) -> SimplicialComplex:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def format_triangulation(K: SimplicialComplex) -> str:
-    lines = [f"vertices {K.vertex_count}"]
-    lines.extend("f " + " ".join(str(v) for v in f) for f in K.facets)
-    return "\n".join(lines) + "\n"
-
-
 # -- constructions -----------------------------------------------------------
 
 
@@ -342,3 +334,88 @@ def barycentric_subdivide(K: SimplicialComplex) -> SimplicialComplex:
                 for v in e:
                     facets.append((index[(v,)], index[e], index[f]))
     return SimplicialComplex(len(simps), facets)
+
+
+def is_orientable(K: SimplicialComplex) -> bool:
+    """Whether the closed connected surface K has a coherent orientation.
+
+    Triangle i runs its sorted vertices forwards when sign[i] = 1.  A
+    search over edge-adjacent triangles signs each neighbour so that the
+    shared edge runs both ways; a clash means K is nonorientable.
+    """
+    sides = defaultdict(list)  # edge -> (triangle, 1 or -1 as its sorted vertices run the edge up or down)
+    for i, (a, b, c) in enumerate(K.triangles):
+        for e, d in (((a, b), 1), ((b, c), 1), ((a, c), -1)):
+            sides[e].append((i, d))
+    flips = defaultdict(list)
+    for (i, d), (j, e) in sides.values():
+        flips[i].append((j, -d * e))
+        flips[j].append((i, -d * e))
+    sign, stack = {0: 1}, [0]
+    while stack:
+        i = stack.pop()
+        for j, f in flips[i]:
+            if j not in sign:
+                sign[j] = sign[i] * f
+                stack.append(j)
+            elif sign[j] != sign[i] * f:
+                return False
+    return True
+
+
+def _link_condition(nbrs: list[set[int]], a: int, b: int) -> bool:
+    """Edge ab of a closed surface contracts to a surface: a and b share only the two vertices opposite ab."""
+    return len(nbrs[a] & nbrs[b]) == 2
+
+
+def irreducible(K: SimplicialComplex) -> SimplicialComplex:
+    """An irreducible triangulation of the closed surface K, by edge contractions.
+
+    While more than 4 vertices are left, the lowest vertex b on a work
+    list is contracted onto its lowest neighbour a whose edge ab meets
+    the link condition, which keeps the PL type; then a and b's other
+    neighbours, whose neighbours changed, go on the list.  Survivors keep
+    their order.  K comes back when nothing contracts; otherwise the
+    result must be a closed connected surface with K's Euler
+    characteristic and orientability, or RuntimeError is raised.
+    """
+    n = K.vertex_count
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    star: list[set[tuple[int, ...]]] = [set() for _ in range(n)]
+    for t in K.triangles:
+        for v in t:
+            star[v].add(t)
+            nbrs[v].update(w for w in t if w != v)
+    queue, queued, alive = list(range(n)), set(range(n)), n
+    while queue and alive > 4:
+        b = heappop(queue)
+        queued.discard(b)
+        a = next((a for a in sorted(nbrs[b]) if _link_condition(nbrs, a, b)), None)
+        if a is None:
+            continue
+        moved, star[b] = star[b], set()
+        for t in moved:
+            for v in t:
+                star[v].discard(t)
+            if a not in t:
+                merged = tuple(sorted(a if v == b else v for v in t))
+                for v in merged:
+                    star[v].add(merged)
+        changed, nbrs[b] = nbrs[b], set()
+        for c in changed:
+            nbrs[c].discard(b)
+            if c != a:
+                nbrs[c].add(a)
+                nbrs[a].add(c)
+        alive -= 1
+        for v in changed - queued:
+            heappush(queue, v)
+        queued |= changed
+    if alive == n:
+        return K
+    new = {v: i for i, v in enumerate(v for v in range(n) if nbrs[v])}
+    out = SimplicialComplex(len(new), {tuple(new[v] for v in t) for v in new for t in star[v]})
+    info = validate_surface(out)
+    if not (info["closed"] and info["connected"] and out.euler == K.euler and is_orientable(out) == is_orientable(K)):
+        raise RuntimeError(f"edge contraction changed the surface ({n} vertices to {len(new)})")
+    return out

@@ -14,9 +14,9 @@ intersection pairing, never copied in.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .gf2 import Mat2, from_ones, invert, ones, pack, xor_rows
+from .gf2 import Mat2, from_ones, invert, ones, pack
 
 __all__ = [
     "SurfaceKind",
@@ -85,9 +85,13 @@ class SurfaceKind(namedtuple("SurfaceKind", "family param")):
         head, sep, tail = text.partition(":")
         if sep and head in ("orientable", "nonorientable"):
             try:
-                return SurfaceKind(head, int(tail))
+                param = int(tail)
             except ValueError as exc:
                 raise ValueError(f"bad surface label: {text!r}") from exc
+            try:
+                return SurfaceKind(head, param)
+            except ValueError as exc:
+                raise ValueError(f"bad surface label: {text!r} ({exc})") from exc
         raise ValueError(f"bad surface label: {text!r}")
 
 
@@ -104,24 +108,10 @@ class Element:
         self.degree = degree
         self.coeffs = coeffs if isinstance(coeffs, int) else pack(coeffs)
 
-    def __add__(self, other: "Element") -> "Element":
-        if self.degree != other.degree:
-            raise ValueError("cannot add elements of different degrees")
-        return Element(self.degree, self.coeffs ^ other.coeffs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
         return self.degree == other.degree and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        raise TypeError("Element is not hashable")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __repr__(self) -> str:
-        return f"Element(degree={self.degree}, coeffs={ones(self.coeffs)})"
 
 
 def _outer(u: int, v: int, width: int) -> int:
@@ -133,15 +123,10 @@ def _outer(u: int, v: int, width: int) -> int:
 
 
 class _GradedBasis:
-    """A named basis in each degree, and products through `times`."""
+    """A named basis in each degree."""
 
     def __init__(self, basis: list[list[str]]):
         self.basis = [list(names) for names in basis]
-        self.index = [
-            {name: i for i, name in enumerate(names)} for names in self.basis
-        ]
-
-    # -- structure ------------------------------------------------------
 
     @property
     def top_degree(self) -> int:
@@ -159,32 +144,6 @@ class _GradedBasis:
 
     def dims(self) -> list[int]:
         return [self.dim(q) for q in range(self.top_degree + 1)]
-
-    # -- elements -------------------------------------------------------
-
-    def zero(self, degree: int) -> Element:
-        return Element(degree, 0)
-
-    def basis_element(self, degree: int, i: int) -> Element:
-        if not 0 <= i < self.dim(degree):
-            raise IndexError(f"no basis element {i} in degree {degree}")
-        return Element(degree, 1 << i)
-
-    def element(self, degree: int, names: Iterable[str]) -> Element:
-        return Element(degree, from_ones(self.index[degree][name] for name in names))
-
-    def unit(self) -> Element:
-        return self.basis_element(0, 0)
-
-    # -- multiplication ---------------------------------------------------
-
-    def times(self, a: int, z: Element) -> Mat2:
-        """Matrix of y -> y z on degree a: row i is basis element i times z."""
-        raise NotImplementedError
-
-    def mul(self, x: Element, y: Element) -> Element:
-        """Product; degrees above the top are zero."""
-        return Element(x.degree + y.degree, xor_rows(self.times(x.degree, y).data, x.coeffs))
 
 
 def _table(entries, shape: tuple[int, int, int]) -> list[list[int]]:
@@ -236,12 +195,6 @@ class GradedAlgebra(_GradedBasis):
         for q in range(top + 1):
             if self.mult[(0, q)][0] != [1 << j for j in range(self.dim(q))]:
                 raise ValueError("degree-0 generator is not a unit")
-
-    def times(self, a: int, z: Element) -> Mat2:
-        table = self.mult.get((a, z.degree))
-        if table is None:
-            return Mat2(self.dim(a), self.dim(a + z.degree))
-        return Mat2(len(table), self.dim(a + z.degree), [xor_rows(row, z.coeffs) for row in table])
 
 
 def build_surface_ring(kind: SurfaceKind) -> GradedAlgebra:
@@ -355,11 +308,6 @@ class KunnethAlgebra(_GradedBasis):
                                 acc ^= _outer(u, R[k], width)
                         out[row + i1 * len(right) + i2] ^= acc << col
         return Mat2(len(out), self.dim(a + b), out)
-
-    def cross(self, x: Element, y: Element) -> Element:
-        """External product of two factor-ring elements."""
-        n = x.degree + y.degree
-        return Element(n, _outer(x.coeffs, y.coeffs, self.factor.dim(y.degree)) << self.offset[n][x.degree])
 
     def swap(self, x: Element) -> Element:
         perm = self.swap_perm[x.degree]

@@ -3,7 +3,8 @@
 `conf2` keeps every matrix row and vector as one Python int, column c
 at bit c, and imports no numpy.  The tests build their inputs and check
 their answers with numpy arrays, so the dense conversions live here:
-`from_dense`/`to_dense` between a 0/1 array and a `Mat2`, `bits` for one
+`from_dense`/`to_dense` between a 0/1 array and a `Mat2`, `from_rows` for
+nested 0/1 rows, `bits` for one
 int vector, `entries` for the ones of a matrix and `mul_vec` for a
 matrix-vector product on arrays.
 
@@ -17,7 +18,7 @@ the same matrix and pivot columns bit for bit.
 
 import numpy as np
 
-from conf2.gf2 import Mat2, ones
+from conf2.gf2 import Mat2, ones, pack
 
 _ONE = np.uint64(1)
 
@@ -50,6 +51,16 @@ def from_dense(dense) -> Mat2:
         raise ValueError("expected a 2-d array of bits")
     packed = np.packbits(arr, axis=1, bitorder="little")
     return Mat2(arr.shape[0], arr.shape[1], [int.from_bytes(row.tobytes(), "little") for row in packed])
+
+
+def from_rows(rows, cols: int | None = None) -> Mat2:
+    """From nested 0/1 rows, numpy arrays included; each entry counts by its parity."""
+    rows = [list(r) for r in rows]
+    if cols is None:
+        cols = len(rows[0]) if rows else 0
+    if any(len(r) != cols for r in rows):
+        raise ValueError("ragged rows")
+    return Mat2(len(rows), cols, [pack(r) for r in rows])
 
 
 def entries(m: Mat2) -> tuple[np.ndarray, np.ndarray]:

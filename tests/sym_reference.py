@@ -7,6 +7,11 @@ and `rep_decompose` of the induced swap.  The kernel is spanned element
 by element, from `square.mul` of (x cross 1) with the diagonal class.
 `conf_symbolic` reads the same dims, t and f off the swap's fixed points
 without building a quotient; the tests compare the two.
+
+Element arithmetic that only the tests use lives here too: basis
+elements by index or by name, sums, the external product x|y, and
+products, in a surface ring from its structure constants and in the
+square through `KunnethAlgebra.times`.
 """
 
 from __future__ import annotations
@@ -16,9 +21,52 @@ from dataclasses import dataclass
 import numpy as np
 
 from conf2.conf_symbolic import TOP_DEGREE, rep_decompose
-from conf2.gf2 import Mat2, pack, rank, rref
-from conf2.surfaces import KunnethAlgebra, SurfaceKind, build_kunneth, build_surface_ring
-from gf2_reference import from_dense, to_dense
+from conf2.gf2 import Mat2, from_ones, ones, pack, rank, rref, xor_rows
+from conf2.surfaces import Element, KunnethAlgebra, SurfaceKind, build_kunneth, build_surface_ring
+from gf2_reference import from_dense, from_rows, to_dense
+
+
+def basis_element(algebra, degree: int, i: int) -> Element:
+    if not 0 <= i < algebra.dim(degree):
+        raise IndexError(f"no basis element {i} in degree {degree}")
+    return Element(degree, 1 << i)
+
+
+def unit(algebra) -> Element:
+    return basis_element(algebra, 0, 0)
+
+
+def element(algebra, degree: int, names) -> Element:
+    """The sum of the named basis elements of the given degree."""
+    return Element(degree, from_ones(algebra.names(degree).index(name) for name in names))
+
+
+def add(x: Element, y: Element) -> Element:
+    if x.degree != y.degree:
+        raise ValueError("cannot add elements of different degrees")
+    return Element(x.degree, x.coeffs ^ y.coeffs)
+
+
+def times(algebra, a: int, z: Element) -> Mat2:
+    """Matrix of y -> y z on degree a: row i is basis element i times z."""
+    if isinstance(algebra, KunnethAlgebra):
+        return algebra.times(a, z)
+    table = algebra.mult.get((a, z.degree))
+    if table is None:
+        return Mat2(algebra.dim(a), algebra.dim(a + z.degree))
+    return Mat2(len(table), algebra.dim(a + z.degree), [xor_rows(row, z.coeffs) for row in table])
+
+
+def mul(algebra, x: Element, y: Element) -> Element:
+    """Product; degrees above the top are zero."""
+    return Element(x.degree + y.degree, xor_rows(times(algebra, x.degree, y).data, x.coeffs))
+
+
+def cross(square: KunnethAlgebra, x: Element, y: Element) -> Element:
+    """External product x|y of two factor-ring elements, at its block of the square's basis."""
+    n, width = x.degree + y.degree, square.factor.dim(y.degree)
+    start = square.offset[n][x.degree]
+    return Element(n, from_ones(start + s * width + t for s in ones(x.coeffs) for t in ones(y.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -44,7 +92,7 @@ class Subspace:
         elif all(isinstance(v, int) for v in vectors):
             m = Mat2(len(vectors), ambient_dim, list(vectors))
         else:
-            m = Mat2.from_rows(vectors, cols=ambient_dim)
+            m = from_rows(vectors, cols=ambient_dim)
         if m.cols != ambient_dim:
             raise ValueError("vector width does not match the ambient dimension")
         R, piv = rref(m)
@@ -122,9 +170,9 @@ class QuotientDegree:
 def kernel_subspace(square: KunnethAlgebra, q: int) -> Subspace:
     """Span of (x cross 1) d, x over a basis of the factor ring in degree q-2."""
     ring = square.factor
-    one = ring.unit()
+    one = unit(ring)
     rows = [
-        square.mul(square.cross(ring.basis_element(q - 2, i), one), square.diagonal).coeffs
+        mul(square, cross(square, basis_element(ring, q - 2, i), one), square.diagonal).coeffs
         for i in range(ring.dim(q - 2))
     ]
     return Subspace.spanned_by(square.dim(q), rows) if rows else Subspace.zero(square.dim(q))

@@ -5,7 +5,7 @@ golden bytes of its surfaces and, in a traced run, when the spans the
 tracer writes form one tree.  This runs the same checks here with
 perfbench's own `workloads` and `layers` modules: each workload at two
 seeds through `python -m conf2`, in a temporary root laid out as
-perfbench lays out its work directory, and `oracle_sweep` once under
+perfbench lays out its work directory, and each workload once under
 `perfbench/tracer.py`.  The traced run must give the same bytes, one
 root span, every span inside its parent, no negative self time, every
 traced name installed, and per-layer metrics named exactly as the
@@ -51,10 +51,11 @@ def test_cli_reports_equal_the_golden_bytes(workload, seed, tmp_path):
     assert proc.stdout == expected
 
 
-def test_traced_sweep_equals_the_golden_bytes_and_spans_form_one_tree(tmp_path):
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_traced_run_equals_the_golden_bytes_and_spans_form_one_tree(workload, tmp_path):
     spans_path = tmp_path / "spans.json"
     argv = [sys.executable, str(PERFBENCH / "tracer.py"), "--spans", str(spans_path), "--"]
-    proc, expected = run(argv, "oracle_sweep", SEEDS[0], tmp_path)
+    proc, expected = run(argv, workload, SEEDS[0], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
 
@@ -69,6 +70,6 @@ def test_traced_sweep_equals_the_golden_bytes_and_spans_form_one_tree(tmp_path):
     names = {name for _, _, name, _ in tracer.PATCHES}
     assert len(names) == 21
     assert set(trace["installed"]) == names
-    metrics = layers.layer_metrics(trace, len(workloads.ORACLE_SWEEP))
+    metrics = layers.layer_metrics(trace, len(json.loads(proc.stdout)["reports"]))
     assert len(PER_LAYER) == 45
     assert sorted([*metrics, "trace.overhead_s"]) == PER_LAYER

@@ -175,6 +175,18 @@ def test_norm_classes_span_ker_alpha(label, ranks):
     assert norm_check(builtin_triangulation(SurfaceKind.from_label(label))) == ranks
 
 
+def test_norm_check_needs_restriction_to_be_onto():
+    """On the theta graph (K4 minus an edge) H^1 of the deleted product has dim 5 but H^1(K x K) only 4.
+
+    Restriction from K x K is not onto there, so the norm classes cannot
+    span ker alpha and the check raises on correct input: its premise
+    holds for closed manifolds, not for every complex.
+    """
+    theta = SimplicialComplex(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    with pytest.raises(RuntimeError, match="^norm map check fails in degree 1: the norm classes span 2 dimensions, ker alpha has 3$"):
+        norm_check(theta)
+
+
 def test_norm_check_rejects_a_corrupted_alpha():
     K = builtin_triangulation(SurfaceKind.orientable(1))
     module = borel_module(K)

@@ -12,17 +12,25 @@ it replaced must not run at all, and the orbit complex and its
 connecting map come from one walk over K, so the product face rule
 that the deleted-product reference applies cell by cell must not run
 either.  The orbit complex's cell counts per degree are pinned exactly.
+The oracle runs on `irreducible(K)`: the sweep's builtins come back
+unchanged, and the benchmark's file inputs contract to the same cell
+counts as the minimal triangulations of their surfaces.
 """
 
 import functools
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
 from conf2 import borel, cells, gf2
 from conf2.report import RunConfig, run_pipeline
-from conf2.simplicial import builtin_triangulation
+from conf2.simplicial import builtin_triangulation, irreducible, read_triangulation
 from conf2.surfaces import SurfaceKind
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 SWEEP = ("sphere", "orientable:1", "orientable:2", "nonorientable:1", "nonorientable:2", "nonorientable:3")
 # (calls, operand bits) measured on the sweep when the budgets were set.
@@ -37,6 +45,12 @@ QUOTIENT_CELLS = {
     "nonorientable:1": (15, 60, 75, 30, 0),
     "nonorientable:2": (36, 189, 315, 198, 36),
     "nonorientable:3": (66, 390, 738, 540, 127),
+}
+# Cells per degree of quotient_complex(irreducible(K)) for the file_oracle inputs.
+FILE_QUOTIENT_CELLS = {
+    "sphere_subdivided.tri": (6, 12, 7, 0, 0),
+    "torus.tri": (21, 105, 161, 84, 7),
+    "rp2.tri": (15, 60, 75, 30, 0),
 }
 
 
@@ -91,3 +105,19 @@ def test_sweep_does_not_apply_the_product_face_rule(sweep_counts):
 def test_quotient_cell_counts(label):
     K = builtin_triangulation(SurfaceKind.from_label(label))
     assert cells.quotient_complex(K).cell_counts() == QUOTIENT_CELLS[label]
+
+
+@pytest.mark.parametrize("label", SWEEP)
+def test_sweep_builtins_are_irreducible(label):
+    K = builtin_triangulation(SurfaceKind.from_label(label))
+    assert irreducible(K) is K
+
+
+@pytest.mark.parametrize("seed", (3, 4))
+def test_file_inputs_contract_to_minimal_cell_counts(seed, tmp_path):
+    invocation = workloads.make_invocation("file_oracle", seed, tmp_path / "inputs", tmp_path)
+    files = {Path(label).name: read_triangulation(tmp_path / label) for label in invocation.labels}
+    assert {name: cells.quotient_complex(irreducible(K)).cell_counts() for name, K in files.items()} == FILE_QUOTIENT_CELLS
+    # The subdivided sphere's orbit complex shrinks from 1,969 cells to the 25 of the tetrahedron's.
+    assert sum(cells.quotient_complex(files["sphere_subdivided.tri"]).cell_counts()) == 1969
+    assert sum(FILE_QUOTIENT_CELLS["sphere_subdivided.tri"]) == 25

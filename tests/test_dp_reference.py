@@ -19,7 +19,6 @@ triangulation of M is an equivariant deformation retract of Conf(2, M),
 so its cohomology with the swap depends on M alone.
 """
 
-import random
 from functools import lru_cache
 
 import pytest
@@ -30,11 +29,11 @@ from conf2.simplicial import (
     SimplicialComplex,
     barycentric_subdivide,
     builtin_triangulation,
-    format_triangulation,
     read_triangulation,
 )
 from conf2.surfaces import SurfaceKind
 from dp_reference import builtin_reference, check_smith_gysin, conf_rows, orbit_quotient, transfer_phi
+from tri_reference import format_triangulation, relabelled
 
 BUILTIN = (
     "sphere",
@@ -54,15 +53,6 @@ NOT_SURFACES = {
     "two disjoint edges": SimplicialComplex(4, [(0, 1), (2, 3)]),
     "isolated vertex beside a triangle": SimplicialComplex(4, [(0, 1, 2), (3,)]),
 }
-
-
-def relabelled(K: SimplicialComplex, seed: int) -> SimplicialComplex:
-    rng = random.Random(seed)
-    perm = list(range(K.vertex_count))
-    rng.shuffle(perm)
-    facets = [[perm[v] for v in f] for f in K.facets]
-    rng.shuffle(facets)
-    return SimplicialComplex(K.vertex_count, facets)
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,15 @@ import json
 
 import pytest
 
-from conf2.borel import Tower, equivariant_cochain_complex
-from conf2.cells import CohomologyResult
+from conf2 import simplicial
+from conf2.borel import (
+    Tower,
+    cover_counts,
+    equivariant_cochain_complex,
+    equivariant_cohomology_with_alpha,
+    sw_height,
+)
+from conf2.cells import CohomologyResult, cohomology_f2, quotient_complex
 from conf2.cli import main
 from conf2.conf_symbolic import ConfCohomology, ConfRow, conf_cohomology
 from conf2.gf2 import Mat2
@@ -21,8 +28,9 @@ from conf2.report import (
     _oracle_side,
     run_pipeline,
 )
-from conf2.simplicial import builtin_triangulation, format_triangulation
+from conf2.simplicial import barycentric_subdivide, builtin_triangulation
 from conf2.surfaces import SurfaceKind
+from tri_reference import format_triangulation, relabelled
 
 
 def _run(*surfaces, **kw):
@@ -188,6 +196,30 @@ def test_oracle_and_closed_form_give_equal_rows(label):
     assert rows == conf_cohomology(kind).rows
 
 
+@pytest.mark.parametrize("label", ["sphere", "nonorientable:1", "orientable:1"])
+def test_oracle_side_on_the_contraction_equals_the_stages_on_the_file(label):
+    """_oracle_side contracts K first; the stages run on K itself must give the same answers."""
+    K = relabelled(barycentric_subdivide(builtin_triangulation(SurfaceKind.from_label(label))), seed=17)
+    rows, uconf, checks = _oracle_side(K, K.euler)
+    Q = quotient_complex(K)
+    A = equivariant_cohomology_with_alpha(equivariant_cochain_complex(Q), cohomology_f2(Q))
+    counts = cover_counts(A) + [(0, 0)] * 5
+    assert rows == [ConfRow(q, dim, dim - 2 * free, free) for q, (dim, free) in enumerate(counts[:5])]
+    assert uconf == UConfSummary(dims=tuple(A.dims[:5]), towers=tuple(A.towers), height=sw_height(A))
+    assert all(c.passed for c in checks)
+
+
+def test_corrupted_contraction_is_error_record(tmp_path, monkeypatch):
+    path = tmp_path / "torus.tri"
+    path.write_text(format_triangulation(barycentric_subdivide(builtin_triangulation(SurfaceKind.orientable(1)))))
+    # contract every edge, whether or not it meets the link condition
+    monkeypatch.setattr(simplicial, "_link_condition", lambda nbrs, a, b: True)
+    reports = _run(("file", str(path)), ("kind", "sphere"))
+    assert reports[0].error == "edge contraction changed the surface (42 vertices to 4)"
+    assert reports[1].error is None
+    assert exit_code(reports) == 0
+
+
 def test_no_oracle_runs_symbolic_only():
     (r,) = _run(("kind", "orientable:2"), oracle_enabled=False)
     assert r.uconf is None
@@ -203,7 +235,7 @@ def test_no_oracle_runs_symbolic_only():
 
 def test_bad_label_is_error_record():
     reports = _run(("kind", "orientable:0"), ("kind", "sphere"))
-    assert reports[0].error is not None
+    assert reports[0].error == "bad surface label: 'orientable:0' (orientable genus must be at least 1)"
     assert reports[1].error is None
     assert exit_code(reports) == 0
 

@@ -1,8 +1,10 @@
-"""Triangulations: validation, built-ins, sums, subdivision, file format."""
+"""Triangulations: validation, built-ins, sums, subdivision, orientability, edge contraction, file format."""
 
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conf2 import simplicial
 from conf2.simplicial import (
@@ -10,12 +12,25 @@ from conf2.simplicial import (
     barycentric_subdivide,
     builtin_triangulation,
     connected_sum,
-    format_triangulation,
+    irreducible,
+    is_orientable,
     parse_triangulation,
     read_triangulation,
     validate_surface,
 )
 from conf2.surfaces import SurfaceKind
+from tri_reference import format_triangulation, relabelled
+
+BUILTINS = ("sphere", "orientable:1", "orientable:2", "orientable:3", "nonorientable:1", "nonorientable:2", "nonorientable:3")
+# Vertex counts an irreducible triangulation can have: the sphere's is the
+# tetrahedron; RP2 has two (Barnette 1982), the torus 21 with 7 to 10
+# vertices (Lawrencenko 1987); the Klein bottle needs at least 8 (Franklin).
+IRREDUCIBLE_VERTICES = {
+    "sphere": range(4, 5),
+    "nonorientable:1": range(6, 8),
+    "orientable:1": range(7, 11),
+    "nonorientable:2": range(8, 1 << 20),
+}
 
 
 def tetrahedron() -> SimplicialComplex:
@@ -182,6 +197,58 @@ def test_subdivision_preserves_betti(kind):
 def test_subdivision_of_edge_facets():
     K = barycentric_subdivide(SimplicialComplex(2, [(0, 1)]))
     assert K.counts() == (3, 2, 0)
+
+
+def subdivided(label: str, times: int, seed: int | None = None) -> SimplicialComplex:
+    K = builtin_triangulation(SurfaceKind.from_label(label))
+    for _ in range(times):
+        K = barycentric_subdivide(K)
+    return K if seed is None else relabelled(K, seed)
+
+
+def contractible_edges(K: SimplicialComplex) -> list[tuple[int, int]]:
+    """The edges whose ends share exactly two neighbours, the link condition on a closed surface."""
+    nbrs = [set() for _ in range(K.vertex_count)]
+    for a, b in K.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return [(a, b) for a, b in K.edges if len(nbrs[a] & nbrs[b]) == 2]
+
+
+@pytest.mark.parametrize("label", BUILTINS)
+def test_orientability_follows_the_family(label):
+    kind = SurfaceKind.from_label(label)
+    K = builtin_triangulation(kind)
+    assert is_orientable(K) == (kind.family != "nonorientable")
+    assert is_orientable(subdivided(label, 1, seed=5)) == is_orientable(K)
+
+
+def test_tetrahedron_is_irreducible():
+    K = tetrahedron()
+    assert irreducible(K) is K
+
+
+@settings(max_examples=40, deadline=None)
+@given(label=st.sampled_from(sorted(IRREDUCIBLE_VERTICES)), times=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_contraction_keeps_the_surface_and_ends_irreducible(label, times, seed):
+    K = subdivided(label, times, seed)
+    L = irreducible(K)
+    info = validate_surface(L)
+    assert info["closed"] and info["connected"]
+    assert L.euler == K.euler
+    assert is_orientable(L) == is_orientable(K) == (not label.startswith("non"))
+    assert L.vertex_count in IRREDUCIBLE_VERTICES[label]
+    # irreducible: no edge is left that could contract
+    assert L.vertex_count == 4 or not contractible_edges(L)
+    assert irreducible(L) is L
+
+
+@pytest.mark.parametrize("times,vertices", [(1, 9), (2, 9), (3, 8)])
+def test_klein_bottle_contracts_to_a_fixed_count(times, vertices):
+    """The contraction order is fixed, so the subdivided builtin Klein bottle always ends at the same size."""
+    L = irreducible(subdivided("nonorientable:2", times))
+    assert L.vertex_count == vertices
+    assert irreducible(subdivided("nonorientable:2", times)).facets == L.facets
 
 
 def test_format_parse_roundtrip():
