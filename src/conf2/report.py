@@ -115,8 +115,9 @@ class SurfaceReport:
 def run_pipeline(cfg: RunConfig) -> list[SurfaceReport]:
     """One report per requested surface, in input order.
 
-    A surface that fails (unreadable file, invalid complex) contributes
-    an error record; the remaining surfaces still run.
+    A surface that fails (unreadable file, invalid complex, any other
+    Exception, named by its type) contributes an error record; the
+    remaining surfaces still run.  KeyboardInterrupt ends the run.
     """
     reports: list[SurfaceReport] = []
     for source, value in cfg.surfaces:
@@ -124,6 +125,8 @@ def run_pipeline(cfg: RunConfig) -> list[SurfaceReport]:
             report = _surface_report(source, value, cfg)
         except (ValueError, RuntimeError) as exc:
             report = SurfaceReport(surface=value, error=str(exc))
+        except Exception as exc:
+            report = SurfaceReport(surface=value, error=f"{type(exc).__name__}: {exc}")
         if cfg.paper_check and report.error is None:
             report.paper_checked = True
             report.discrepancies = paper_check(report)
@@ -143,9 +146,8 @@ def _surface_report(source: str, value: str, cfg: RunConfig) -> SurfaceReport:
             f"{value}: not a closed connected surface "
             f"(closed={info['closed']}, connected={info['connected']})"
         )
-    b0, b1, b2 = info["betti"]
-    if (b0, b2) != (1, 1):
-        raise ValueError(f"{value}: unexpected Betti numbers {(b0, b1, b2)}")
+    # Mod-2 Poincare duality: a closed connected surface has Betti numbers (1, 2 - euler, 1).
+    b1 = 2 - info["euler"]
     if b1 == 0:
         return _kind_report(SurfaceKind.sphere(), value, K, cfg)
     if b1 % 2 == 1:
@@ -210,11 +212,10 @@ def _symbolic_checks(sym: ConfCohomology, chi: int) -> list[CheckRecord]:
 def _oracle_side(K: SimplicialComplex, chi: int) -> tuple[list[ConfRow], UConfSummary, list[CheckRecord]]:
     """Conf rows, the unordered summary and the oracle's check records for a triangulation.
 
-    They depend on the surface alone, so they are computed on
-    `irreducible(K)`.  The deleted product is never built: its Euler
-    characteristic is counted from the disjoint pairs.  Failed checks
-    that raise (the contraction, the connecting map, alpha, the norm
-    map) become the surface's error record.
+    They depend on the surface alone, so they are computed on `irreducible(K)`, vertex-minimal wherever
+    its flips reach the bound.  The deleted product is never built: its Euler characteristic is counted
+    from the disjoint pairs.  Failed checks that raise (the reduction, the connecting map, alpha, the
+    norm map) become the surface's error record.
     """
     K = irreducible(K)
     conf_chi = chi * chi - chi

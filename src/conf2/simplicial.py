@@ -1,10 +1,10 @@
 """Finite simplicial complexes and shipped surface triangulations.
 
 Complexes are given by facets of up to three vertices and closed
-downward.  The surface check (every edge in two triangles, every vertex
-link a single cycle, connected) gates what needs a closed surface:
-connected sums, edge contractions down to an irreducible triangulation,
-and the oracle.  Built-in triangulations are loaded from data files and
+downward.  The surface check (every vertex link a single cycle,
+connected) gates connected sums and the oracle's reduction, which
+contracts edges and makes seeded 2-2 flips down to the surface's vertex
+bound.  Built-in triangulations are loaded from data files and
 re-validated; higher genus and crosscap counts come by connected sum.
 """
 
@@ -13,10 +13,11 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import chain, combinations, count
 from pathlib import Path
+from random import Random
 
-from .gf2 import Mat2, rank
+from .gf2 import Mat2
 from .surfaces import SurfaceKind
 
 __all__ = [
@@ -30,6 +31,9 @@ __all__ = [
     "parse_triangulation",
     "read_triangulation",
 ]
+
+# irreducible's flip search: seeds tried, and flips per seed for each vertex above the bound.
+FLIP_SEEDS, FLIPS_PER_VERTEX = 8, 200
 
 
 class SimplicialComplex:
@@ -111,79 +115,38 @@ class SimplicialComplex:
         self._boundaries[d] = out
         return out
 
-    def betti(self) -> tuple[int, int, int]:
-        """F2 Betti numbers (b0, b1, b2)."""
-        r1 = rank(self.boundary_matrix(1))
-        r2 = rank(self.boundary_matrix(2))
-        v, e, t = self.counts()
-        return (v - r1, e - r1 - r2, t - r2)
 
-    def component_count(self) -> int:
-        adjacency = defaultdict(list)
-        for a, b in self.edges:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        seen = [False] * self.vertex_count
-        parts = 0
-        for start in range(self.vertex_count):
-            if seen[start]:
-                continue
-            parts += 1
-            stack = [start]
-            seen[start] = True
-            while stack:
-                v = stack.pop()
-                for w in adjacency[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-        return parts
-
-
-def _links_are_single_cycles(K: SimplicialComplex) -> bool:
-    link: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
-    for a, b, c in K.triangles:
-        link[a][b].append(c)
-        link[a][c].append(b)
-        link[b][a].append(c)
-        link[b][c].append(a)
-        link[c][a].append(b)
-        link[c][b].append(a)
-    for v in range(K.vertex_count):
-        graph = link.get(v)
-        if not graph:
-            return False
-        if any(len(nbrs) != 2 for nbrs in graph.values()):
-            return False
-        start = next(iter(graph))
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in graph[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(graph):
-            return False
-    return True
+def _connected(graph: dict) -> bool:
+    """Whether a graph, a dict from each vertex to its neighbours, is non-empty and connected."""
+    seen, stack = set(), list(graph)[:1]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(graph[v])
+    return bool(graph) and len(seen) == len(graph)
 
 
 def validate_surface(K: SimplicialComplex) -> dict:
-    """Closed-surface report: closed, connected, euler, betti."""
-    pure = all(len(f) == 3 for f in K.facets) and len(K.facets) > 0
-    edge_count: dict[tuple[int, int], int] = defaultdict(int)
+    """Closed-surface report: closed, connected, euler.
+
+    Closed: only triangle facets, and every vertex link one cycle (so
+    every edge lies in two triangles).  A closed connected surface has
+    mod-2 Betti numbers (1, 2 - euler, 1), so none are computed.
+    """
+    link: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
     for t in K.triangles:
-        for e in combinations(t, 2):
-            edge_count[e] += 1
-    edges_ok = pure and all(edge_count[e] == 2 for e in K.edges)
-    closed = edges_ok and _links_are_single_cycles(K)
-    return {
-        "closed": closed,
-        "connected": K.component_count() == 1,
-        "euler": K.euler,
-        "betti": K.betti(),
-    }
+        for i, v in enumerate(t):
+            x, y = t[:i] + t[i + 1 :]
+            link[v][x].append(y)
+            link[v][y].append(x)
+    pure = len(K.facets) > 0 and all(len(f) == 3 for f in K.facets) and len(link) == K.vertex_count
+    cycles = all(len(ends) == 2 for g in link.values() for ends in g.values()) and all(map(_connected, link.values()))
+    skeleton: dict[int, list[int]] = {v: [] for v in range(K.vertex_count)}
+    for x, y in K.edges:
+        skeleton[x].append(y)
+        skeleton[y].append(x)
+    return {"closed": pure and cycles, "connected": _connected(skeleton), "euler": K.euler}
 
 
 # -- file format ------------------------------------------------------------
@@ -260,19 +223,14 @@ def builtin_triangulation(kind: SurfaceKind) -> SimplicialComplex:
     """Validated triangulation of the requested homeomorphism type."""
     if kind.family == "sphere":
         K = _load_data("sphere.tri")
-        expected = (1, 0, 1)
-    elif kind.family == "orientable":
-        K = _load_data("torus.tri")
-        for _ in range(kind.param - 1):
-            K = connected_sum(K, _load_data("torus.tri"))
-        expected = (1, 2 * kind.param, 1)
     else:
-        K = _load_data("rp2.tri")
+        piece = "torus.tri" if kind.family == "orientable" else "rp2.tri"
+        K = _load_data(piece)
         for _ in range(kind.param - 1):
-            K = connected_sum(K, _load_data("rp2.tri"))
-        expected = (1, kind.param, 1)
+            K = connected_sum(K, _load_data(piece))
     report = validate_surface(K)
-    if not (report["closed"] and report["connected"] and report["betti"] == expected):
+    orientable = kind.family != "nonorientable"
+    if not (report["closed"] and report["connected"] and K.euler == kind.euler and is_orientable(K) == orientable):
         raise RuntimeError(f"built-in triangulation failed validation for {kind.label}")
     return K
 
@@ -368,39 +326,28 @@ def _link_condition(nbrs: list[set[int]], a: int, b: int) -> bool:
     return len(nbrs[a] & nbrs[b]) == 2
 
 
-def irreducible(K: SimplicialComplex) -> SimplicialComplex:
-    """An irreducible triangulation of the closed surface K, by edge contractions.
-
-    While more than 4 vertices are left, the lowest vertex b on a work
-    list is contracted onto its lowest neighbour a whose edge ab meets
-    the link condition, which keeps the PL type; then a and b's other
-    neighbours, whose neighbours changed, go on the list.  Survivors keep
-    their order.  K comes back when nothing contracts; otherwise the
-    result must be a closed connected surface with K's Euler
-    characteristic and orientability, or RuntimeError is raised.
-    """
-    n = K.vertex_count
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    star: list[set[tuple[int, ...]]] = [set() for _ in range(n)]
-    for t in K.triangles:
+def _replace(star: list[set[tuple[int, ...]]], old, new) -> None:
+    """Take the triangles `old` out of their vertices' stars and put the triangles `new` in."""
+    for t in old:
+        for v in t:
+            star[v].discard(t)
+    for t in new:
         for v in t:
             star[v].add(t)
-            nbrs[v].update(w for w in t if w != v)
-    queue, queued, alive = list(range(n)), set(range(n)), n
+
+
+def _contract(nbrs: list[set[int]], star: list[set[tuple[int, ...]]], queue, alive: int) -> int:
+    """Contract edges while more than 4 vertices are alive, and return how many are: the lowest listed vertex
+    b goes onto its lowest neighbour meeting the link condition, and b's neighbours go on the list."""
+    queue = sorted(queued := set(queue))
     while queue and alive > 4:
         b = heappop(queue)
         queued.discard(b)
         a = next((a for a in sorted(nbrs[b]) if _link_condition(nbrs, a, b)), None)
         if a is None:
             continue
-        moved, star[b] = star[b], set()
-        for t in moved:
-            for v in t:
-                star[v].discard(t)
-            if a not in t:
-                merged = tuple(sorted(a if v == b else v for v in t))
-                for v in merged:
-                    star[v].add(merged)
+        moved = list(star[b])
+        _replace(star, moved, [tuple(sorted(a if v == b else v for v in t)) for t in moved if a not in t])
         changed, nbrs[b] = nbrs[b], set()
         for c in changed:
             nbrs[c].discard(b)
@@ -411,11 +358,86 @@ def irreducible(K: SimplicialComplex) -> SimplicialComplex:
         for v in changed - queued:
             heappush(queue, v)
         queued |= changed
-    if alive == n:
+    return alive
+
+
+def _flips_at(nbrs: list[set[int]], star: list[set[tuple[int, ...]]], v: int) -> list[tuple[int, int, int, int]]:
+    """The 2-2 flips (v, a, c, d) of the edges va, c and d opposite va, that keep a surface: cd is no edge
+    and v and a keep degree 3."""
+    link = defaultdict(list)
+    for t in star[v]:
+        x, y = t[: t.index(v)] + t[t.index(v) + 1 :]
+        link[x].append(y)
+        link[y].append(x)
+    degree = len(nbrs[v])
+    return [(v, a, c, d) for a, (c, d) in sorted(link.items()) if min(degree, len(nbrs[a])) > 3 and d not in nbrs[c]]
+
+
+def _productive(nbrs: list[set[int]], v: int, a: int, c: int, d: int) -> bool:
+    """After flipping va to cd an edge contracts: cd, or vz or az for another common neighbour z of v and a."""
+    others = nbrs[v] & nbrs[a] - {c, d}
+    return len(nbrs[c] & nbrs[d]) == 2 or any(3 in (len(nbrs[v] & nbrs[z]), len(nbrs[a] & nbrs[z])) for z in others)
+
+
+def _flip(nbrs: list[set[int]], star: list[set[tuple[int, ...]]], rng: Random) -> tuple[int, ...] | None:
+    """One seeded 2-2 flip, abc and abd to acd and bcd, returning (a, b, c, d), or None when there is none:
+    with probability 0.8 at a vertex of lowest degree, else (or when that has none) at the next vertex with
+    one from a random place in vertex order; a flip after which an edge contracts is preferred."""
+    alive = [v for v, s in enumerate(nbrs) if s]
+    low = min(len(nbrs[v]) for v in alive)
+    first = [rng.choice([v for v in alive if len(nbrs[v]) == low])] if rng.random() < 0.8 else []
+    k = rng.randrange(len(alive))
+    for v in chain(first, alive[k:], alive[:k]):
+        moves = _flips_at(nbrs, star, v)
+        if moves:
+            a, b, c, d = move = rng.choice([m for m in moves if _productive(nbrs, *m)] or moves)
+            _replace(star, star[a] & star[b], [tuple(sorted((a, c, d))), tuple(sorted((b, c, d)))])
+            nbrs[a].discard(b)
+            nbrs[b].discard(a)
+            nbrs[c].add(d)
+            nbrs[d].add(c)
+            return move
+    return None
+
+
+def irreducible(K: SimplicialComplex) -> SimplicialComplex:
+    """An irreducible triangulation of the closed surface K, with as few vertices as a seeded search finds.
+
+    Edges contract under the link condition.  Above the surface's vertex bound, seeds 0, 1, ... each run
+    from there, alternating a 2-2 flip with contraction from the four flipped vertices (only their edges
+    can have become contractible) up to the bound or a step budget; the first seed at the bound, else the
+    fewest vertices, wins.  The bound is the least n >= 4 with n(n-1)/2 >= 3(n - chi) (Heawood), plus one
+    for the orientable chi = -2 and the nonorientable chi = 0 and -1 (Ringel; Jungerman and Ringel), so
+    orientability is computed only above it.  K comes back when nothing contracts; otherwise the result
+    must be a closed connected surface with K's Euler characteristic and orientability, or RuntimeError.
+    """
+    n, chi = K.vertex_count, K.euler
+    star: list[set[tuple[int, ...]]] = [set() for _ in range(n)]
+    for t in K.triangles:
+        for v in t:
+            star[v].add(t)
+    nbrs = [{w for t in s for w in t} - {v} for v, s in enumerate(star)]
+    best = (alive := _contract(nbrs, star, range(n), n), nbrs, star)
+    bound = next(m for m in count(4) if m * (m - 1) >= 6 * (m - chi))
+    orientable = is_orientable(K) if alive > bound else None
+    bound += (chi, orientable) in ((0, False), (-1, False), (-2, True))
+    for seed in range(FLIP_SEEDS if alive > bound else 0):
+        rng, nb, st, left = Random(seed), [set(s) for s in nbrs], [set(s) for s in star], alive
+        for _ in range(FLIPS_PER_VERTEX * (alive - bound)):
+            move = left > bound and _flip(nb, st, rng)
+            if not move:
+                break
+            left = _contract(nb, st, move, left)
+        best = min(best, (left, nb, st), key=lambda b: b[0])
+        if left <= bound:
+            break
+    left, nbrs, star = best
+    if left == n:
         return K
     new = {v: i for i, v in enumerate(v for v in range(n) if nbrs[v])}
-    out = SimplicialComplex(len(new), {tuple(new[v] for v in t) for v in new for t in star[v]})
+    out = SimplicialComplex(len(new), [tuple(new[v] for v in t) for t in set().union(*star)])
     info = validate_surface(out)
-    if not (info["closed"] and info["connected"] and out.euler == K.euler and is_orientable(out) == is_orientable(K)):
+    orientable = is_orientable(K) if orientable is None else orientable
+    if not (info["closed"] and info["connected"] and out.euler == chi and is_orientable(out) == orientable):
         raise RuntimeError(f"edge contraction changed the surface ({n} vertices to {len(new)})")
     return out

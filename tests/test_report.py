@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conf2 import report as report_module
 from conf2 import simplicial
 from conf2.borel import (
     Tower,
@@ -218,6 +219,50 @@ def test_corrupted_contraction_is_error_record(tmp_path, monkeypatch):
     assert reports[0].error == "edge contraction changed the surface (42 vertices to 4)"
     assert reports[1].error is None
     assert exit_code(reports) == 0
+
+
+def _flips_ignoring_the_edge_rule(nbrs, star, v):
+    """simplicial._flips_at without its rule that the new edge cd is not an edge already."""
+    link = {}
+    for t in star[v]:
+        x, y = (w for w in t if w != v)
+        link.setdefault(x, []).append(y)
+        link.setdefault(y, []).append(x)
+    return [(v, a, c, d) for a, (c, d) in sorted(link.items()) if len(nbrs[a]) > 3] if len(nbrs[v]) > 3 else []
+
+
+def test_corrupted_flip_is_error_record(monkeypatch):
+    # orientable:2's builtin triangulation has 11 vertices, one above its bound, so only flips can reduce it
+    monkeypatch.setattr(simplicial, "_flips_at", _flips_ignoring_the_edge_rule)
+    reports = _run(("kind", "orientable:2"), ("kind", "sphere"))
+    assert reports[0].error == "edge contraction changed the surface (11 vertices to 10)"
+    assert reports[1].error is None
+    assert exit_code(reports) == 0
+
+
+def test_unexpected_exception_is_error_record(monkeypatch):
+    def fails_on_the_torus(K):
+        if K.vertex_count == 7:
+            raise KeyError("no such cell")
+        return quotient_complex(K)
+
+    monkeypatch.setattr(report_module, "quotient_complex", fails_on_the_torus)
+    reports = _run(("kind", "orientable:1"), ("kind", "sphere"), paper_check=True)
+    assert reports[0].error == "KeyError: 'no such cell'"
+    assert not reports[0].paper_checked
+    assert reports[1].error is None and all(c.passed for c in reports[1].checks)
+    # a surface ran clean, so the run exits 0; a run whose only surface failed exits 2
+    assert exit_code(reports) == 0
+    assert exit_code(_run(("kind", "orientable:1"))) == 2
+
+
+def test_keyboard_interrupt_ends_the_run(monkeypatch):
+    def interrupted(K):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(report_module, "quotient_complex", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _run(("kind", "sphere"))
 
 
 def test_no_oracle_runs_symbolic_only():

@@ -1,6 +1,11 @@
-"""Triangulations: validation, built-ins, sums, subdivision, orientability, edge contraction, file format."""
+"""Triangulations: validation, built-ins, sums, subdivision, orientability, the reduction to the vertex bound, file format."""
 
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,18 +24,20 @@ from conf2.simplicial import (
     validate_surface,
 )
 from conf2.surfaces import SurfaceKind
-from tri_reference import format_triangulation, relabelled
+from tri_reference import betti, contractible_edges, format_triangulation, relabelled
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 BUILTINS = ("sphere", "orientable:1", "orientable:2", "orientable:3", "nonorientable:1", "nonorientable:2", "nonorientable:3")
-# Vertex counts an irreducible triangulation can have: the sphere's is the
-# tetrahedron; RP2 has two (Barnette 1982), the torus 21 with 7 to 10
-# vertices (Lawrencenko 1987); the Klein bottle needs at least 8 (Franklin).
-IRREDUCIBLE_VERTICES = {
-    "sphere": range(4, 5),
-    "nonorientable:1": range(6, 8),
-    "orientable:1": range(7, 11),
-    "nonorientable:2": range(8, 1 << 20),
-}
+# The fewest vertices a triangulation of each surface can have, which
+# `irreducible` reaches: the tetrahedron, the 6-vertex RP2, the 7-vertex
+# torus and the 8-vertex Klein bottle (Franklin).  The irreducible
+# triangulations that contraction alone stops at have 6 or 7 vertices for
+# RP2 (Barnette 1982) and 7 to 10 for the torus (Lawrencenko 1987).
+IRREDUCIBLE_VERTICES = {"sphere": 4, "nonorientable:1": 6, "orientable:1": 7, "nonorientable:2": 8}
+# The surfaces whose fewest vertices exceed the Heawood number (Ringel 1955;
+# Jungerman and Ringel 1980).
+HEAWOOD_EXCEPTIONS = {"orientable:2": 10, "nonorientable:2": 8, "nonorientable:3": 9}
+REDUCED_BUILTINS = [f"{family}:{n}" for family in ("orientable", "nonorientable") for n in (*range(1, 9), 12, 16)]
 
 
 def tetrahedron() -> SimplicialComplex:
@@ -61,7 +68,7 @@ def test_tetrahedron_is_a_sphere():
     report = validate_surface(tetrahedron())
     assert report["closed"] and report["connected"]
     assert report["euler"] == 2
-    assert report["betti"] == (1, 0, 1)
+    assert betti(tetrahedron()) == (1, 0, 1)
 
 
 def test_single_triangle_is_not_closed():
@@ -77,7 +84,16 @@ def test_disjoint_spheres_are_closed_but_disconnected():
     report = validate_surface(K)
     assert report["closed"]
     assert not report["connected"]
-    assert report["betti"][0] == 2
+    assert betti(K)[0] == 2
+
+
+def test_pinched_spheres_are_not_closed():
+    """Two tetrahedra sharing vertex 0: every edge lies in two triangles, but the link of 0 is two cycles."""
+    K1 = tetrahedron()
+    other = [tuple(0 if v == 0 else v + 3 for v in f) for f in K1.facets]
+    report = validate_surface(SimplicialComplex(7, list(K1.facets) + other))
+    assert not report["closed"]
+    assert report["connected"]
 
 
 def test_edge_complex_not_closed():
@@ -89,25 +105,25 @@ def test_builtin_sphere():
     K = builtin_triangulation(SurfaceKind.sphere())
     assert K.counts() == (4, 6, 4)
     assert K.euler == 2
-    assert K.betti() == (1, 0, 1)
+    assert betti(K) == (1, 0, 1)
 
 
 def test_builtin_torus():
     K = builtin_triangulation(SurfaceKind.orientable(1))
     assert K.counts() == (7, 21, 14)
     assert K.euler == 0
-    assert K.betti() == (1, 2, 1)
+    assert betti(K) == (1, 2, 1)
 
 
 def test_builtin_projective_plane():
     K = builtin_triangulation(SurfaceKind.nonorientable(1))
     assert K.counts() == (6, 15, 10)
     assert K.euler == 1
-    assert K.betti() == (1, 1, 1)
+    assert betti(K) == (1, 1, 1)
 
 
 @pytest.mark.parametrize(
-    "kind,betti",
+    "kind,expected",
     [
         (SurfaceKind.orientable(2), (1, 4, 1)),
         (SurfaceKind.orientable(3), (1, 6, 1)),
@@ -116,25 +132,25 @@ def test_builtin_projective_plane():
     ],
     ids=["genus2", "genus3", "klein", "crosscap3"],
 )
-def test_builtin_connected_sums(kind, betti):
+def test_builtin_connected_sums(kind, expected):
     K = builtin_triangulation(kind)
     report = validate_surface(K)
     assert report["closed"] and report["connected"]
     assert report["euler"] == kind.euler
-    assert report["betti"] == betti
+    assert betti(K) == expected
 
 
 def test_connected_sum_euler_additivity():
     torus = builtin_triangulation(SurfaceKind.orientable(1))
     out = connected_sum(torus, torus)
     assert out.euler == -2
-    assert out.betti() == (1, 4, 1)
+    assert betti(out) == (1, 4, 1)
 
 
 def test_connected_sum_of_projective_planes_is_klein():
     rp2 = builtin_triangulation(SurfaceKind.nonorientable(1))
     out = connected_sum(rp2, rp2)
-    assert out.betti() == (1, 2, 1)
+    assert betti(out) == (1, 2, 1)
     assert out.euler == 0
 
 
@@ -142,7 +158,7 @@ def test_connected_sum_with_sphere_keeps_betti():
     sphere = builtin_triangulation(SurfaceKind.sphere())
     torus = builtin_triangulation(SurfaceKind.orientable(1))
     out = connected_sum(sphere, torus)
-    assert out.betti() == torus.betti()
+    assert betti(out) == betti(torus)
 
 
 def test_connected_sum_rejects_open_input():
@@ -171,14 +187,14 @@ def test_connected_sum_subdivides_when_direct_gluing_fails(monkeypatch):
     out = connected_sum(torus, torus)
     # the subdivided 7-vertex torus has one vertex per simplex: 7 + 21 + 14
     assert tried == [(7, 7), (42, 42)]
-    assert validate_surface(out)["closed"] and out.betti() == (1, 4, 1)
+    assert validate_surface(out)["closed"] and betti(out) == (1, 4, 1)
 
 
 def test_subdivision_counts_for_sphere():
     K = barycentric_subdivide(tetrahedron())
     assert K.counts() == (14, 36, 24)
     assert K.euler == 2
-    assert K.betti() == (1, 0, 1)
+    assert betti(K) == (1, 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -190,7 +206,7 @@ def test_subdivision_preserves_betti(kind):
     K = builtin_triangulation(kind)
     fine = barycentric_subdivide(K)
     assert fine.euler == K.euler
-    assert fine.betti() == K.betti()
+    assert betti(fine) == betti(K)
     assert validate_surface(fine)["closed"]
 
 
@@ -206,13 +222,20 @@ def subdivided(label: str, times: int, seed: int | None = None) -> SimplicialCom
     return K if seed is None else relabelled(K, seed)
 
 
-def contractible_edges(K: SimplicialComplex) -> list[tuple[int, int]]:
-    """The edges whose ends share exactly two neighbours, the link condition on a closed surface."""
-    nbrs = [set() for _ in range(K.vertex_count)]
-    for a, b in K.edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    return [(a, b) for a, b in K.edges if len(nbrs[a] & nbrs[b]) == 2]
+def vertex_bound(label: str) -> int:
+    """ceil((7 + sqrt(49 - 24 chi)) / 2), or the exception's count."""
+    chi = SurfaceKind.from_label(label).euler
+    root = math.isqrt(49 - 24 * chi)
+    root += root * root < 49 - 24 * chi
+    return HEAWOOD_EXCEPTIONS.get(label, (8 + root) // 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(label=st.sampled_from(BUILTINS), times=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_betti_numbers_follow_the_euler_characteristic(label, times, seed):
+    """Mod-2 Poincare duality, which validate_surface and the file classification rely on."""
+    K = subdivided(label, times, seed)
+    assert betti(K) == (1, 2 - K.euler, 1)
 
 
 @pytest.mark.parametrize("label", BUILTINS)
@@ -237,18 +260,58 @@ def test_contraction_keeps_the_surface_and_ends_irreducible(label, times, seed):
     assert info["closed"] and info["connected"]
     assert L.euler == K.euler
     assert is_orientable(L) == is_orientable(K) == (not label.startswith("non"))
-    assert L.vertex_count in IRREDUCIBLE_VERTICES[label]
+    assert L.vertex_count == IRREDUCIBLE_VERTICES[label] == vertex_bound(label)
     # irreducible: no edge is left that could contract
     assert L.vertex_count == 4 or not contractible_edges(L)
     assert irreducible(L) is L
 
 
-@pytest.mark.parametrize("times,vertices", [(1, 9), (2, 9), (3, 8)])
+@pytest.mark.parametrize("times,vertices", [(1, 8), (2, 8), (3, 8)])
 def test_klein_bottle_contracts_to_a_fixed_count(times, vertices):
-    """The contraction order is fixed, so the subdivided builtin Klein bottle always ends at the same size."""
+    """The search is seeded, so the subdivided builtin Klein bottle always ends at the same triangulation."""
     L = irreducible(subdivided("nonorientable:2", times))
     assert L.vertex_count == vertices
     assert irreducible(subdivided("nonorientable:2", times)).facets == L.facets
+
+
+@pytest.mark.parametrize("label", REDUCED_BUILTINS)
+def test_builtins_reduce_to_the_vertex_bound(label):
+    K = builtin_triangulation(SurfaceKind.from_label(label))
+    L = irreducible(K)
+    assert L.vertex_count == vertex_bound(label)
+    info = validate_surface(L)
+    assert info["closed"] and info["connected"]
+    assert (L.euler, is_orientable(L)) == (K.euler, is_orientable(K))
+    assert not contractible_edges(L)
+
+
+def test_search_does_not_depend_on_the_hash_seed():
+    code = (
+        "from conf2.simplicial import builtin_triangulation, irreducible\n"
+        "from conf2.surfaces import SurfaceKind\n"
+        "print(irreducible(builtin_triangulation(SurfaceKind.orientable(3))).facets)\n"
+    )
+    facets = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed),
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert facets[0] == facets[1] == repr(irreducible(builtin_triangulation(SurfaceKind.orientable(3))).facets) + "\n"
+
+
+def test_builtin_check_tells_orientable_from_nonorientable(monkeypatch):
+    """Two Klein bottles make nonorientable:4, which has orientable:2's Betti numbers but not its orientability."""
+    klein = format_triangulation(builtin_triangulation(SurfaceKind.nonorientable(2)))
+    monkeypatch.setattr(simplicial, "_load_data", lambda name: parse_triangulation(klein))
+    builtin_triangulation.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="failed validation for orientable:2"):
+            builtin_triangulation(SurfaceKind.orientable(2))
+    finally:
+        builtin_triangulation.cache_clear()
 
 
 def test_format_parse_roundtrip():

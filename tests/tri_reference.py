@@ -1,12 +1,16 @@
 """Triangulation helpers the tests share.
 
 `format_triangulation` writes the plain-text format that
-`conf2.simplicial.parse_triangulation` reads, and `relabelled` gives the
-same complex under a seeded vertex permutation and facet order.
+`conf2.simplicial.parse_triangulation` reads, `relabelled` gives the
+same complex under a seeded vertex permutation and facet order,
+`contractible_edges` lists the edges that meet the link condition, and
+`betti` is the rank reference for the Betti numbers that
+`conf2.simplicial` reads off the Euler characteristic.
 """
 
 import random
 
+from conf2.gf2 import rank
 from conf2.simplicial import SimplicialComplex
 
 
@@ -23,3 +27,20 @@ def relabelled(K: SimplicialComplex, seed: int) -> SimplicialComplex:
     facets = [[perm[v] for v in f] for f in K.facets]
     rng.shuffle(facets)
     return SimplicialComplex(K.vertex_count, facets)
+
+
+def betti(K: SimplicialComplex) -> tuple[int, int, int]:
+    """F2 Betti numbers (b0, b1, b2) from the ranks of the boundary matrices."""
+    r1 = rank(K.boundary_matrix(1))
+    r2 = rank(K.boundary_matrix(2))
+    v, e, t = K.counts()
+    return (v - r1, e - r1 - r2, t - r2)
+
+
+def contractible_edges(K: SimplicialComplex) -> list[tuple[int, int]]:
+    """The edges whose ends share exactly two neighbours, the link condition on a closed surface."""
+    nbrs = [set() for _ in range(K.vertex_count)]
+    for a, b in K.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return [(a, b) for a, b in K.edges if len(nbrs[a] & nbrs[b]) == 2]
