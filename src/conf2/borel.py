@@ -15,8 +15,8 @@ above its top dimension, so the towers are exact.  Exactness also gives
 the cohomology of dp with its swap (`cover_counts`), and the norm map
 from H*(K) x H*(K) checks alpha without using Phi (`check_norm_map`).
 Both alpha and the norm check solve their cocycles for classes with
-`CohomologyResult.solve`, by back-substitution in the pivot tables that
-computing H*(Q) left behind, never by a new elimination.
+`CohomologyResult.solve`, by reduction against the lowest-one pivot
+tables that computing H*(Q) left behind, never by a new elimination.
 """
 
 from __future__ import annotations

@@ -20,9 +20,8 @@ from typing import NamedTuple
 
 from .gf2 import (  # select_independent_rows, solve_many: not run here; kept importable under their traced names
     Mat2,
+    _reduce,
     eliminate,
-    from_ones,
-    ones,
     select_independent_rows,
     solve_many,
 )
@@ -225,10 +224,10 @@ def simplicial_cell_complex(K: SimplicialComplex) -> CellComplex:
 class CohomologyResult(NamedTuple):
     """Per-degree class representatives with the pivot tables that solve for classes.
 
-    coboundary_basis[d] is a reduced-echelon basis of the coboundaries
-    B^d with pivot columns coboundary_pivots[d]; cocycle_basis[d] holds
-    cocycles whose classes form a basis, reduced-echelon with pivot
-    columns class_pivots[d] and zero on the coboundary pivots.
+    coboundary_basis[d] is an echelon basis of the coboundaries B^d,
+    each row's lowest one at its entry of coboundary_pivots[d];
+    cocycle_basis[d] holds cocycles whose classes form a basis, zero on
+    the coboundary pivots and echelon with lowest ones class_pivots[d].
     """
 
     cocycle_basis: list[Mat2]
@@ -243,29 +242,23 @@ class CohomologyResult(NamedTuple):
     def solve(self, d: int, cochains: Mat2) -> Mat2:
         """Class coordinates of the degree-d cocycles in the rows of cochains, one row each.
 
-        Each row walks its ones at the coboundary pivots, clearing each
-        with that pivot's row, which touches no other pivot; the ones
-        then left at the class pivots are its coordinates.  A nonzero
-        rest after taking those classes away means the row is no
-        cocycle and raises RuntimeError.
+        The coboundaries and the representatives share one lowest-one
+        table, representative k tagged with bit k above the cochain
+        width.  A row reduced against it leaves its coordinates in the
+        tags; a nonzero cochain part left means the row is no cocycle
+        and raises RuntimeError.
         """
-        coboundaries = dict(zip(self.coboundary_pivots[d], self.coboundary_basis[d].data))
-        classes = {p: k for k, p in enumerate(self.class_pivots[d])}
-        reps = self.cocycle_basis[d].data
-        on_coboundaries, on_classes = from_ones(coboundaries), from_ones(classes)
+        n = self.cocycle_basis[d].cols
+        table = dict(zip(self.coboundary_pivots[d], self.coboundary_basis[d].data))
+        for k, (p, rep) in enumerate(zip(self.class_pivots[d], self.cocycle_basis[d].data)):
+            table[p] = rep | 1 << n + k
         coords = []
         for x in cochains.data:
-            for p in ones(x & on_coboundaries):
-                x ^= coboundaries[p]
-            c = 0
-            for p in ones(x & on_classes):
-                k = classes[p]
-                c |= 1 << k
-                x ^= reps[k]
-            if x:
+            x = _reduce(x, table)
+            if x & (1 << n) - 1:
                 raise RuntimeError(f"a row is not a cocycle in degree {d}")
-            coords.append(c)
-        return Mat2(cochains.rows, len(reps), coords)
+            coords.append(x >> n)
+        return Mat2(cochains.rows, self.dims[d], coords)
 
 
 def cohomology_f2(C: CellComplex) -> CohomologyResult:
@@ -274,12 +267,15 @@ def cohomology_f2(C: CellComplex) -> CohomologyResult:
     Degree by degree, eliminating boundary d+1 (one row per d-cell)
     gives the echelon basis of B^{d+1} and, in its row transform, the
     cocycles Z^d.  Only the rows off the pivot columns of B^d are
-    eliminated (clearing): row k of B^d's echelon basis E is a cocycle,
-    one at its pivot p_k and zero at the other pivots, so row p_k of the
-    boundary is the sum of kept rows at E[k]'s other ones.  The kept rows
-    therefore span B^{d+1}, and the cocycles supported on them, the ones
-    vanishing on B^d's pivots, have an echelon basis that is a set of
-    class representatives.
+    eliminated (clearing): row k of B^d's echelon basis E is a cocycle
+    with lowest one at its pivot p_k, so from the highest pivot down
+    each pivot row of the boundary is a sum of kept rows, which span
+    B^{d+1}.  The cocycles supported on them vanish on B^d's pivots, where
+    every nonzero coboundary has its lowest one, so their echelon basis
+    is a set of class representatives.  The kept rows go in from the
+    last cell down, so a row's transform is its own cell plus later
+    ones: a row reducing to zero keeps its cell as pivot and meets no
+    other representative, which keeps the representatives sparse.
     """
     reps, rep_pivots, cobs, cob_pivots = [], [], [], []
     E, P = Mat2.zeros(0, C.n_cells(0)), []
@@ -288,7 +284,7 @@ def cohomology_f2(C: CellComplex) -> CohomologyResult:
         cobs.append(E)
         cob_pivots.append(P)
         cleared = set(P)
-        keep = [i for i in range(n) if i not in cleared]
+        keep = [i for i in reversed(range(n)) if i not in cleared]
         boundary = C.boundaries[d + 1] if d < C.top_dim else Mat2.zeros(n, 0)
         transform = Mat2(len(keep), n, [1 << i for i in keep])
         E, P, classes, class_pivots = eliminate(boundary.take_rows(keep), transform)

@@ -71,7 +71,7 @@ def _times_diagonal(square: KunnethAlgebra, q: int) -> tuple[Mat2, Mat2]:
 
 
 def gysin_kernel(square: KunnethAlgebra, q: int) -> Mat2:
-    """Reduced echelon basis of the kernel of restriction to the configuration space in degree q.
+    """Echelon basis, keyed by lowest ones, of the kernel of restriction to the configuration space in degree q.
 
     The span of (x cross 1) d with x running over a basis of the factor
     ring in degree q-2; no rows below degree 2.

@@ -10,10 +10,10 @@ both its row space and its left kernel.  A product runs over the ones
 of its left factor, so products with sparse boundary matrices cost what
 their ones cost.
 
-Pivot choice is deterministic everywhere: a pivot is the leftmost one
-of its row, and the reduced row-echelon form is unique.  Everything
-downstream (kernel bases, cohomology representatives) inherits that
-determinism.
+There is one reduction loop, `_reduce`, and no back-substitution: a
+system is solved by reducing against the pivot table an elimination
+leaves.  Results are deterministic given the row order, and everything
+downstream (kernel bases, cohomology representatives) inherits that.
 """
 
 from __future__ import annotations
@@ -191,44 +191,40 @@ class Mat2:
         return from_ones(i for i, x in enumerate(self.data) if (x & vec).bit_count() & 1)
 
 
-def _insert(x: int, pivots: dict[int, int]) -> bool:
-    """Reduce the row x by the rows of pivots, each keyed by its lowest one, and add what is left.
+def _reduce(x: int, pivots: dict[int, int]) -> int:
+    """What is left of the row x after reducing it by the rows of pivots, each keyed by its lowest one.
 
-    Returns False when x reduces to zero, i.e. lies in their span.
+    Stops at the first lowest one that keys no row: what is left is zero
+    or has its lowest one off the table.
     """
     while x:
-        low = (x & -x).bit_length() - 1
-        p = pivots.get(low)
+        p = pivots.get((x & -x).bit_length() - 1)
         if p is None:
-            pivots[low] = x
-            return True
+            break
         x ^= p
-    return False
+    return x
+
+
+def _insert(x: int, pivots: dict[int, int]) -> bool:
+    """Reduce the row x by the rows of pivots and add what is left; False when x lies in their span."""
+    x = _reduce(x, pivots)
+    if x:
+        pivots[(x & -x).bit_length() - 1] = x
+    return x != 0
 
 
 def rref(m: Mat2) -> tuple[Mat2, list[int]]:
-    """Reduced row-echelon form and the ordered list of pivot columns.
+    """An echelon form keyed by lowest ones, and the ordered list of pivot columns.
 
     Lowest-one reduction: each row is reduced against the pivot rows
-    found so far and kept when a one is left; back-substitution from
-    the highest pivot down then clears every pivot column outside its
-    own row.  The nonzero rows come first, ordered by pivot column.
+    found so far and kept when a one is left, its lowest one its pivot.
+    No two kept rows share a pivot, and nothing above a row's pivot is
+    cleared.  The nonzero rows come first, ordered by pivot column.
     """
     pivots: dict[int, int] = {}
     for x in m.data:
         _insert(x, pivots)
     order = sorted(pivots)
-    higher = 0  # the pivot columns above c
-    for c in reversed(order):
-        x = pivots[c]
-        # the rows of the higher pivots are reduced already, so each clears one pivot bit and sets none
-        hits = x & higher
-        while hits:
-            low = hits & -hits
-            x ^= pivots[low.bit_length() - 1]
-            hits ^= low
-        pivots[c] = x
-        higher |= 1 << c
     return Mat2(m.rows, m.cols, [pivots[c] for c in order] + [0] * (m.rows - len(order))), order
 
 
@@ -239,12 +235,12 @@ def rank(m: Mat2) -> int:
 def eliminate(m: Mat2, transform: Mat2) -> tuple[Mat2, list[int], Mat2, list[int]]:
     """One elimination of m that carries a row transform T in the same rows.
 
-    The rref of [m | T], T with one row per row of m, gives the
-    reduced-echelon basis of the row space of m with its pivot columns,
-    and below it the reduced-echelon basis of the T-parts of the rows
-    that reduce to zero in m, with its pivot columns.  With T the
-    identity that is a basis of the left kernel {z : z m = 0}; otherwise
-    it spans the image of the left kernel under z -> z T.
+    The echelon form of [m | T], T with one row per row of m, gives an
+    echelon basis of the row space of m with its pivot columns, and
+    below it the rows whose m-part reduced to zero: an echelon basis of
+    their T-parts, with its pivot columns.  With T the identity that is
+    a basis of the left kernel {z : z m = 0}; otherwise it spans the
+    image of the left kernel under z -> z T.
     """
     if transform.rows != m.rows:
         raise ValueError("the transform needs one row per row of the matrix")
@@ -269,27 +265,29 @@ def select_independent_rows(m: Mat2) -> list[int]:
 
 
 def solve_many(m: Mat2, rhs: Mat2) -> list[int | None]:
-    """Solve m x = b for every row b of rhs with a single elimination; each x as an int, None when there is none."""
+    """Solve m x = b for every row b of rhs with a single elimination; each x as an int, None when there is none.
+
+    b reduced to zero against the echelon rows [z m^T | z] of [m^T | I] leaves x, a sum of z's, above the width.
+    """
     if rhs.cols != m.rows:
         raise ValueError("right-hand sides have the wrong length")
-    R, piv = rref(Mat2.hstack(m, rhs.transpose()))
-    main = [(x, p) for x, p in zip(R.data, piv) if p < m.cols]
-    inconsistent = 0  # the right-hand-side columns some row without a pivot in m reaches
-    for x in R.data[len(main) : len(piv)]:
-        inconsistent |= x
-    out: list[int | None] = []
-    for k in range(rhs.rows):
-        c = m.cols + k
-        out.append(None if inconsistent >> c & 1 else from_ones(p for x, p in main if x >> c & 1))
-    return out
+    n = m.rows
+    R, piv = rref(Mat2.hstack(m.transpose(), Mat2.identity(m.cols)))
+    table = {p: x for x, p in zip(R.data, piv) if p < n}
+    mask = (1 << n) - 1
+    return [None if x & mask else x >> n for x in (_reduce(b, table) for b in rhs.data)]
 
 
 def invert(m: Mat2) -> Mat2:
-    """Inverse of a square matrix; raises ValueError when singular."""
+    """Inverse of a square matrix; raises ValueError when singular.
+
+    Row i is e_i reduced against the echelon rows [z m | z] of [m | I], read above the width.
+    """
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
     R, piv = rref(Mat2.hstack(m, Mat2.identity(n)))
     if piv != list(range(n)):
         raise ValueError("matrix is singular")
-    return Mat2(n, n, [x >> n for x in R.data])
+    table = dict(zip(piv, R.data))
+    return Mat2(n, n, [_reduce(1 << i, table) >> n for i in range(n)])

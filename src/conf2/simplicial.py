@@ -75,6 +75,7 @@ class SimplicialComplex:
             for level in (self.vertices, self.edges, self.triangles)
         ]
         self._boundaries: dict[int, Mat2] = {}
+        self._surface: dict | None = None
 
     # -- structure ---------------------------------------------------------
 
@@ -128,12 +129,14 @@ def _connected(graph: dict) -> bool:
 
 
 def validate_surface(K: SimplicialComplex) -> dict:
-    """Closed-surface report: closed, connected, euler.
+    """Closed-surface report: closed, connected, euler; computed once per complex and kept on it.
 
     Closed: only triangle facets, and every vertex link one cycle (so
     every edge lies in two triangles).  A closed connected surface has
     mod-2 Betti numbers (1, 2 - euler, 1), so none are computed.
     """
+    if K._surface is not None:
+        return K._surface
     link: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
     for t in K.triangles:
         for i, v in enumerate(t):
@@ -146,7 +149,8 @@ def validate_surface(K: SimplicialComplex) -> dict:
     for x, y in K.edges:
         skeleton[x].append(y)
         skeleton[y].append(x)
-    return {"closed": pure and cycles, "connected": _connected(skeleton), "euler": K.euler}
+    K._surface = {"closed": pure and cycles, "connected": _connected(skeleton), "euler": K.euler}
+    return K._surface
 
 
 # -- file format ------------------------------------------------------------
@@ -211,11 +215,12 @@ def read_triangulation(path) -> SimplicialComplex:
 # -- constructions -----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _load_data(name: str) -> SimplicialComplex:
+    """A shipped triangulation, parsed once per process."""
     from importlib import resources
 
-    text = (resources.files("conf2.data") / name).read_text()
-    return parse_triangulation(text)
+    return parse_triangulation((resources.files("conf2.data") / name).read_text(encoding="utf-8"))
 
 
 @lru_cache(maxsize=None)

@@ -12,8 +12,9 @@ matrix-vector product on arrays.
 loops over the columns left to right, takes the first not-yet-used row
 with a one in the column as its pivot, and XORs it into every other row
 carrying that bit, with numpy selecting and XORing the rows in packed
-64-bit words.  A reduced row-echelon form is unique, so both must give
-the same matrix and pivot columns bit for bit.
+64-bit words.  Its reduced row-echelon form is unique, so it names a row
+space exactly: `is_echelon_form_of` checks an echelon form keyed by
+lowest ones, which `gf2.rref` gives, against it.
 """
 
 import numpy as np
@@ -107,3 +108,24 @@ def reference_rref(m: Mat2) -> tuple[Mat2, list[int]]:
         pivots.append(c)
         r += 1
     return Mat2(m.rows, m.cols, [int.from_bytes(row.tobytes(), "little") for row in w]), pivots
+
+
+def reference_span(m: Mat2) -> tuple[list[int], list[int]]:
+    """The nonzero rows of m's reduced row-echelon form and its pivots: equal exactly when the row spaces are."""
+    R, piv = reference_rref(m)
+    return R.data[: len(piv)], piv
+
+
+def is_echelon_form_of(R: Mat2, piv: list[int], m: Mat2) -> bool:
+    """Whether R is an echelon form of m with pivots piv, each keyed by its lowest one.
+
+    The nonzero rows come first; row k has its lowest one at piv[k];
+    the pivots ascend, so no two rows share one; and R and m have the
+    same row space, so the pivots are the reference's too.
+    """
+    rows = [x for x in R.data if x]
+    return (
+        R.data[: len(piv)] == rows
+        and [(x & -x).bit_length() - 1 for x in rows] == piv == sorted(set(piv))
+        and reference_span(R) == reference_span(m)
+    )

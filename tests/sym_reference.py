@@ -23,7 +23,7 @@ import numpy as np
 from conf2.conf_symbolic import TOP_DEGREE, rep_decompose
 from conf2.gf2 import Mat2, from_ones, ones, pack, rank, rref, xor_rows
 from conf2.surfaces import Element, KunnethAlgebra, SurfaceKind, build_kunneth, build_surface_ring
-from gf2_reference import from_dense, from_rows, to_dense
+from gf2_reference import from_dense, from_rows, reference_rref, to_dense
 
 
 def basis_element(algebra, degree: int, i: int) -> Element:
@@ -131,14 +131,16 @@ def subspace_equal(a: Subspace, b: Subspace) -> bool:
 def quotient_map_with_section(ambient_dim: int, sub: Subspace) -> tuple[Mat2, Mat2, int]:
     """Quotient projection plus the section picking non-pivot coordinates.
 
-    The rref of the subspace basis fixes pivot columns; the remaining
-    coordinates represent the quotient.  The section maps quotient basis
-    vector k to the ambient basis vector at the k-th non-pivot column,
-    so projection . section = identity.
+    The reduced row-echelon form of the subspace basis, from the
+    column-loop reference (`gf2.rref` clears nothing above a pivot),
+    fixes pivot columns; the remaining coordinates represent the
+    quotient.  The section maps quotient basis vector k to the ambient
+    basis vector at the k-th non-pivot column, so projection . section
+    = identity.
     """
     if sub.ambient_dim != ambient_dim:
         raise ValueError("subspace does not match the ambient dimension")
-    R, piv = rref(sub.basis)
+    R, piv = reference_rref(sub.basis)
     if len(piv) != sub.basis.rows:
         raise ValueError("subspace basis rows are dependent")
     pivset = set(piv)

