@@ -9,9 +9,10 @@ Phi_n: lift a Q-cochain onto the representative pair (s, t) of each
 orbit, take the coboundary in dp, and read the result back on the
 representatives.  Q's cells are those representatives, so Phi comes
 from Q alone: it is Q's boundary without the faces the quotient
-folded.  Composite ranks of alpha cut H*(Q) into truncated polynomial
-towers, whose head tower measures the height; Q has no cells
-above its top dimension, so the towers are exact.  Exactness also gives
+folded, which the walk that builds Q records: Phi = boundary - F.
+Composite ranks of alpha cut H*(Q) into truncated polynomial towers,
+whose head tower measures the height; Q has no cells above its top
+dimension, so the towers are exact.  Exactness also gives
 the cohomology of dp with its swap (`cover_counts`), and the norm map
 from H*(K) x H*(K) checks alpha without using Phi (`check_norm_map`).
 Both alpha and the norm check solve their cocycles for classes with
@@ -21,7 +22,6 @@ tables that computing H*(Q) left behind, never by a new elimination.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import NamedTuple
 
 from .cells import CellComplex, CohomologyResult
@@ -87,25 +87,21 @@ class AlphaModule:
 def equivariant_cochain_complex(Q: CellComplex) -> list[Mat2]:
     """Connecting maps Phi_n : C^n(Q) -> C^{n+1}(Q) of the transfer sequence.
 
-    Q is `quotient_complex(K)`, whose cells are the representative pairs
-    (s, t).  Entry n has a 1 in row i, column j when the degree-n
-    representative i is itself a face of the degree-(n+1) representative
-    j, so a row cochain z maps to z.mul(entry n).  That is Q's boundary
-    minus the folded faces: a face (s, f) of (s, t) stored as (f, s).  A
-    face (a, b) of (s, t) is folded exactly when b = s, so row (a, b) of
-    Phi_n is that of the boundary off the columns whose first member is
-    b.  Raises RuntimeError when Phi fails to commute with Q's coboundary.
+    Q is `quotient_complex(K)`, whose walk recorded the folded part F of
+    each boundary matrix: the faces (s, f) of the representatives (s, t)
+    that Q stores as (f, s).  Entry n is Phi_n = d_{n+1} - F_{n+1}, the
+    faces that are representatives themselves, and a row cochain z maps
+    to z.mul(entry n).  Phi commutes with Q's coboundary,
+    Phi_n d_{n+2} = d_{n+1} Phi_{n+1}; as d = Phi + F, that is
+    Phi_n F_{n+2} = F_{n+1} Phi_{n+1}, checked in this form because F is
+    sparser than d.  Raises ValueError when Q carries no folded part and
+    RuntimeError when the check fails.
     """
-    phi = []
-    for n in range(Q.top_dim):
-        first = defaultdict(list)
-        for j, (s, _) in enumerate(Q.cells[n + 1]):
-            first[s].append(j)
-        folded = {s: from_ones(cols) for s, cols in first.items()}
-        rows = [row & ~folded.get(b, 0) for row, (_, b) in zip(Q.boundaries[n + 1].data, Q.cells[n])]
-        phi.append(Mat2(Q.n_cells(n), Q.n_cells(n + 1), rows))
-    for n in range(Q.top_dim - 1):
-        if phi[n].mul(Q.boundaries[n + 2]) != Q.boundaries[n + 1].mul(phi[n + 1]):
+    if Q.folded is None:
+        raise ValueError("the connecting map needs the folded faces that quotient_complex records")
+    phi = [B ^ F for B, F in zip(Q.boundaries[1:], Q.folded[1:])]
+    for n in range(len(phi) - 1):
+        if phi[n].mul(Q.folded[n + 2]) != Q.folded[n + 1].mul(phi[n + 1]):
             raise RuntimeError(f"connecting map fails to commute with the coboundary at degree {n}")
     return phi
 

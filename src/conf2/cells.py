@@ -4,7 +4,9 @@ The deleted product of a triangulated surface has one cell per ordered
 pair of disjoint simplices, and the factor swap is a cellwise free
 involution.  Its orbit complex Q, with one cell per unordered pair, is
 what the oracle computes with: `quotient_complex` builds it straight
-from the triangulation in one walk.  Cohomology is computed with explicit
+from the triangulation in one walk, which also records the faces the
+quotient folded, so that the connecting map of the transfer sequence
+is the rest of the boundary.  Cohomology is computed with explicit
 cocycle representatives: one elimination per boundary matrix gives the
 coboundaries, the cocycles and the classes, and its pivot tables stay on
 the result to solve later cocycles for their classes.  The deleted
@@ -46,13 +48,17 @@ class CellComplex:
     boundaries[d] maps d-chains to (d-1)-chains; boundaries[0] has no
     rows.  involution, when given, is one permutation (a sequence of
     cell indices) per dimension; it must square to the identity and
-    commute with the boundary, both checked here.
+    commute with the boundary, both checked here.  folded, when given,
+    is one matrix per dimension: the part of boundaries[d] that an
+    orbit complex folded (see `quotient_complex`), which must lie in
+    the boundary, also checked here.
     """
 
-    def __init__(self, cells, boundaries, involution=None):
+    def __init__(self, cells, boundaries, involution=None, folded=None):
         self.cells = [list(level) for level in cells]
         self.boundaries = list(boundaries)
         self.involution = None
+        self.folded = None
         if len(self.boundaries) != len(self.cells):
             raise ValueError("one boundary matrix per dimension is required")
         for d, B in enumerate(self.boundaries):
@@ -78,6 +84,14 @@ class CellComplex:
                 if B.take_rows(involution[d - 1]).take_cols(involution[d]) != B:
                     raise RuntimeError(f"involution does not commute with the boundary at dimension {d}")
             self.involution = involution
+        if folded is not None:
+            folded = list(folded)
+            if [F.shape for F in folded] != [B.shape for B in self.boundaries]:
+                raise ValueError("one folded part per boundary matrix, of its shape, is required")
+            for d, (F, B) in enumerate(zip(folded, self.boundaries)):
+                if any(f | b != b for f, b in zip(F.data, B.data)):
+                    raise ValueError(f"folded faces at dimension {d} are not faces of the boundary")
+            self.folded = folded
 
     @property
     def top_dim(self) -> int:
@@ -161,6 +175,12 @@ def quotient_complex(K: SimplicialComplex) -> CellComplex:
     (f, t), f a facet of s, is a cell, and (s, f), f a facet of t, is the
     cell (s, f) when s < f and (f, s) otherwise.  Cells and boundaries
     equal the orbit complex of `deleted_product(K)` under its swap.
+
+    The walk owns the fold: the faces (f, s) it stores for a face (s, f),
+    f < s, are the ones the quotient folded, and it records them as the
+    complex's `folded` part F of each boundary.  The rest of the
+    boundary, Phi = boundary - F, is the connecting map of the transfer
+    sequence (`borel.equivariant_cochain_complex`).
     """
     top = _top_dim(K)
     simplices, masks = _numbered(K)
@@ -168,7 +188,7 @@ def quotient_complex(K: SimplicialComplex) -> CellComplex:
     number = {s: a for a, s in enumerate(simplices)}
     facets = [[number[f] for f in combinations(s, len(s) - 1)] if len(s) > 1 else [] for s in simplices]
     start = [0, *accumulate(len(K.simplices(d)) for d in range(top + 1))]
-    cells, boundaries, row_of = [], [], {}
+    cells, boundaries, folded, row_of = [], [], [], {}
     for d in range(2 * top + 1):
         # by (dim s, s, t), with dim s <= dim t and s < t: the deleted product's cell order
         keys = []
@@ -176,18 +196,22 @@ def quotient_complex(K: SimplicialComplex) -> CellComplex:
             for s in range(start[ds], start[ds + 1]):
                 m = masks[s]
                 keys.extend(s * N + t for t in range(max(s + 1, start[d - ds]), start[d - ds + 1]) if not m & masks[t])
-        data = [0] * len(row_of)
+        kept, fold = [0] * len(row_of), [0] * len(row_of)
         for j, key in enumerate(keys):
             s, t = divmod(key, N)
             bit = 1 << j
             for f in facets[s]:
-                data[row_of[f * N + t]] ^= bit
+                kept[row_of[f * N + t]] ^= bit
             for f in facets[t]:
-                data[row_of[s * N + f if s < f else f * N + s]] ^= bit
-        boundaries.append(Mat2(len(row_of), len(keys), data))
+                if s < f:
+                    kept[row_of[s * N + f]] ^= bit
+                else:
+                    fold[row_of[f * N + s]] ^= bit
+        boundaries.append(Mat2(len(row_of), len(keys), [a ^ b for a, b in zip(kept, fold)]))
+        folded.append(Mat2(len(row_of), len(keys), fold))
         row_of = {key: i for i, key in enumerate(keys)}
         cells.append([(simplices[key // N], simplices[key % N]) for key in keys])
-    return CellComplex(cells, boundaries)
+    return CellComplex(cells, boundaries, folded=folded)
 
 
 def deleted_product_euler(K: SimplicialComplex) -> int:

@@ -25,7 +25,6 @@ __all__ = [
     "validate_surface",
     "builtin_triangulation",
     "connected_sum",
-    "barycentric_subdivide",
     "is_orientable",
     "irreducible",
     "parse_triangulation",
@@ -261,42 +260,17 @@ def _glue(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex | N
 
 
 def connected_sum(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
-    """Glue two closed surfaces along a removed facet of each.
-
-    Falls back to one barycentric subdivision of both inputs, computed
-    only then, when the direct gluing damages a vertex link.
-    """
+    """Glue two closed surfaces along a removed facet of each; RuntimeError when that damages a vertex link."""
     r1 = validate_surface(K1)
     r2 = validate_surface(K2)
     if not (r1["closed"] and r1["connected"] and r2["closed"] and r2["connected"]):
         raise ValueError("connected sum needs closed connected surfaces")
-    target = r1["euler"] + r2["euler"] - 2
-    for step in (lambda K: K, barycentric_subdivide):
-        out = _glue(step(K1), step(K2))
-        if out is None:
-            continue
+    out = _glue(K1, K2)
+    if out is not None:
         report = validate_surface(out)
-        if report["closed"] and report["connected"] and report["euler"] == target:
+        if report["closed"] and report["connected"] and report["euler"] == r1["euler"] + r2["euler"] - 2:
             return out
-    raise RuntimeError("connected sum failed even after subdividing")
-
-
-def barycentric_subdivide(K: SimplicialComplex) -> SimplicialComplex:
-    """One barycentric subdivision; new vertices are the old simplices."""
-    simps = [s for d in range(3) for s in K.simplices(d)]
-    index = {s: i for i, s in enumerate(simps)}
-    facets = []
-    for f in K.facets:
-        if len(f) == 1:
-            facets.append((index[f],))
-        elif len(f) == 2:
-            for v in f:
-                facets.append((index[(v,)], index[f]))
-        else:
-            for e in combinations(f, 2):
-                for v in e:
-                    facets.append((index[(v,)], index[e], index[f]))
-    return SimplicialComplex(len(simps), facets)
+    raise RuntimeError("connected sum failed: gluing along the last facets damages a vertex link")
 
 
 def is_orientable(K: SimplicialComplex) -> bool:

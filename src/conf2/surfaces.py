@@ -28,12 +28,17 @@ __all__ = [
     "diagonal_class",
 ]
 
+# The most degree-2 basis elements a surface's square may have, 2 + b1^2: those of orientable:1024 and
+# nonorientable:2048, the largest power-of-two parameters whose symbolic runs stay under 1 GB of peak RSS.
+MAX_SQUARE_DIM = 2 + 2048**2
+
 
 class SurfaceKind(namedtuple("SurfaceKind", "family param")):
     """Homeomorphism type of a closed surface.
 
     family is one of "sphere", "orientable", "nonorientable"; param is
-    the genus or the crosscap count (0 for the sphere).
+    the genus or the crosscap count (0 for the sphere), at most what
+    keeps the square's degree 2 within MAX_SQUARE_DIM.
     """
 
     __slots__ = ()
@@ -50,7 +55,14 @@ class SurfaceKind(namedtuple("SurfaceKind", "family param")):
                 raise ValueError("crosscap count must be at least 1")
         else:
             raise ValueError(f"unknown surface family: {family!r}")
-        return super().__new__(cls, family, param)
+        kind = super().__new__(cls, family, param)
+        b1 = 2 - kind.euler
+        if 2 + b1 * b1 > MAX_SQUARE_DIM:
+            raise ValueError(
+                f"{kind.label} is too large: its square has {2 + b1 * b1} degree-2 basis elements,"
+                f" more than {MAX_SQUARE_DIM}"
+            )
+        return kind
 
     @staticmethod
     def sphere() -> "SurfaceKind":
@@ -80,33 +92,26 @@ class SurfaceKind(namedtuple("SurfaceKind", "family param")):
 
     @staticmethod
     def from_label(text: str) -> "SurfaceKind":
+        """Parse `sphere`, `orientable:G` or `nonorientable:K`, the parameter in ASCII decimal digits only."""
         if text == "sphere":
             return SurfaceKind.sphere()
         head, sep, tail = text.partition(":")
-        if sep and head in ("orientable", "nonorientable"):
+        if sep and head in ("orientable", "nonorientable") and tail.isascii() and tail.isdecimal():
             try:
-                param = int(tail)
-            except ValueError as exc:
-                raise ValueError(f"bad surface label: {text!r}") from exc
-            try:
-                return SurfaceKind(head, param)
+                return SurfaceKind(head, int(tail))
             except ValueError as exc:
                 raise ValueError(f"bad surface label: {text!r} ({exc})") from exc
         raise ValueError(f"bad surface label: {text!r}")
 
 
 class Element:
-    """Homogeneous element: a degree plus its coefficients, one int with basis element i at bit i.
-
-    The coefficients may also be given as any sequence of 0/1 entries,
-    entry i for basis element i.
-    """
+    """Homogeneous element: a degree plus its coefficients, one int with basis element i at bit i."""
 
     __slots__ = ("degree", "coeffs")
 
-    def __init__(self, degree: int, coeffs):
+    def __init__(self, degree: int, coeffs: int):
         self.degree = degree
-        self.coeffs = coeffs if isinstance(coeffs, int) else pack(coeffs)
+        self.coeffs = coeffs
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
@@ -123,64 +128,50 @@ def _outer(u: int, v: int, width: int) -> int:
 
 
 class _GradedBasis:
-    """A named basis in each degree."""
+    """A basis in each degree, counted: sizes[q] elements in degree q."""
 
-    def __init__(self, basis: list[list[str]]):
-        self.basis = [list(names) for names in basis]
+    def __init__(self, sizes):
+        self.sizes = list(sizes)
 
     @property
     def top_degree(self) -> int:
-        return len(self.basis) - 1
+        return len(self.sizes) - 1
 
     def dim(self, q: int) -> int:
         if 0 <= q <= self.top_degree:
-            return len(self.basis[q])
+            return self.sizes[q]
         return 0
 
-    def names(self, q: int) -> list[str]:
-        if 0 <= q <= self.top_degree:
-            return self.basis[q]
-        return []
-
     def dims(self) -> list[int]:
-        return [self.dim(q) for q in range(self.top_degree + 1)]
+        return list(self.sizes)
 
 
 def _table(entries, shape: tuple[int, int, int]) -> list[list[int]]:
-    """A structure-constant table of the given shape as rows of ints.
+    """A structure-constant table of the given shape: (dim p) x (dim q) ints over the basis of degree p+q.
 
-    entries is nested (dim p) x (dim q), each entry either an int over
-    the basis of degree p+q or a sequence of 0/1 entries of that length;
-    anything else raises ValueError.
+    A table of another shape, or an entry with a one past the width,
+    raises ValueError.
     """
     rows, cols, width = shape
-    bad = ValueError("multiplication table entry has the wrong shape")
-    table = [[e if isinstance(e, int) else list(e) for e in row] for row in entries]
-    if len(table) != rows or any(len(row) != cols for row in table):
-        raise bad
-    for row in table:
-        for j, e in enumerate(row):
-            if not isinstance(e, int):
-                if len(e) != width:
-                    raise bad
-                row[j] = pack(e)
-    if any(min(row) < 0 or max(row) >> width for row in table if row):
-        raise bad
+    table = [list(row) for row in entries]
+    if len(table) != rows or any(len(row) != cols or row and (min(row) < 0 or max(row) >> width) for row in table):
+        raise ValueError("multiplication table entry has the wrong shape")
     return table
 
 
 class GradedAlgebra(_GradedBasis):
     """Graded-commutative F2 algebra given by structure constants.
 
-    mult[(p, q)], for p + q up to the top degree, is a (dim p) x (dim q)
-    table whose entry [i][j] is the product of basis elements i and j,
-    an int over the basis of degree p+q.  The constructor also takes
-    nested 0/1 arrays of shape (dim p, dim q, dim p+q).  Degrees above
-    the top are not represented; products landing there are zero.
+    basis names the basis elements of each degree.  mult[(p, q)], for
+    p + q up to the top degree, is a (dim p) x (dim q) table whose entry
+    [i][j] is the product of basis elements i and j, an int over the
+    basis of degree p+q.  Degrees above the top are not represented;
+    products landing there are zero.
     """
 
-    def __init__(self, basis: list[list[str]], mult: Mapping[tuple[int, int], object]):
-        super().__init__(basis)
+    def __init__(self, basis: list[list[str]], mult: Mapping[tuple[int, int], list[list[int]]]):
+        super().__init__(len(names) for names in basis)
+        self.basis = [list(names) for names in basis]
         if self.dim(0) != 1:
             raise ValueError("expected a one-dimensional degree 0")
         top = self.top_degree
@@ -232,15 +223,15 @@ class KunnethAlgebra(_GradedBasis):
     indices: degree n is a run of blocks (p, n - p), and block (p, q)
     holds its dim p x dim q pairs in row-major order from offset[n][p].
     The swap exchanges the factors; swap_perm[n] is the permutation of
-    degree n it induces on the basis.  There is no multiplication
-    table: `times` evaluates products from the factor's structure
-    constants.
+    degree n it induces on the basis.  The basis is only counted, not
+    named, and there is no multiplication table: `times` evaluates
+    products from the factor's structure constants.
     """
 
     def __init__(self, factor: GradedAlgebra):
         self.factor = factor
         top = factor.top_degree
-        names: list[list[str]] = []
+        sizes: list[int] = []
         self.offset: list[dict[int, int]] = []
         self.swap_perm: list[list[int]] = []
         for n in range(2 * top + 1):
@@ -249,19 +240,17 @@ class KunnethAlgebra(_GradedBasis):
                 offset[p] = size
                 size += factor.dim(p) * factor.dim(n - p)
             perm = [0] * size
-            label: list[str] = []
             for p, start in offset.items():
                 dp, dq = factor.dim(p), factor.dim(n - p)
-                label += [f"{x}|{y}" for x in factor.names(p) for y in factor.names(n - p)]
                 # x_i|y_j sits at start + i dq + j, its swap y_j|x_i in block (q, p) at offset' + j dp + i
                 for i in range(dp):
                     perm[start + i * dq : start + (i + 1) * dq] = range(offset[n - p] + i, offset[n - p] + dq * dp, dp)
             if [perm[k] for k in perm] != list(range(size)):
                 raise RuntimeError("swap is not an involution")
-            names.append(label)
+            sizes.append(size)
             self.offset.append(offset)
             self.swap_perm.append(perm)
-        super().__init__(names)
+        super().__init__(sizes)
         self.diagonal: Element | None = None
 
     def _blocks(self, n: int) -> dict[int, int]:

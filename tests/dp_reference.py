@@ -6,7 +6,9 @@ This module keeps the older route the tests compare it with: the
 deleted product dp with its swap, one representative cell per orbit,
 Q folded from dp's boundary, the connecting map Phi as dp's boundary
 on the representatives, and H*(dp) with the induced swap, which gives
-the conf rows and the Smith-Gysin counts.  It also keeps the old way of
+the conf rows and the Smith-Gysin counts.  It also keeps the rule that
+read the folded faces of `quotient_complex(K)` off its cell labels,
+which the walk that builds Q now records itself, and the old way of
 solving cocycles for their classes, against the stacked cocycle and
 coboundary bases, which `CohomologyResult.solve` replaced.
 """
@@ -101,6 +103,24 @@ def transfer_phi(C: CellComplex, Q: CellComplex) -> list[Mat2]:
         if phi[n].mul(Q.boundaries[n + 2]) != Q.boundaries[n + 1].mul(phi[n + 1]):
             raise RuntimeError(f"connecting map fails to commute with the coboundary at degree {n}")
     return phi
+
+
+def folded_by_label(Q: CellComplex) -> list[Mat2]:
+    """The folded part of each boundary matrix of Q = `quotient_complex(K)`, read off its cell labels.
+
+    Q stores a face (s, f) of the representative (s, t) as (f, s) when
+    f < s, so a face (a, b) of (s, t) is folded exactly when b = s: row
+    (a, b) of F keeps the boundary's ones in the columns whose first
+    member is b.
+    """
+    folded = [Q.boundaries[0]]
+    for d in range(1, len(Q.cells)):
+        first: dict = {}
+        for j, (s, _) in enumerate(Q.cells[d]):
+            first[s] = first.get(s, 0) | 1 << j
+        B = Q.boundaries[d]
+        folded.append(Mat2(B.rows, B.cols, [row & first.get(b, 0) for row, (_, b) in zip(B.data, Q.cells[d - 1])]))
+    return folded
 
 
 def alpha_module(C: CellComplex) -> AlphaModule:

@@ -9,9 +9,10 @@ by element, from `square.mul` of (x cross 1) with the diagonal class.
 without building a quotient; the tests compare the two.
 
 Element arithmetic that only the tests use lives here too: basis
-elements by index or by name, sums, the external product x|y, and
-products, in a surface ring from its structure constants and in the
-square through `KunnethAlgebra.times`.
+elements by index or by name (the square's basis is named here, x|y
+for each pair, as `conf2.surfaces` only counts it), sums, the external
+product x|y, and products, in a surface ring from its structure
+constants and in the square through `KunnethAlgebra.times`.
 """
 
 from __future__ import annotations
@@ -36,9 +37,19 @@ def unit(algebra) -> Element:
     return basis_element(algebra, 0, 0)
 
 
-def element(algebra, degree: int, names) -> Element:
+def names(algebra, degree: int) -> list[str]:
+    """The names of the basis of a degree: a surface ring's own, x|y for each pair in the square's."""
+    if not 0 <= degree <= algebra.top_degree:
+        return []
+    if isinstance(algebra, KunnethAlgebra):
+        ring = algebra.factor
+        return [f"{x}|{y}" for p in algebra.offset[degree] for x in names(ring, p) for y in names(ring, degree - p)]
+    return algebra.basis[degree]
+
+
+def element(algebra, degree: int, labels) -> Element:
     """The sum of the named basis elements of the given degree."""
-    return Element(degree, from_ones(algebra.names(degree).index(name) for name in names))
+    return Element(degree, from_ones(map(names(algebra, degree).index, labels)))
 
 
 def add(x: Element, y: Element) -> Element:

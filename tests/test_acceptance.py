@@ -14,10 +14,10 @@ from conf2.cells import cohomology_f2, deleted_product, induced_involution, quot
 from conf2.conf_symbolic import conf_cohomology, kernel_ideal_check
 from conf2.gf2 import Mat2
 from conf2.report import RunConfig, run_pipeline
-from conf2.simplicial import barycentric_subdivide, builtin_triangulation, connected_sum
+from conf2.simplicial import builtin_triangulation, connected_sum
 from conf2.surfaces import SurfaceKind, build_kunneth, build_surface_ring
 from sym_reference import add, cross, element, unit
-from tri_reference import betti
+from tri_reference import barycentric_subdivide, betti
 
 ALL_KINDS = (
     [SurfaceKind.sphere()]

@@ -21,7 +21,7 @@ from conf2.cells import (
     quotient_complex,
     simplicial_cell_complex,
 )
-from conf2.gf2 import Mat2, rank
+from conf2.gf2 import Mat2, ones, rank
 from conf2.simplicial import SimplicialComplex, builtin_triangulation
 from conf2.surfaces import SurfaceKind
 from gf2_reference import from_dense
@@ -129,12 +129,30 @@ def test_euler_identity_on_module():
         assert borel_module(builtin_triangulation(kind)).euler == (chi * chi - chi) // 2
 
 
-def test_connecting_map_rejects_a_relabelled_quotient():
+def test_connecting_map_rejects_every_incidence_moved_between_fold_and_phi():
+    """One incidence of the torus's Q moved from F to Phi or back, the boundary kept, fails the chain-map check."""
     Q = quotient_complex(builtin_triangulation(SurfaceKind.orientable(1)))
-    # the vertex-pair labels are reversed, the boundaries are not
-    relabelled = CellComplex([Q.cells[0][::-1]] + Q.cells[1:], Q.boundaries)
-    with pytest.raises(RuntimeError):
-        equivariant_cochain_complex(relabelled)
+    moves = 0
+    for d, B in enumerate(Q.boundaries):
+        for i, row in enumerate(B.data):
+            for j in ones(row):
+                data = list(Q.folded[d].data)
+                data[i] ^= 1 << j
+                folded = Q.folded[:d] + [Mat2(B.rows, B.cols, data)] + Q.folded[d + 1 :]
+                with pytest.raises(RuntimeError, match="fails to commute"):
+                    equivariant_cochain_complex(CellComplex(Q.cells, Q.boundaries, folded=folded))
+                moves += 1
+    assert moves == 1260
+
+
+def test_connecting_map_needs_the_folded_faces():
+    Q = quotient_complex(builtin_triangulation(SurfaceKind.sphere()))
+    with pytest.raises(ValueError, match="folded faces"):
+        equivariant_cochain_complex(CellComplex(Q.cells, Q.boundaries))
+    # a folded face must be a face: the complement of each boundary row has ones at cells that are none
+    off = [Mat2(B.rows, B.cols, [~b & (1 << B.cols) - 1 for b in B.data]) for B in Q.boundaries]
+    with pytest.raises(ValueError, match="not faces of the boundary"):
+        CellComplex(Q.cells, Q.boundaries, folded=off)
 
 
 def test_alpha_rejects_an_image_off_the_cocycles():

@@ -16,14 +16,11 @@ from conf2.cells import (
 )
 from conf2.conf_symbolic import conf_cohomology, rep_decompose
 from conf2.gf2 import Mat2, eliminate, invert, rank
-from conf2.simplicial import (
-    SimplicialComplex,
-    barycentric_subdivide,
-    builtin_triangulation,
-)
+from conf2.simplicial import SimplicialComplex, builtin_triangulation
 from conf2.surfaces import SurfaceKind
 from dp_reference import orbit_quotient, reference_classes
 from gf2_reference import from_dense, is_echelon_form_of, mul_vec, reference_rref, to_dense
+from tri_reference import barycentric_subdivide
 
 
 def test_deleted_product_of_tetrahedron():

@@ -1,10 +1,11 @@
 """The orbit-complex route against the deleted-product reference, number for number.
 
-`quotient_complex(K)`, the connecting map built from its cells, the
-conf rows read off the transfer sequence and the pair count must equal
-what the deleted product gives: its orbit complex folded from its
-boundary, its boundary on the orbit representatives, its cohomology
-with the induced swap, and its Euler characteristic.  Besides the
+`quotient_complex(K)`, the connecting map built from the folded faces
+its walk records, the conf rows read off the transfer sequence and the
+pair count must equal what the deleted product gives: its orbit complex
+folded from its boundary, its boundary on the orbit representatives,
+its cohomology with the induced swap, and its Euler characteristic.
+The folded faces must also be those the cell labels name.  Besides the
 builtin surfaces up to genus and crosscap count 3, three files run:
 a randomly relabelled torus, and relabelled barycentric subdivisions of
 the sphere and of the torus, so that simplex order and vertex labels
@@ -25,15 +26,17 @@ import pytest
 
 from conf2.borel import cover_counts, equivariant_cochain_complex, equivariant_cohomology_with_alpha
 from conf2.cells import cohomology_f2, deleted_product, deleted_product_euler, quotient_complex
-from conf2.simplicial import (
-    SimplicialComplex,
-    barycentric_subdivide,
-    builtin_triangulation,
-    read_triangulation,
-)
+from conf2.simplicial import SimplicialComplex, builtin_triangulation, read_triangulation
 from conf2.surfaces import SurfaceKind
-from dp_reference import builtin_reference, check_smith_gysin, conf_rows, orbit_quotient, transfer_phi
-from tri_reference import format_triangulation, relabelled
+from dp_reference import (
+    builtin_reference,
+    check_smith_gysin,
+    conf_rows,
+    folded_by_label,
+    orbit_quotient,
+    transfer_phi,
+)
+from tri_reference import barycentric_subdivide, format_triangulation, relabelled
 
 BUILTIN = (
     "sphere",
@@ -44,6 +47,8 @@ BUILTIN = (
     "nonorientable:2",
     "nonorientable:3",
 )
+# The oracle sweep's surfaces, a subset of BUILTIN.
+SWEEP = ("sphere", "orientable:1", "orientable:2", "nonorientable:1", "nonorientable:2", "nonorientable:3")
 FILES = ("relabelled torus", "relabelled subdivided sphere", "relabelled subdivided torus")
 # The builtin surface whose deleted-product cohomology stands in for a file's own.
 SAME_SURFACE = {"relabelled subdivided torus": "orientable:1"}
@@ -96,6 +101,12 @@ def test_quotient_matches_folded_deleted_product(label, tmp_dir):
     _, _, _, Q, ref = case(label, tmp_dir)
     assert Q.cells == ref.cells
     assert Q.boundaries == ref.boundaries
+
+
+@pytest.mark.parametrize("label", SWEEP + FILES[1:])
+def test_walk_folds_the_faces_the_labels_name(label, tmp_dir):
+    Q = case(label, tmp_dir)[3]
+    assert Q.folded == folded_by_label(Q)
 
 
 @pytest.mark.parametrize("label", LABELS)

@@ -29,9 +29,9 @@ from conf2.report import (
     _oracle_side,
     run_pipeline,
 )
-from conf2.simplicial import barycentric_subdivide, builtin_triangulation
+from conf2.simplicial import builtin_triangulation
 from conf2.surfaces import SurfaceKind
-from tri_reference import format_triangulation, relabelled
+from tri_reference import barycentric_subdivide, format_triangulation, relabelled
 
 
 def _run(*surfaces, **kw):
@@ -575,6 +575,13 @@ def test_cli_total_failure_exit_two(tmp_path, capsys):
     code = main(["--triangulation", str(tmp_path / "nope.tri")])
     capsys.readouterr()
     assert code == 2
+
+
+def test_cli_refuses_an_absurd_parameter_before_allocating(capsys):
+    code = main(["--no-oracle", "--surface", "orientable:99999999"])
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert code == 2
+    assert report["error"].startswith("bad surface label: 'orientable:99999999' (orientable:99999999 is too large")
 
 
 def test_cli_requires_surfaces():

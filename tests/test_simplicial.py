@@ -16,7 +16,6 @@ from conf2 import simplicial
 from conf2.cli import main
 from conf2.simplicial import (
     SimplicialComplex,
-    barycentric_subdivide,
     builtin_triangulation,
     connected_sum,
     irreducible,
@@ -26,7 +25,7 @@ from conf2.simplicial import (
     validate_surface,
 )
 from conf2.surfaces import SurfaceKind
-from tri_reference import betti, contractible_edges, format_triangulation, relabelled
+from tri_reference import barycentric_subdivide, betti, contractible_edges, format_triangulation, relabelled
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BUILTINS = ("sphere", "orientable:1", "orientable:2", "orientable:3", "nonorientable:1", "nonorientable:2", "nonorientable:3")
@@ -169,15 +168,13 @@ def test_connected_sum_rejects_open_input():
         connected_sum(disk, tetrahedron())
 
 
-def test_builtin_sums_glue_without_subdividing(monkeypatch):
-    subdivided = []
-    monkeypatch.setattr(simplicial, "barycentric_subdivide", lambda K: subdivided.append(K) or barycentric_subdivide(K))
-    builtin_triangulation.cache_clear()
-    builtin_triangulation(SurfaceKind.orientable(3))
-    assert subdivided == []
+def test_builtin_sums_glue_without_subdividing():
+    """connected_sum glues once or raises, so building a builtin shows that each of its sums glued directly."""
+    for kind in (SurfaceKind.orientable(24), SurfaceKind.nonorientable(24)):
+        assert builtin_triangulation(kind).euler == kind.euler
 
 
-def test_connected_sum_subdivides_when_direct_gluing_fails(monkeypatch):
+def test_connected_sum_raises_when_direct_gluing_fails(monkeypatch):
     glue, tried = simplicial._glue, []
 
     def first_fails(a, b):
@@ -186,10 +183,10 @@ def test_connected_sum_subdivides_when_direct_gluing_fails(monkeypatch):
 
     monkeypatch.setattr(simplicial, "_glue", first_fails)
     torus = builtin_triangulation(SurfaceKind.orientable(1))
-    out = connected_sum(torus, torus)
-    # the subdivided 7-vertex torus has one vertex per simplex: 7 + 21 + 14
-    assert tried == [(7, 7), (42, 42)]
-    assert validate_surface(out)["closed"] and betti(out) == (1, 4, 1)
+    with pytest.raises(RuntimeError, match="^connected sum failed"):
+        connected_sum(torus, torus)
+    # no second attempt on a subdivision
+    assert tried == [(7, 7)]
 
 
 def test_subdivision_counts_for_sphere():

@@ -1,5 +1,7 @@
 """Surface rings, their squares, swaps, and diagonal classes."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,8 @@ from conf2.surfaces import (
     build_surface_ring,
     diagonal_class,
 )
-from gf2_reference import bits
-from sym_reference import basis_element, cross, element, mul, unit
+from conf2.gf2 import ones, pack
+from sym_reference import basis_element, cross, element, mul, names, unit
 
 SWEEP = [
     SurfaceKind.sphere(),
@@ -31,8 +33,8 @@ SWEEP = [
 
 def describe(algebra, x: Element) -> str:
     """The basis names in the support of x, joined by +; "0" for zero."""
-    names = [algebra.names(x.degree)[i] for i in np.nonzero(bits(x.coeffs, algebra.dim(x.degree)))[0]]
-    return " + ".join(names) if names else "0"
+    support = [names(algebra, x.degree)[i] for i in ones(x.coeffs)]
+    return " + ".join(support) if support else "0"
 
 
 def check_associative(algebra) -> None:
@@ -74,10 +76,21 @@ def test_kind_rejects_bad_parameters():
         SurfaceKind.from_label("torus")
     with pytest.raises(ValueError, match=r"^bad surface label: 'orientable:0' \(orientable genus must be at least 1\)$"):
         SurfaceKind.from_label("orientable:0")
-    with pytest.raises(ValueError, match=r"^bad surface label: 'nonorientable:-1' \(crosscap count must be at least 1\)$"):
-        SurfaceKind.from_label("nonorientable:-1")
-    with pytest.raises(ValueError, match="^bad surface label: 'orientable:x'$"):
-        SurfaceKind.from_label("orientable:x")
+    # the parameter is ASCII decimal digits, nothing else int() would take
+    for label in ("nonorientable:-1", "orientable:x", "orientable:1_0", "nonorientable: 2", "orientable:\u0663", "orientable:+2"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'bad surface label: {label!r}')}$"):
+            SurfaceKind.from_label(label)
+
+
+def test_kind_refuses_a_square_past_the_limit():
+    """The limit is checked before anything is allocated, so an absurd parameter fails at once."""
+    assert SurfaceKind.from_label("orientable:1024").param == 1024
+    assert SurfaceKind.from_label("nonorientable:2048").param == 2048
+    for label, degree_2 in (("orientable:1025", 4202502), ("nonorientable:2049", 4198403)):
+        with pytest.raises(ValueError, match=f"too large: its square has {degree_2} degree-2 basis elements, more than 4194306"):
+            SurfaceKind.from_label(label)
+    with pytest.raises(ValueError, match="^bad surface label: 'orientable:99999999' .*too large"):
+        SurfaceKind.from_label("orientable:99999999")
 
 
 def test_euler_characteristics():
@@ -239,11 +252,20 @@ def test_square_associativity(kind):
     check_associative(build_kunneth(build_surface_ring(kind)))
 
 
+def packed_table(entries) -> list[list[int]]:
+    """A (dim p, dim q, dim p+q) array of 0/1 entries as the table of ints GradedAlgebra takes."""
+    return [[pack(e) for e in row] for row in entries]
+
+
+def packed(mult) -> dict:
+    return {pq: packed_table(entries) for pq, entries in mult.items()}
+
+
 def test_degenerate_pairing_rejected():
     # one degree-1 class that squares to zero: the pairing matrix is singular
     one = np.ones((1, 1, 1), dtype=np.uint8)
     mult = {(0, 0): one, (0, 1): one, (1, 0): one, (0, 2): one, (2, 0): one, (1, 1): np.zeros((1, 1, 1))}
-    ring = GradedAlgebra([["1"], ["v"], ["u"]], mult)
+    ring = GradedAlgebra([["1"], ["v"], ["u"]], packed(mult))
     square = KunnethAlgebra(ring)
     with pytest.raises(ValueError):
         diagonal_class(square)
@@ -253,9 +275,9 @@ def test_degenerate_pairing_rejected():
     "change,message",
     [
         (lambda m: m.pop((1, 1)), "does not cover"),
-        (lambda m: m.update({(1, 1): np.zeros((1, 1, 2))}), "wrong shape"),
-        (lambda m: m.update({(0, 1): np.zeros((1, 1, 1))}), "not commutative"),
-        (lambda m: m.update({(0, 1): np.zeros((1, 1, 1)), (1, 0): np.zeros((1, 1, 1))}), "not a unit"),
+        (lambda m: m.update({(1, 1): packed_table(np.array([[[0, 1]]]))}), "wrong shape"),
+        (lambda m: m.update({(0, 1): [[0]]}), "not commutative"),
+        (lambda m: m.update({(0, 1): [[0]], (1, 0): [[0]]}), "not a unit"),
     ],
     ids=["missing", "shape", "commutative", "unit"],
 )
@@ -291,11 +313,12 @@ def test_square_product_is_the_factorwise_product(kind):
 def test_square_basis_order_and_swap_at_scale():
     square = build_kunneth(build_surface_ring(SurfaceKind.orientable(64)))
     assert square.dims() == [1, 256, 16386, 256, 1]
-    assert square.names(2)[:2] == ["1|u", "a1|a1"] and square.names(2)[-1] == "u|1"
+    labels = names(square, 2)
+    assert labels[:2] == ["1|u", "a1|a1"] and labels[-1] == "u|1"
     a, b = element(square.factor, 1, ["a3"]), element(square.factor, 1, ["b5"])
     assert square.swap(cross(square, a, b)) == cross(square, b, a)
     fixed = np.flatnonzero(square.swap_perm[2] == np.arange(square.dim(2)))
-    assert [square.names(2)[i] for i in fixed[:2]] == ["a1|a1", "a2|a2"] and len(fixed) == 128
+    assert [labels[i] for i in fixed[:2]] == ["a1|a1", "a2|a2"] and len(fixed) == 128
 
 
 @st.composite
@@ -309,7 +332,7 @@ def square_elements(draw, square, degree=None):
             max_size=square.dim(degree),
         )
     )
-    return Element(degree, np.array(bits, dtype=np.uint8))
+    return Element(degree, pack(bits))
 
 
 _SQUARE = build_kunneth(build_surface_ring(SurfaceKind.orientable(1)))

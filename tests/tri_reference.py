@@ -3,12 +3,14 @@
 `format_triangulation` writes the plain-text format that
 `conf2.simplicial.parse_triangulation` reads, `relabelled` gives the
 same complex under a seeded vertex permutation and facet order,
+`barycentric_subdivide` gives finer triangulations of the same space,
 `contractible_edges` lists the edges that meet the link condition, and
 `betti` is the rank reference for the Betti numbers that
 `conf2.simplicial` reads off the Euler characteristic.
 """
 
 import random
+from itertools import combinations
 
 from conf2.gf2 import rank
 from conf2.simplicial import SimplicialComplex
@@ -27,6 +29,24 @@ def relabelled(K: SimplicialComplex, seed: int) -> SimplicialComplex:
     facets = [[perm[v] for v in f] for f in K.facets]
     rng.shuffle(facets)
     return SimplicialComplex(K.vertex_count, facets)
+
+
+def barycentric_subdivide(K: SimplicialComplex) -> SimplicialComplex:
+    """One barycentric subdivision; new vertices are the old simplices."""
+    simps = [s for d in range(3) for s in K.simplices(d)]
+    index = {s: i for i, s in enumerate(simps)}
+    facets = []
+    for f in K.facets:
+        if len(f) == 1:
+            facets.append((index[f],))
+        elif len(f) == 2:
+            for v in f:
+                facets.append((index[(v,)], index[f]))
+        else:
+            for e in combinations(f, 2):
+                for v in e:
+                    facets.append((index[(v,)], index[e], index[f]))
+    return SimplicialComplex(len(simps), facets)
 
 
 def betti(K: SimplicialComplex) -> tuple[int, int, int]:
