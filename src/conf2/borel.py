@@ -126,7 +126,9 @@ def module_decompose(A: AlphaModule) -> list[Tower]:
 
     The count of towers of exact length ell starting in degree n is
     determined by the rank table; a negative count means the maps are
-    not the action of a graded module and raises RuntimeError.
+    not the action of a graded module and raises RuntimeError.  The
+    counts telescope: the towers covering degree m number
+    r(m, 0) - r(-1, m + 1) = dims[m], so they always rebuild the dims.
     """
     N = len(A.dims) - 1
     r = A.rank
@@ -139,10 +141,6 @@ def module_decompose(A: AlphaModule) -> list[Tower]:
                     f"negative tower count at start {n} length {ell}: inconsistent action maps"
                 )
             towers.extend(Tower(n, ell) for _ in range(count))
-    for n in range(N + 1):
-        covering = sum(1 for t in towers if t.start <= n < t.start + t.length)
-        if covering != A.dims[n]:
-            raise RuntimeError(f"towers fail to reconstruct the dimension in degree {n}")
     return sorted(towers, key=lambda t: (t.start, t.length))
 
 

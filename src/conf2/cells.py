@@ -1,18 +1,19 @@
 """Cell complexes over F2: orbit complexes, deleted products, cohomology.
 
-The deleted product of a triangulated surface has one cell per ordered
-pair of disjoint simplices, and the factor swap is a cellwise free
-involution.  Its orbit complex Q, with one cell per unordered pair, is
-what the oracle computes with: `quotient_complex` builds it straight
-from the triangulation in one walk, which also records the faces the
-quotient folded, so that the connecting map of the transfer sequence
-is the rest of the boundary.  Cohomology is computed with explicit
-cocycle representatives: one elimination per boundary matrix gives the
-coboundaries, the cocycles and the classes, and its pivot tables stay on
-the result to solve later cocycles for their classes.  The deleted
-product itself, built by the product face rule and carrying the swap,
-stays as the reference route the tests compare with; its callers push
-the swap onto its cohomology with `induced_involution`.
+The deleted product of a simplicial complex K, of any dimension, has
+one cell per ordered pair of disjoint simplices, and the factor swap is
+a cellwise free involution.  Its orbit complex Q, with one cell per
+unordered pair, is what the oracle computes with: `quotient_complex`
+builds it straight from `K.levels`, in K's own simplex numbering, in
+one walk, which also records the faces the quotient folded, so that the
+connecting map of the transfer sequence is the rest of the boundary.
+Cohomology is computed with explicit cocycle representatives: one
+elimination per boundary matrix gives the coboundaries, the cocycles
+and the classes, and its pivot tables stay on the result to solve later
+cocycles for their classes.  The deleted product itself, built by the
+product face rule and carrying the swap, stays as the reference route
+the tests compare with; its callers push the swap onto its cohomology
+with `induced_involution`.
 """
 
 from __future__ import annotations
@@ -126,13 +127,9 @@ def product_faces(s: tuple, t: tuple) -> list[tuple]:
     return faces
 
 
-def _top_dim(K: SimplicialComplex) -> int:
-    return max((len(f) for f in K.facets), default=1) - 1
-
-
 def _numbered(K: SimplicialComplex) -> tuple[list[tuple], list[int]]:
-    """K's simplices by dimension, then in `K.simplices` order, and the vertex mask of each."""
-    simplices = [s for d in range(_top_dim(K) + 1) for s in K.simplices(d)]
+    """K's simplices by dimension, then in `K.levels` order, and the vertex mask of each."""
+    simplices = [s for level in K.levels for s in level]
     return simplices, [sum(1 << v for v in s) for s in simplices]
 
 
@@ -142,11 +139,11 @@ def _disjoint_pairs(K: SimplicialComplex, d: int):
     Listed by (dim s, index s, index t), the cell order of the deleted
     product.
     """
-    top = _top_dim(K)
+    top = len(K.levels) - 1
     for ds in range(max(0, d - top), min(d, top) + 1):
-        for s in K.simplices(ds):
+        for s in K.levels[ds]:
             sset = set(s)
-            for t in K.simplices(d - ds):
+            for t in K.levels[d - ds]:
                 if sset.isdisjoint(t):
                     yield s, t
 
@@ -182,12 +179,12 @@ def quotient_complex(K: SimplicialComplex) -> CellComplex:
     boundary, Phi = boundary - F, is the connecting map of the transfer
     sequence (`borel.equivariant_cochain_complex`).
     """
-    top = _top_dim(K)
+    top = len(K.levels) - 1
     simplices, masks = _numbered(K)
     N = len(simplices)
     number = {s: a for a, s in enumerate(simplices)}
     facets = [[number[f] for f in combinations(s, len(s) - 1)] if len(s) > 1 else [] for s in simplices]
-    start = [0, *accumulate(len(K.simplices(d)) for d in range(top + 1))]
+    start = [0, *accumulate(map(len, K.levels))]
     cells, boundaries, folded, row_of = [], [], [], {}
     for d in range(2 * top + 1):
         # by (dim s, s, t), with dim s <= dim t and s < t: the deleted product's cell order
@@ -227,7 +224,7 @@ def deleted_product(K: SimplicialComplex) -> CellComplex:
     The reference route: the oracle runs on `quotient_complex(K)`, which
     never builds this complex.
     """
-    cells = [list(_disjoint_pairs(K, d)) for d in range(2 * _top_dim(K) + 1)]
+    cells = [list(_disjoint_pairs(K, d)) for d in range(2 * len(K.levels) - 1)]
     index = [{c: i for i, c in enumerate(level)} for level in cells]
     involution = [[index[d][(t, s)] for (s, t) in cells[d]] for d in range(len(cells))]
     out = CellComplex(cells, _pair_boundaries(cells), involution)
@@ -238,11 +235,7 @@ def deleted_product(K: SimplicialComplex) -> CellComplex:
 
 def simplicial_cell_complex(K: SimplicialComplex) -> CellComplex:
     """K as a cell complex: cells are its simplices in K's own order."""
-    top = _top_dim(K)
-    cells = [K.simplices(d) for d in range(top + 1)]
-    boundaries = [Mat2.zeros(0, len(cells[0]))]
-    boundaries.extend(K.boundary_matrix(d) for d in range(1, top + 1))
-    return CellComplex(cells, boundaries)
+    return CellComplex(K.levels, [K.boundary_matrix(d) for d in range(len(K.levels))])
 
 
 class CohomologyResult(NamedTuple):

@@ -13,16 +13,6 @@ from pathlib import Path
 from .report import RunConfig, emit_report, exit_code, run_pipeline
 
 
-class _CollectSurface(argparse.Action):
-    """Append ("kind"|"file", value) preserving command-line order."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        items = list(getattr(namespace, self.dest) or [])
-        source = "kind" if option_string == "--surface" else "file"
-        items.append((source, values))
-        setattr(namespace, self.dest, items)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conf2",
@@ -31,16 +21,19 @@ def build_parser() -> argparse.ArgumentParser:
             "configuration spaces of closed surfaces."
         ),
     )
+    # Both flags append to one list, each value tagged with its source, so the order written is kept.
     parser.add_argument(
         "--surface",
-        action=_CollectSurface,
+        action="append",
+        type=lambda value: ("kind", value),
         dest="surfaces",
         metavar="LABEL",
         help="sphere, orientable:G, or nonorientable:K (repeatable)",
     )
     parser.add_argument(
         "--triangulation",
-        action=_CollectSurface,
+        action="append",
+        type=lambda value: ("file", value),
         dest="surfaces",
         metavar="PATH",
         help="triangulation file (repeatable)",

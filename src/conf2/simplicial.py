@@ -1,11 +1,14 @@
 """Finite simplicial complexes and shipped surface triangulations.
 
-Complexes are given by facets of up to three vertices and closed
-downward.  The surface check (every vertex link a single cycle,
-connected) gates connected sums and the oracle's reduction, which
-contracts edges and makes seeded 2-2 flips down to the surface's vertex
-bound.  Built-in triangulations are loaded from data files and
-re-validated; higher genus and crosscap counts come by connected sum.
+Complexes are given by facets of any size and closed downward; the
+simplices of each dimension, in sorted order, number K for everything
+built on it.  Triangulation files take facets of one to three vertices
+only, as a facet of k vertices has 2^k faces.  The surface check (every
+vertex link a single cycle, connected) gates the command line, connected
+sums and the oracle's reduction, which contracts edges and makes seeded
+2-2 flips down to the surface's vertex bound.  Built-in triangulations
+are loaded from data files and re-validated; higher genus and crosscap
+counts come by connected sum.
 """
 
 from __future__ import annotations
@@ -38,8 +41,11 @@ FLIP_SEEDS, FLIPS_PER_VERTEX = 8, 200
 class SimplicialComplex:
     """Downward closure of a facet list on vertices 0..vertex_count-1.
 
-    Facets may have one, two, or three vertices; a closed surface has
-    pure triangle facets, which validate_surface enforces.
+    Facets may have any positive number of vertices.  levels[d] holds
+    the d-simplices in sorted order, every vertex among the 0-simplices,
+    and that numbering is the one every construction on K uses.  A
+    closed surface has pure triangle facets, which validate_surface
+    enforces.
     """
 
     def __init__(self, vertex_count: int, facets):
@@ -48,7 +54,7 @@ class SimplicialComplex:
         canon = []
         for f in facets:
             face = tuple(sorted(int(v) for v in f))
-            if len(face) not in (1, 2, 3):
+            if not face:
                 raise ValueError(f"facet size out of range: {face}")
             if len(set(face)) != len(face):
                 raise ValueError(f"facet repeats a vertex: {face}")
@@ -59,61 +65,39 @@ class SimplicialComplex:
             raise ValueError("duplicate facets")
         self.vertex_count = vertex_count
         self.facets: tuple[tuple[int, ...], ...] = tuple(sorted(canon))
-        edges = set()
-        triangles = []
-        for face in self.facets:
-            if len(face) == 3:
-                triangles.append(face)
-            for e in combinations(face, 2):
-                edges.add(e)
-        self.triangles: tuple[tuple[int, int, int], ...] = tuple(sorted(triangles))
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edges))
-        self.vertices: tuple[tuple[int], ...] = tuple((v,) for v in range(vertex_count))
-        self._index = [
-            {s: i for i, s in enumerate(level)}
-            for level in (self.vertices, self.edges, self.triangles)
-        ]
-        self._boundaries: dict[int, Mat2] = {}
+        faces = [{(v,) for v in range(vertex_count)}] + [set() for _ in range(max(map(len, canon), default=1) - 1)]
+        for face in canon:
+            for d in range(1, len(face)):
+                faces[d].update(combinations(face, d + 1))
+        self.levels: tuple[tuple[tuple[int, ...], ...], ...] = tuple(tuple(sorted(level)) for level in faces)
+        self._index = [{s: i for i, s in enumerate(level)} for level in self.levels]
         self._surface: dict | None = None
 
     # -- structure ---------------------------------------------------------
 
     def simplices(self, d: int) -> tuple[tuple[int, ...], ...]:
-        if d == 0:
-            return self.vertices
-        if d == 1:
-            return self.edges
-        if d == 2:
-            return self.triangles
-        return ()
+        return self.levels[d] if 0 <= d < len(self.levels) else ()
 
     def simplex_index(self, s: tuple[int, ...]) -> int:
         return self._index[len(s) - 1][s]
 
-    def counts(self) -> tuple[int, int, int]:
-        return (len(self.vertices), len(self.edges), len(self.triangles))
+    def counts(self) -> tuple[int, ...]:
+        """The number of simplices in each dimension."""
+        return tuple(map(len, self.levels))
 
     @property
     def euler(self) -> int:
-        v, e, t = self.counts()
-        return v - e + t
+        return sum((-1) ** d * n for d, n in enumerate(self.counts()))
 
     def boundary_matrix(self, d: int) -> Mat2:
         """Boundary from d-chains to (d-1)-chains; d = 0 maps to nothing."""
-        if d in self._boundaries:
-            return self._boundaries[d]
         cols = self.simplices(d)
-        rows = self.simplices(d - 1) if d >= 1 else ()
         i, j = [], []
-        if d >= 1:
-            idx = self._index[d - 1]
-            for k, s in enumerate(cols):
-                for face in combinations(s, d):
-                    i.append(idx[face])
-                    j.append(k)
-        out = Mat2.from_entries(len(rows), len(cols), i, j)
-        self._boundaries[d] = out
-        return out
+        for k, s in enumerate(cols if d >= 1 else ()):
+            for face in combinations(s, d):
+                i.append(self._index[d - 1][face])
+                j.append(k)
+        return Mat2.from_entries(len(self.simplices(d - 1)), len(cols), i, j)
 
 
 def _connected(graph: dict) -> bool:
@@ -137,7 +121,7 @@ def validate_surface(K: SimplicialComplex) -> dict:
     if K._surface is not None:
         return K._surface
     link: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
-    for t in K.triangles:
+    for t in K.simplices(2):
         for i, v in enumerate(t):
             x, y = t[:i] + t[i + 1 :]
             link[v][x].append(y)
@@ -145,7 +129,7 @@ def validate_surface(K: SimplicialComplex) -> dict:
     pure = len(K.facets) > 0 and all(len(f) == 3 for f in K.facets) and len(link) == K.vertex_count
     cycles = all(len(ends) == 2 for g in link.values() for ends in g.values()) and all(map(_connected, link.values()))
     skeleton: dict[int, list[int]] = {v: [] for v in range(K.vertex_count)}
-    for x, y in K.edges:
+    for x, y in K.simplices(1):
         skeleton[x].append(y)
         skeleton[y].append(x)
     K._surface = {"closed": pure and cycles, "connected": _connected(skeleton), "euler": K.euler}
@@ -156,7 +140,7 @@ def validate_surface(K: SimplicialComplex) -> dict:
 
 
 def parse_triangulation(text: str) -> SimplicialComplex:
-    """Parse the plain-text format: `vertices N`, then `f i j k` lines.
+    """Parse the plain-text format: `vertices N`, then `f i j k` lines of one to three vertices.
 
     The header must not declare vertices that no facet uses: a closed
     surface has none, and a huge count would otherwise be allocated.
@@ -179,6 +163,8 @@ def parse_triangulation(text: str) -> SimplicialComplex:
         elif parts[0] == "f":
             if vertex_count is None:
                 raise ValueError(f"line {lineno}: facet before vertices header")
+            if not 2 <= len(parts) <= 4:
+                raise ValueError(f"line {lineno}: facet size out of range: {len(parts) - 1} vertices, not 1 to 3")
             try:
                 facets.append([int(p) for p in parts[1:]])
             except ValueError as exc:
@@ -281,7 +267,7 @@ def is_orientable(K: SimplicialComplex) -> bool:
     shared edge runs both ways; a clash means K is nonorientable.
     """
     sides = defaultdict(list)  # edge -> (triangle, 1 or -1 as its sorted vertices run the edge up or down)
-    for i, (a, b, c) in enumerate(K.triangles):
+    for i, (a, b, c) in enumerate(K.simplices(2)):
         for e, d in (((a, b), 1), ((b, c), 1), ((a, c), -1)):
             sides[e].append((i, d))
     flips = defaultdict(list)
@@ -392,7 +378,7 @@ def irreducible(K: SimplicialComplex) -> SimplicialComplex:
     """
     n, chi = K.vertex_count, K.euler
     star: list[set[tuple[int, ...]]] = [set() for _ in range(n)]
-    for t in K.triangles:
+    for t in K.simplices(2):
         for v in t:
             star[v].add(t)
     nbrs = [{w for t in s for w in t} - {v} for v, s in enumerate(star)]

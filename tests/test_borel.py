@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conf2.borel import (
     AlphaModule,
@@ -241,6 +243,25 @@ def test_decompose_rejects_inconsistent_maps():
     ])
     with pytest.raises(RuntimeError):
         module_decompose(module)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_decomposed_towers_always_cover_the_dims(data):
+    """The tower counts telescope to r(m, 0) - r(-1, m + 1) = dims[m] in degree m, so whenever
+    module_decompose returns, even on dims that disagree with the maps' shapes, coverage equals dims."""
+    widths = data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=6))
+    n = len(widths)
+    dims = data.draw(st.one_of(st.just(widths), st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    maps = [
+        Mat2(rows, cols, data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows)))
+        for cols, rows in zip(widths, widths[1:])
+    ]
+    try:
+        towers = module_decompose(AlphaModule(dims=dims, alpha_maps=maps))
+    except RuntimeError:
+        return
+    assert [sum(t.start <= m < t.start + t.length for t in towers) for m in range(len(dims))] == dims
 
 
 def test_height_requires_connected_degree_zero():

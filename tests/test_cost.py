@@ -14,7 +14,8 @@ that the deleted-product reference applies cell by cell must not run
 either.  The orbit complex's cell counts per degree are pinned exactly.
 Building the builtins parses each shipped file once and validates each
 complex once, as `validate_surface` keeps its report on the complex;
-both counts are pinned.  The oracle runs on `irreducible(K)`, a
+both counts are pinned, and so is the number of simplicial boundary
+matrices, each built once.  The oracle runs on `irreducible(K)`, a
 triangulation with the fewest vertices its surface allows: the sweep's
 three reducible builtins get there by a few seeded flips, counted
 against a budget, and the benchmark's file inputs by contraction alone.
@@ -96,8 +97,14 @@ def sweep_counts() -> dict[str, tuple[int, int]]:
         counts["validations"] = (computed + (K._surface is None), 0)
         return validate(K)
 
+    def recorded_boundary(K, d):
+        built.append((K, d))  # K itself, not its id, so no complex is freed and its id reused
+        return boundary(K, d)
+
     parse, validate = simplicial.parse_triangulation, simplicial.validate_surface
+    boundary, built = simplicial.SimplicialComplex.boundary_matrix, []
     patch = pytest.MonkeyPatch()
+    patch.setattr(simplicial.SimplicialComplex, "boundary_matrix", recorded_boundary)
     patch.setattr(simplicial, "parse_triangulation", counted_parse)
     patch.setattr(simplicial, "validate_surface", counted_validation)
     patch.setattr(gf2, "rref", counted("rref", gf2.rref))
@@ -114,6 +121,7 @@ def sweep_counts() -> dict[str, tuple[int, int]]:
     finally:
         patch.undo()
     assert all(r.error is None for r in reports)
+    counts["boundaries"] = (len(built), len(set(built)))
     return counts
 
 
@@ -132,6 +140,12 @@ def test_sweep_parses_each_shipped_file_once(sweep_counts):
 def test_sweep_validates_each_complex_once(sweep_counts):
     computed, _ = sweep_counts["validations"]
     assert computed <= int(1.1 * VALIDATIONS), f"{computed} surface validations, budget {int(1.1 * VALIDATIONS)}"
+
+
+def test_sweep_builds_each_boundary_of_a_complex_once(sweep_counts):
+    """SimplicialComplex keeps no boundary memo: H*(K) for the norm check reads d = 0, 1, 2 once per surface."""
+    built, distinct = sweep_counts["boundaries"]
+    assert built == distinct == 3 * len(SWEEP)
 
 
 @pytest.mark.parametrize("name", UNUSED)

@@ -342,6 +342,26 @@ def test_miscounted_rank_fails_the_quotient_dims_record(monkeypatch):
     assert all(c.passed for c in r.checks if c is not record)
 
 
+def test_nonvanishing_top_degree_fails_its_record(monkeypatch, tmp_path):
+    """With the degree-4 Gysin kernel emptied, H^4(M x M) survives: the record fails and the surface is reported."""
+    from conf2 import conf_symbolic
+
+    kernel = conf_symbolic.gysin_kernel
+
+    def emptied(square, q):
+        K = kernel(square, q)
+        return K.take_rows([]) if q == 4 else K
+
+    monkeypatch.setattr(conf_symbolic, "gysin_kernel", emptied)
+    out = tmp_path / "r.json"
+    assert main(["--no-oracle", "--surface", "sphere", "--output", str(out)]) == 1
+    (r,) = json.loads(out.read_text())["reports"]
+    assert r["kind"] == "sphere" and "error" not in r
+    assert r["conf"][4] == {"q": 4, "dim": 1, "t": 1, "f": 0}
+    (record,) = [c for c in r["checks"] if c["name"] == "conf-top-degree-vanishes"]
+    assert record == {"name": "conf-top-degree-vanishes", "pass": False, "expected": 0, "got": 1}
+
+
 def test_open_surface_file_rejected(tmp_path):
     path = tmp_path / "disk.tri"
     path.write_text("vertices 3\nf 0 1 2\n")

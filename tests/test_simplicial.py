@@ -62,7 +62,16 @@ def test_constructor_rejects_bad_facets():
     with pytest.raises(ValueError):
         SimplicialComplex(4, [(0, 1, 2), (2, 1, 0)])
     with pytest.raises(ValueError):
-        SimplicialComplex(5, [(0, 1, 2, 3)])
+        SimplicialComplex(3, [()])
+
+
+def test_constructor_takes_facets_of_any_size():
+    """A 4-vertex facet is a solid tetrahedron: one list of simplices per dimension, every vertex a 0-simplex."""
+    K = SimplicialComplex(5, [(3, 2, 1, 0)])
+    assert K.counts() == (5, 6, 4, 1)
+    assert K.levels[3] == ((0, 1, 2, 3),)
+    assert K.simplices(4) == ()
+    assert K.euler == 2
 
 
 def test_tetrahedron_is_a_sphere():
@@ -211,7 +220,7 @@ def test_subdivision_preserves_betti(kind):
 
 def test_subdivision_of_edge_facets():
     K = barycentric_subdivide(SimplicialComplex(2, [(0, 1)]))
-    assert K.counts() == (3, 2, 0)
+    assert K.counts() == (3, 2)
 
 
 def subdivided(label: str, times: int, seed: int | None = None) -> SimplicialComplex:
@@ -327,6 +336,9 @@ def test_parse_ignores_comments_and_blanks():
     assert K.counts() == (4, 6, 4)
 
 
+# A facet of 64 vertices would have 2^64 faces, so the parser refuses it before building a complex.
+LONG_FACET = "vertices 64\nf " + " ".join(map(str, range(64))) + "\n"
+
 # Each malformed text with the start of the message it must raise.
 MALFORMED = {
     "f 0 1 2\n": "line 1: facet before vertices header",
@@ -337,6 +349,8 @@ MALFORMED = {
     "vertices 3\ntriangle 0 1 2\n": "line 2: unknown directive 'triangle'",
     "": "missing vertices header",
     "vertices 3\nf 0 1 1\n": "line 1: 'vertices 3' declares vertices no facet uses",
+    "vertices 3\nf\n": "line 2: facet size out of range: 0 vertices",
+    LONG_FACET: "line 2: facet size out of range: 64 vertices",
 }
 
 
@@ -344,6 +358,17 @@ MALFORMED = {
 def test_parse_rejects_malformed_input(text):
     with pytest.raises(ValueError, match="^" + re.escape(MALFORMED[text])):
         parse_triangulation(text)
+
+
+def test_parser_gates_facet_size_before_building_a_complex(monkeypatch):
+    """Without the parser's own gate the long facet would reach the class and enumerate its faces."""
+
+    def refuse(*args):
+        raise AssertionError("parse_triangulation built a complex from a facet it should refuse")
+
+    monkeypatch.setattr(simplicial, "SimplicialComplex", refuse)
+    with pytest.raises(ValueError, match="^line 2: facet size out of range: 64 vertices"):
+        parse_triangulation(LONG_FACET)
 
 
 # Tokens for the parser fuzz: its keywords, small and huge ids, and characters that look like digits or spaces.

@@ -53,14 +53,14 @@ def betti(K: SimplicialComplex) -> tuple[int, int, int]:
     """F2 Betti numbers (b0, b1, b2) from the ranks of the boundary matrices."""
     r1 = rank(K.boundary_matrix(1))
     r2 = rank(K.boundary_matrix(2))
-    v, e, t = K.counts()
+    v, e, t = (len(K.simplices(d)) for d in range(3))
     return (v - r1, e - r1 - r2, t - r2)
 
 
 def contractible_edges(K: SimplicialComplex) -> list[tuple[int, int]]:
     """The edges whose ends share exactly two neighbours, the link condition on a closed surface."""
     nbrs = [set() for _ in range(K.vertex_count)]
-    for a, b in K.edges:
+    for a, b in K.simplices(1):
         nbrs[a].add(b)
         nbrs[b].add(a)
-    return [(a, b) for a, b in K.edges if len(nbrs[a] & nbrs[b]) == 2]
+    return [(a, b) for a, b in K.simplices(1) if len(nbrs[a] & nbrs[b]) == 2]
