@@ -9,8 +9,9 @@ one walk, which also records the faces the quotient folded, so that the
 connecting map of the transfer sequence is the rest of the boundary.
 Cohomology is computed with explicit cocycle representatives: one
 elimination per boundary matrix gives the coboundaries, the cocycles
-and the classes, and its pivot tables stay on the result to solve later
-cocycles for their classes.  The deleted product itself, built by the
+and the classes.  The result keeps the representatives and the
+lowest-one table of the coboundaries, and solves later cocycles for
+their classes against the two.  The deleted product itself, built by the
 product face rule and carrying the swap, stays as the reference route
 the tests compare with; its callers push the swap onto its cohomology
 with `induced_involution`.
@@ -25,6 +26,7 @@ from .gf2 import (  # select_independent_rows, solve_many: not run here; kept im
     Mat2,
     _reduce,
     eliminate,
+    permute,
     select_independent_rows,
     solve_many,
 )
@@ -82,7 +84,7 @@ class CellComplex:
             for d in range(1, len(self.cells)):
                 # The ones of the boundary, as a set, must be fixed by the involution on rows and columns.
                 B = self.boundaries[d]
-                if B.take_rows(involution[d - 1]).take_cols(involution[d]) != B:
+                if [permute(x, involution[d]) for x in B.take_rows(involution[d - 1]).data] != B.data:
                     raise RuntimeError(f"involution does not commute with the boundary at dimension {d}")
             self.involution = involution
         if folded is not None:
@@ -239,18 +241,16 @@ def simplicial_cell_complex(K: SimplicialComplex) -> CellComplex:
 
 
 class CohomologyResult(NamedTuple):
-    """Per-degree class representatives with the pivot tables that solve for classes.
+    """Per-degree class representatives, and the lowest-one tables that solve for classes.
 
-    coboundary_basis[d] is an echelon basis of the coboundaries B^d,
-    each row's lowest one at its entry of coboundary_pivots[d];
-    cocycle_basis[d] holds cocycles whose classes form a basis, zero on
-    the coboundary pivots and echelon with lowest ones class_pivots[d].
+    cocycle_basis[d] holds cocycles whose classes form a basis, in
+    ascending lowest one, no two sharing one; coboundaries[d] is the
+    lowest-one table {lowest one: row} of the coboundaries B^d, and the
+    representatives vanish on its keys.
     """
 
     cocycle_basis: list[Mat2]
-    class_pivots: list[list[int]]
-    coboundary_basis: list[Mat2]
-    coboundary_pivots: list[list[int]]
+    coboundaries: list[dict[int, int]]
 
     @property
     def dims(self) -> list[int]:
@@ -266,9 +266,9 @@ class CohomologyResult(NamedTuple):
         and raises RuntimeError.
         """
         n = self.cocycle_basis[d].cols
-        table = dict(zip(self.coboundary_pivots[d], self.coboundary_basis[d].data))
-        for k, (p, rep) in enumerate(zip(self.class_pivots[d], self.cocycle_basis[d].data)):
-            table[p] = rep | 1 << n + k
+        table = dict(self.coboundaries[d])
+        for k, rep in enumerate(self.cocycle_basis[d].data):
+            table[(rep & -rep).bit_length() - 1] = rep | 1 << n + k
         coords = []
         for x in cochains.data:
             x = _reduce(x, table)
@@ -282,32 +282,28 @@ def cohomology_f2(C: CellComplex) -> CohomologyResult:
     """Cohomology over F2 from one elimination per boundary matrix.
 
     Degree by degree, eliminating boundary d+1 (one row per d-cell)
-    gives the echelon basis of B^{d+1} and, in its row transform, the
-    cocycles Z^d.  Only the rows off the pivot columns of B^d are
-    eliminated (clearing): row k of B^d's echelon basis E is a cocycle
-    with lowest one at its pivot p_k, so from the highest pivot down
-    each pivot row of the boundary is a sum of kept rows, which span
-    B^{d+1}.  The cocycles supported on them vanish on B^d's pivots, where
-    every nonzero coboundary has its lowest one, so their echelon basis
-    is a set of class representatives.  The kept rows go in from the
-    last cell down, so a row's transform is its own cell plus later
-    ones: a row reducing to zero keeps its cell as pivot and meets no
-    other representative, which keeps the representatives sparse.
+    gives the lowest-one table of B^{d+1} and, in its row transform, the
+    cocycles Z^d.  Only the rows off the keys of B^d's table E are
+    eliminated (clearing): the row of E keyed p is a cocycle with lowest
+    one p, so from the highest key down each keyed row of the boundary
+    is a sum of kept rows, which span B^{d+1}.  The cocycles supported
+    on them vanish on E's keys, where every nonzero coboundary has its
+    lowest one, so their echelon basis is a set of class
+    representatives.  The kept rows go in from the last cell down, so a
+    row's transform is its own cell plus later ones: a row reducing to
+    zero keeps its cell as pivot and meets no other representative,
+    which keeps the representatives sparse.
     """
-    reps, rep_pivots, cobs, cob_pivots = [], [], [], []
-    E, P = Mat2.zeros(0, C.n_cells(0)), []
+    reps, cobs, E = [], [], {}
     for d in range(C.top_dim + 1):
         n = C.n_cells(d)
         cobs.append(E)
-        cob_pivots.append(P)
-        cleared = set(P)
-        keep = [i for i in reversed(range(n)) if i not in cleared]
+        keep = [i for i in reversed(range(n)) if i not in E]
         boundary = C.boundaries[d + 1] if d < C.top_dim else Mat2.zeros(n, 0)
         transform = Mat2(len(keep), n, [1 << i for i in keep])
-        E, P, classes, class_pivots = eliminate(boundary.take_rows(keep), transform)
-        reps.append(classes)
-        rep_pivots.append(class_pivots)
-    return CohomologyResult(reps, rep_pivots, cobs, cob_pivots)
+        E, classes = eliminate(boundary.take_rows(keep), transform)
+        reps.append(Mat2(len(classes), n, [classes[p] for p in sorted(classes)]))
+    return CohomologyResult(reps, cobs)
 
 
 def induced_involution(C: CellComplex, H: CohomologyResult) -> list[Mat2]:
@@ -322,7 +318,9 @@ def induced_involution(C: CellComplex, H: CohomologyResult) -> list[Mat2]:
     out: list[Mat2] = []
     for d in range(C.top_dim + 1):
         k = H.dims[d]
-        ind = H.solve(d, H.cocycle_basis[d].take_cols(C.involution[d])).transpose()
+        reps = H.cocycle_basis[d]
+        swapped = Mat2(reps.rows, reps.cols, [permute(x, C.involution[d]) for x in reps.data])
+        ind = H.solve(d, swapped).transpose()
         if ind.mul(ind) != Mat2.identity(k):
             raise RuntimeError(f"induced involution fails to square to one in degree {d}")
         out.append(ind)

@@ -64,15 +64,15 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     reports = run_pipeline(cfg)
-    text = emit_report(reports, cfg.output_format)
+    data = emit_report(reports, cfg.output_format).encode("utf-8")  # an error may quote any character of a file
     if args.output:
         try:
-            Path(args.output).write_text(text)
+            Path(args.output).write_bytes(data)
         except OSError as exc:
             print(f"conf2: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        sys.stdout.buffer.write(data)
     return exit_code(reports)
 
 

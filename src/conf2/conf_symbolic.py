@@ -8,15 +8,18 @@ the group algebra of the swap sigma.  No quotient is built: with c the
 number of 2-cycles of sigma on the square's basis,
 f = dim((1 + sigma)V + K) - dim K = c - dim(K meet im(1 + sigma)), and
 im(1 + sigma) is the set of sigma-fixed vectors that vanish on sigma's
-fixed basis elements.  Each degree is one `ConfRow(q, dim, t, f)`, the
-row type the oracle's transfer route builds too.
+fixed basis elements.  sigma moves the ones of K's rows (`gf2.permute`),
+and the meet is the kernel of k -> k + sigma k + (k on the fixed basis
+elements), whose two parts have disjoint supports.  Each degree is one
+`ConfRow(q, dim, t, f)`, the row type the oracle's transfer route
+builds too.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .gf2 import Mat2, rank, rref
+from .gf2 import Mat2, from_ones, permute, rank, rref
 from .surfaces import (
     KunnethAlgebra,
     SurfaceKind,
@@ -71,13 +74,13 @@ def _times_diagonal(square: KunnethAlgebra, q: int) -> tuple[Mat2, Mat2]:
 
 
 def gysin_kernel(square: KunnethAlgebra, q: int) -> Mat2:
-    """Echelon basis, keyed by lowest ones, of the kernel of restriction to the configuration space in degree q.
+    """Echelon basis, in ascending lowest one, of the kernel of restriction to the configuration space in degree q.
 
-    The span of (x cross 1) d with x running over a basis of the factor
-    ring in degree q-2; no rows below degree 2.
+    The rows of the lowest-one table of (x cross 1) d, x running over a
+    basis of the factor ring in degree q-2; no rows below degree 2.
     """
-    R, piv = rref(_times_diagonal(square, q)[1])
-    return R.take_rows(range(len(piv)))
+    table = rref(_times_diagonal(square, q)[1])
+    return Mat2(len(table), square.dim(q), [table[p] for p in sorted(table)])
 
 
 def kernel_ideal_check(square: KunnethAlgebra, q: int) -> bool:
@@ -120,13 +123,13 @@ def conf_cohomology(kind: SurfaceKind) -> ConfCohomology:
     for q in range(TOP_DEGREE + 1):
         K = gysin_kernel(square, q)
         perm = square.swap_perm[q]
-        swapped = K.take_cols(perm)
-        if rank(Mat2.vstack([K, swapped])) != K.rows:
+        swapped = [permute(k, perm) for k in K.data]
+        if rank(Mat2(2 * K.rows, K.cols, K.data + swapped)) != K.rows:
             raise RuntimeError(f"restriction kernel is not swap-stable in degree {q}")
-        fixed = [i for i, j in enumerate(perm) if i == j]
-        cycles = (len(perm) - len(fixed)) // 2
-        # k in K lies in im(1 + sigma) iff k + k sigma = 0 and k vanishes on the fixed basis elements
-        meet = K.rows - rank(Mat2.hstack(K ^ swapped, K.take_cols(fixed)))
+        fixed = from_ones(i for i, j in enumerate(perm) if i == j)
+        cycles = (len(perm) - fixed.bit_count()) // 2
+        # k lies in im(1 + sigma) iff k + sigma k = 0 and k is 0 on the fixed basis elements, where k + sigma k is 0
+        meet = K.rows - rank(Mat2(K.rows, K.cols, [k ^ s ^ (k & fixed) for k, s in zip(K.data, swapped)]))
         dim = len(perm) - K.rows
         f = cycles - meet
         if dim - 2 * f < 0:

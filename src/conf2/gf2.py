@@ -2,18 +2,18 @@
 
 A vector, and each matrix row, is one Python int with column (or basis
 element) c at bit c, so a row operation is one XOR that runs over the
-whole row in C.  Elimination reduces the rows one at a time against a
-table of pivot rows keyed by their lowest one, so a row costs only the
-pivots it hits.  `eliminate` carries a row transform in the same rows as
-the matrix it reduces, so one elimination of a boundary matrix gives
-both its row space and its left kernel.  A product runs over the ones
-of its left factor, so products with sparse boundary matrices cost what
-their ones cost.
+whole row in C; a permutation of the basis moves a row's ones
+(`permute`).  A product runs over the ones of its left factor, so
+products with sparse boundary matrices cost what their ones cost.
 
-There is one reduction loop, `_reduce`, and no back-substitution: a
-system is solved by reducing against the pivot table an elimination
-leaves.  Results are deterministic given the row order, and everything
-downstream (kernel bases, cohomology representatives) inherits that.
+The one echelon format is the lowest-one table {lowest one: row} of
+persistence reduction.  `rref` builds it row by row against the table
+so far, so a row costs only the pivots it hits.  `eliminate` carries a
+row transform in the same rows, so one elimination of a boundary matrix
+gives two tables: its row space and its left kernel.  There is one
+reduction loop, `_reduce`, and no back-substitution: a system is solved
+by reducing against a table.  Results are deterministic given the row
+order, and everything downstream inherits that.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "from_ones",
     "pack",
     "xor_rows",
+    "permute",
     "rref",
     "rank",
     "eliminate",
@@ -84,6 +85,11 @@ def xor_rows(rows: Sequence[int], x: int) -> int:
     return acc
 
 
+def permute(x: int, perm: Sequence[int]) -> int:
+    """The row x with its one at i moved to perm[i], for each of its ones."""
+    return from_ones(perm[i] for i in ones(x))
+
+
 class Mat2:
     """Matrix over F2, one int per row in `data`.  Treated as immutable once built."""
 
@@ -121,16 +127,6 @@ class Mat2:
         return cls(rows, cols, data)
 
     @classmethod
-    def vstack(cls, mats: Iterable["Mat2"]) -> "Mat2":
-        mats = list(mats)
-        if not mats:
-            raise ValueError("nothing to stack")
-        cols = mats[0].cols
-        if any(m.cols != cols for m in mats):
-            raise ValueError("column mismatch")
-        return cls(sum(m.rows for m in mats), cols, [x for m in mats for x in m.data])
-
-    @classmethod
     def hstack(cls, left: "Mat2", right: "Mat2") -> "Mat2":
         if left.rows != right.rows:
             raise ValueError("row mismatch")
@@ -141,14 +137,6 @@ class Mat2:
     def take_rows(self, idx) -> "Mat2":
         data = [self.data[i] for i in idx]
         return Mat2(len(data), self.cols, data)
-
-    def take_cols(self, idx) -> "Mat2":
-        """The columns idx, in that order; each row costs its ones and its new width."""
-        idx = list(idx)
-        moves: list[list[int]] = [[] for _ in range(self.cols)]
-        for k, c in enumerate(idx):
-            moves[c].append(k)
-        return Mat2(self.rows, len(idx), [from_ones(k for c in ones(x) for k in moves[c]) for x in self.data])
 
     def is_zero(self) -> bool:
         return not any(self.data)
@@ -213,44 +201,37 @@ def _insert(x: int, pivots: dict[int, int]) -> bool:
     return x != 0
 
 
-def rref(m: Mat2) -> tuple[Mat2, list[int]]:
-    """An echelon form keyed by lowest ones, and the ordered list of pivot columns.
+def rref(m: Mat2) -> dict[int, int]:
+    """The lowest-one table of the row space of m: {lowest one: row}.
 
-    Lowest-one reduction: each row is reduced against the pivot rows
-    found so far and kept when a one is left, its lowest one its pivot.
-    No two kept rows share a pivot, and nothing above a row's pivot is
-    cleared.  The nonzero rows come first, ordered by pivot column.
+    Each row is reduced against the table so far and kept when a one is
+    left, keyed by its lowest one.  No two kept rows share a lowest one,
+    and nothing above a row's lowest one is cleared.
     """
     pivots: dict[int, int] = {}
     for x in m.data:
         _insert(x, pivots)
-    order = sorted(pivots)
-    return Mat2(m.rows, m.cols, [pivots[c] for c in order] + [0] * (m.rows - len(order))), order
+    return pivots
 
 
 def rank(m: Mat2) -> int:
-    return len(rref(m)[1])
+    return len(rref(m))
 
 
-def eliminate(m: Mat2, transform: Mat2) -> tuple[Mat2, list[int], Mat2, list[int]]:
-    """One elimination of m that carries a row transform T in the same rows.
+def eliminate(m: Mat2, transform: Mat2) -> tuple[dict[int, int], dict[int, int]]:
+    """One elimination of m that carries a row transform T in the same rows: two lowest-one tables.
 
-    The echelon form of [m | T], T with one row per row of m, gives an
-    echelon basis of the row space of m with its pivot columns, and
-    below it the rows whose m-part reduced to zero: an echelon basis of
-    their T-parts, with its pivot columns.  With T the identity that is
-    a basis of the left kernel {z : z m = 0}; otherwise it spans the
-    image of the left kernel under z -> z T.
+    The table of [m | T], T with one row per row of m, splits at the
+    width of m.  Its rows keyed below the width, masked to m's columns,
+    are the table of the row space of m; the rest are rows whose m-part
+    reduced to zero, and their T-parts, keyed by their lowest ones in
+    T, are a table of the image of the left kernel {z : z m = 0} under
+    z -> z T (the left kernel itself when T is the identity).
     """
     if transform.rows != m.rows:
         raise ValueError("the transform needs one row per row of the matrix")
-    n = m.cols
-    R, piv = rref(Mat2.hstack(m, transform))
-    r = sum(p < n for p in piv)
-    mask = (1 << n) - 1
-    basis = Mat2(r, n, [x & mask for x in R.data[:r]])
-    kernel = Mat2(len(piv) - r, transform.cols, [x >> n for x in R.data[r : len(piv)]])
-    return basis, piv[:r], kernel, [p - n for p in piv[r:]]
+    n, table = m.cols, rref(Mat2.hstack(m, transform))
+    return {p: x & (1 << n) - 1 for p, x in table.items() if p < n}, {p - n: x >> n for p, x in table.items() if p >= n}
 
 
 def select_independent_rows(m: Mat2) -> list[int]:
@@ -267,13 +248,13 @@ def select_independent_rows(m: Mat2) -> list[int]:
 def solve_many(m: Mat2, rhs: Mat2) -> list[int | None]:
     """Solve m x = b for every row b of rhs with a single elimination; each x as an int, None when there is none.
 
-    b reduced to zero against the echelon rows [z m^T | z] of [m^T | I] leaves x, a sum of z's, above the width.
+    b reduced to zero against the rows [z m^T | z] of the table of [m^T | I] keyed below the width leaves
+    x, a sum of z's, above the width.
     """
     if rhs.cols != m.rows:
         raise ValueError("right-hand sides have the wrong length")
     n = m.rows
-    R, piv = rref(Mat2.hstack(m.transpose(), Mat2.identity(m.cols)))
-    table = {p: x for x, p in zip(R.data, piv) if p < n}
+    table = {p: x for p, x in rref(Mat2.hstack(m.transpose(), Mat2.identity(m.cols))).items() if p < n}
     mask = (1 << n) - 1
     return [None if x & mask else x >> n for x in (_reduce(b, table) for b in rhs.data)]
 
@@ -281,13 +262,12 @@ def solve_many(m: Mat2, rhs: Mat2) -> list[int | None]:
 def invert(m: Mat2) -> Mat2:
     """Inverse of a square matrix; raises ValueError when singular.
 
-    Row i is e_i reduced against the echelon rows [z m | z] of [m | I], read above the width.
+    Row i is e_i reduced against the table of [m | I], whose rows are [z m | z], read above the width.
     """
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    R, piv = rref(Mat2.hstack(m, Mat2.identity(n)))
-    if piv != list(range(n)):
+    table = rref(Mat2.hstack(m, Mat2.identity(n)))
+    if any(p >= n for p in table):
         raise ValueError("matrix is singular")
-    table = dict(zip(piv, R.data))
     return Mat2(n, n, [_reduce(1 << i, table) >> n for i in range(n)])

@@ -225,8 +225,8 @@ def _oracle_side(K: SimplicialComplex, chi: int) -> tuple[list[ConfRow], UConfSu
     quotient = quotient_complex(K)
     checks.append(CheckRecord("quotient-euler-halves", quotient.euler == conf_chi // 2, conf_chi // 2, quotient.euler))
     Q = cohomology_f2(quotient)
-    # Rank-nullity from the pivot counts of the eliminations, against the number of classes.
-    ranks = [len(p) for p in Q.coboundary_pivots] + [0] * (TOP_DEGREE + 2)
+    # Rank-nullity from the sizes of the coboundary tables, against the number of classes.
+    ranks = [len(table) for table in Q.coboundaries] + [0] * (TOP_DEGREE + 2)
     rank_nullity = [quotient.n_cells(n) - ranks[n + 1] - ranks[n] for n in range(TOP_DEGREE + 1)]
 
     A = equivariant_cohomology_with_alpha(equivariant_cochain_complex(quotient), Q)

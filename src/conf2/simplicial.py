@@ -139,10 +139,21 @@ def validate_surface(K: SimplicialComplex) -> dict:
 # -- file format ------------------------------------------------------------
 
 
+def _decimals(tokens: list[str], lineno: int, message: str) -> list[int]:
+    """The tokens as ints when each is ASCII decimal digits that int() converts; else ValueError `line N: message`."""
+    if all(t.isascii() and t.isdecimal() for t in tokens):
+        try:
+            return [int(t) for t in tokens]
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    raise ValueError(f"line {lineno}: {message}")
+
+
 def parse_triangulation(text: str) -> SimplicialComplex:
     """Parse the plain-text format: `vertices N`, then `f i j k` lines of one to three vertices.
 
-    The header must not declare vertices that no facet uses: a closed
+    The count and the vertex ids are ASCII decimal digits only.  The
+    header must not declare vertices that no facet uses: a closed
     surface has none, and a huge count would otherwise be allocated.
     """
     vertex_count = None
@@ -156,26 +167,23 @@ def parse_triangulation(text: str) -> SimplicialComplex:
         if parts[0] == "vertices":
             if vertex_count is not None:
                 raise ValueError(f"line {lineno}: repeated vertices header")
-            if len(parts) != 2 or not parts[1].isdecimal():
+            if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'vertices N'")
-            vertex_count = int(parts[1])
+            (vertex_count,) = _decimals(parts[1:], lineno, "expected 'vertices N'")
             header_line = lineno
         elif parts[0] == "f":
             if vertex_count is None:
                 raise ValueError(f"line {lineno}: facet before vertices header")
             if not 2 <= len(parts) <= 4:
                 raise ValueError(f"line {lineno}: facet size out of range: {len(parts) - 1} vertices, not 1 to 3")
-            try:
-                facets.append([int(p) for p in parts[1:]])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: bad facet indices") from exc
+            facets.append(_decimals(parts[1:], lineno, "bad facet indices"))
         else:
             raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
     if vertex_count is None:
         raise ValueError("missing vertices header")
-    # Ids out of range are left to SimplicialComplex, which rejects them before allocating.
+    # Ids past the count are left to SimplicialComplex, which rejects them before allocating.
     used = {v for f in facets for v in f}
-    if len(used) < vertex_count and all(0 <= v < vertex_count for v in used):
+    if len(used) < vertex_count and all(v < vertex_count for v in used):
         raise ValueError(
             f"line {header_line}: 'vertices {vertex_count}' declares vertices no facet uses"
             f" (the facets use {len(used)})"

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Mapping
 
-from .gf2 import Mat2, from_ones, invert, ones, pack
+from .gf2 import Mat2, invert, ones, pack, permute
 
 __all__ = [
     "SurfaceKind",
@@ -299,8 +299,7 @@ class KunnethAlgebra(_GradedBasis):
         return Mat2(len(out), self.dim(a + b), out)
 
     def swap(self, x: Element) -> Element:
-        perm = self.swap_perm[x.degree]
-        return Element(x.degree, from_ones(perm[i] for i in ones(x.coeffs)))
+        return Element(x.degree, permute(x.coeffs, self.swap_perm[x.degree]))
 
 
 def diagonal_class(square: KunnethAlgebra) -> Element:

@@ -23,7 +23,7 @@ from conf2.conf_symbolic import rep_decompose
 from conf2.gf2 import Mat2, rank, solve_many
 from conf2.simplicial import builtin_triangulation
 from conf2.surfaces import SurfaceKind
-from gf2_reference import bits, entries
+from gf2_reference import bits, echelon, entries, stack
 
 
 def reference_classes(H: CohomologyResult, d: int, cochains: Mat2) -> list[np.ndarray | None]:
@@ -32,7 +32,8 @@ def reference_classes(H: CohomologyResult, d: int, cochains: Mat2) -> list[np.nd
     Solves against [cocycles; coboundaries] of degree d, transposed and
     eliminated afresh on every call.
     """
-    system = Mat2.vstack([H.cocycle_basis[d], H.coboundary_basis[d]]).transpose()
+    reps = H.cocycle_basis[d]
+    system = stack(reps, echelon(H.coboundaries[d], reps.cols)).transpose()
     return [None if sol is None else bits(sol, system.cols)[: H.dims[d]] for sol in solve_many(system, cochains)]
 
 

@@ -6,15 +6,17 @@ their answers with numpy arrays, so the dense conversions live here:
 `from_dense`/`to_dense` between a 0/1 array and a `Mat2`, `from_rows` for
 nested 0/1 rows, `bits` for one
 int vector, `entries` for the ones of a matrix and `mul_vec` for a
-matrix-vector product on arrays.
+matrix-vector product on arrays.  `stack` puts matrices of one width
+one above another, and `echelon` lists the rows of a lowest-one table.
 
 `reference_rref` is the column-loop elimination `gf2.rref` replaced: it
 loops over the columns left to right, takes the first not-yet-used row
 with a one in the column as its pivot, and XORs it into every other row
 carrying that bit, with numpy selecting and XORing the rows in packed
 64-bit words.  Its reduced row-echelon form is unique, so it names a row
-space exactly: `is_echelon_form_of` checks an echelon form keyed by
-lowest ones, which `gf2.rref` gives, against it.
+space exactly: `is_echelon_form_of` checks rows in ascending lowest one
+against it, and `is_table_of` a lowest-one table, which `gf2.rref`
+gives.
 """
 
 import numpy as np
@@ -116,16 +118,31 @@ def reference_span(m: Mat2) -> tuple[list[int], list[int]]:
     return R.data[: len(piv)], piv
 
 
-def is_echelon_form_of(R: Mat2, piv: list[int], m: Mat2) -> bool:
-    """Whether R is an echelon form of m with pivots piv, each keyed by its lowest one.
+def lowest_one(x: int) -> int:
+    return (x & -x).bit_length() - 1
 
-    The nonzero rows come first; row k has its lowest one at piv[k];
-    the pivots ascend, so no two rows share one; and R and m have the
-    same row space, so the pivots are the reference's too.
+
+def stack(*mats: Mat2) -> Mat2:
+    """The rows of the matrices, one after another; all have the first one's width."""
+    cols = mats[0].cols
+    assert all(m.cols == cols for m in mats)
+    return Mat2(sum(m.rows for m in mats), cols, [x for m in mats for x in m.data])
+
+
+def echelon(table: dict[int, int], cols: int) -> Mat2:
+    """The rows of a lowest-one table in ascending key, as a matrix of the given width."""
+    return Mat2(len(table), cols, [table[p] for p in sorted(table)])
+
+
+def is_echelon_form_of(R: Mat2, m: Mat2) -> bool:
+    """Whether R's rows are nonzero with strictly ascending lowest ones and span the row space of m.
+
+    Then R has the reference's pivots as its lowest ones.
     """
-    rows = [x for x in R.data if x]
-    return (
-        R.data[: len(piv)] == rows
-        and [(x & -x).bit_length() - 1 for x in rows] == piv == sorted(set(piv))
-        and reference_span(R) == reference_span(m)
-    )
+    lows = [lowest_one(x) for x in R.data]
+    return all(R.data) and lows == sorted(set(lows)) and reference_span(R) == reference_span(m)
+
+
+def is_table_of(table: dict[int, int], m: Mat2) -> bool:
+    """Whether table is a lowest-one table of the row space of m: each row keyed by its lowest one."""
+    return all(x and lowest_one(x) == p for p, x in table.items()) and is_echelon_form_of(echelon(table, m.cols), m)

@@ -24,7 +24,7 @@ import numpy as np
 from conf2.conf_symbolic import TOP_DEGREE, rep_decompose
 from conf2.gf2 import Mat2, from_ones, ones, pack, rank, rref, xor_rows
 from conf2.surfaces import Element, KunnethAlgebra, SurfaceKind, build_kunneth, build_surface_ring
-from gf2_reference import from_dense, from_rows, reference_rref, to_dense
+from gf2_reference import echelon, from_dense, from_rows, reference_rref, stack, to_dense
 
 
 def basis_element(algebra, degree: int, i: int) -> Element:
@@ -106,8 +106,7 @@ class Subspace:
             m = from_rows(vectors, cols=ambient_dim)
         if m.cols != ambient_dim:
             raise ValueError("vector width does not match the ambient dimension")
-        R, piv = rref(m)
-        return Subspace(ambient_dim, R.take_rows(range(len(piv))))
+        return Subspace(ambient_dim, echelon(rref(m), ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -124,7 +123,7 @@ class Subspace:
             v = pack(vec)
         if v >> self.ambient_dim:
             raise ValueError("vector lives in the wrong ambient space")
-        stacked = Mat2.vstack([self.basis, Mat2(1, self.ambient_dim, [v])])
+        stacked = stack(self.basis, Mat2(1, self.ambient_dim, [v]))
         return rank(stacked) == rank(self.basis)
 
 
@@ -136,7 +135,7 @@ def subspace_equal(a: Subspace, b: Subspace) -> bool:
     rb = rank(b.basis)
     if ra != rb:
         return False
-    return rank(Mat2.vstack([a.basis, b.basis])) == ra
+    return rank(stack(a.basis, b.basis)) == ra
 
 
 def quotient_map_with_section(ambient_dim: int, sub: Subspace) -> tuple[Mat2, Mat2, int]:

@@ -19,7 +19,17 @@ from conf2.gf2 import Mat2, eliminate, invert, rank
 from conf2.simplicial import SimplicialComplex, builtin_triangulation
 from conf2.surfaces import SurfaceKind
 from dp_reference import orbit_quotient, reference_classes
-from gf2_reference import from_dense, is_echelon_form_of, mul_vec, reference_rref, to_dense
+from gf2_reference import (
+    echelon,
+    from_dense,
+    is_echelon_form_of,
+    is_table_of,
+    lowest_one,
+    mul_vec,
+    reference_rref,
+    stack,
+    to_dense,
+)
 from tri_reference import barycentric_subdivide
 
 
@@ -71,10 +81,8 @@ def test_representatives_are_cocycles_not_coboundaries():
         for row in to_dense(reps):
             assert not mul_vec(delta, row).any()
         # classes stay independent modulo coboundaries
-        stacked = Mat2.vstack([result.coboundary_basis[d], reps])
-        from conf2.gf2 import rank
-
-        assert rank(stacked) == result.coboundary_basis[d].rows + reps.rows
+        coboundaries = echelon(result.coboundaries[d], reps.cols)
+        assert rank(stack(coboundaries, reps)) == coboundaries.rows + reps.rows
 
 
 @pytest.mark.parametrize(
@@ -236,8 +244,8 @@ def test_random_complex_dims_satisfy_rank_nullity(case):
     assert H.dims == betti
     for d in range(C.top_dim + 1):
         rank_next = rank(C.boundaries[d + 1]) if d < C.top_dim else 0
-        assert len(H.coboundary_pivots[d]) == rank(C.boundaries[d])
-        assert H.dims[d] == C.n_cells(d) - rank_next - len(H.coboundary_pivots[d])
+        assert len(H.coboundaries[d]) == rank(C.boundaries[d])
+        assert H.dims[d] == C.n_cells(d) - rank_next - len(H.coboundaries[d])
 
 
 @settings(deadline=None, max_examples=100)
@@ -267,34 +275,33 @@ def full_rows_cohomology(C: CellComplex) -> CohomologyResult:
     p_k, from the column-loop reference, so that the classes vanish on
     B^d's pivots as the clearing route's do.
     """
-    reps, rep_pivots, cobs, cob_pivots = [], [], [], []
-    E, P = Mat2.zeros(0, C.n_cells(0)), []
+    reps, cobs, E = [], [], {}
     for d in range(C.top_dim + 1):
         n = C.n_cells(d)
         cobs.append(E)
-        cob_pivots.append(P)
         transform = Mat2.identity(n)
-        for p, e in zip(P, reference_rref(E)[0].data):
+        for p, e in zip(sorted(E), reference_rref(echelon(E, n))[0].data):
             transform.data[p] ^= e
         boundary = C.boundaries[d + 1] if d < C.top_dim else Mat2.zeros(n, 0)
-        E, P, classes, class_pivots = eliminate(boundary, transform)
-        reps.append(classes)
-        rep_pivots.append(class_pivots)
-    return CohomologyResult(reps, rep_pivots, cobs, cob_pivots)
+        E, classes = eliminate(boundary, transform)
+        reps.append(echelon(classes, n))
+    return CohomologyResult(reps, cobs)
 
 
 def assert_clearing_matches_full_rows(C: CellComplex) -> None:
-    """Both routes give the same pivots, and echelon bases of the same spaces keyed by them.
+    """Both routes give the same lowest ones, and echelon bases and tables of the same spaces keyed by them.
 
     The clearing route's solve agrees with the stacked system on every
     cocycle of the full-rows bases.
     """
     H, full = cohomology_f2(C), full_rows_cohomology(C)
-    assert H.class_pivots == full.class_pivots and H.coboundary_pivots == full.coboundary_pivots
     for d in range(C.top_dim + 1):
-        assert is_echelon_form_of(H.cocycle_basis[d], H.class_pivots[d], full.cocycle_basis[d])
-        assert is_echelon_form_of(H.coboundary_basis[d], H.coboundary_pivots[d], full.coboundary_basis[d])
-        cocycles = Mat2.vstack([full.cocycle_basis[d], full.coboundary_basis[d]])
+        n = C.n_cells(d)
+        assert H.coboundaries[d].keys() == full.coboundaries[d].keys()
+        assert list(map(lowest_one, H.cocycle_basis[d].data)) == list(map(lowest_one, full.cocycle_basis[d].data))
+        assert is_table_of(H.coboundaries[d], echelon(full.coboundaries[d], n))
+        assert is_echelon_form_of(H.cocycle_basis[d], full.cocycle_basis[d])
+        cocycles = stack(full.cocycle_basis[d], echelon(full.coboundaries[d], n))
         expected = [sol.tolist() for sol in reference_classes(H, d, cocycles)]
         assert to_dense(H.solve(d, cocycles)).tolist() == expected
 

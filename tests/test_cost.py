@@ -19,16 +19,21 @@ matrices, each built once.  The oracle runs on `irreducible(K)`, a
 triangulation with the fewest vertices its surface allows: the sweep's
 three reducible builtins get there by a few seeded flips, counted
 against a budget, and the benchmark's file inputs by contraction alone.
+The symbolic side's memory is counted too: the `tracemalloc` peak of
+`conf_cohomology(orientable:64)`, which a matrix built per basis
+element of the square's degree 2 (4,098 of them) would raise.
 """
 
 import functools
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from conf2 import borel, cells, gf2, simplicial
+from conf2.conf_symbolic import conf_cohomology
 from conf2.report import RunConfig, run_pipeline
 from conf2.simplicial import builtin_triangulation, irreducible, read_triangulation
 from conf2.surfaces import SurfaceKind
@@ -39,7 +44,10 @@ import workloads  # noqa: E402
 
 SWEEP = ("sphere", "orientable:1", "orientable:2", "nonorientable:1", "nonorientable:2", "nonorientable:3")
 # (calls, operand bits) measured on the sweep when the budgets were set.
-MEASURED = {"rref": (272, 990_683), "mul": (132, 4_981_789)}
+# rref's bits fell from 990,683 when conf_cohomology's meet matrix lost its columns at the fixed basis elements.
+MEASURED = {"rref": (272, 990_665), "mul": (132, 4_981_789)}
+# Bytes at the tracemalloc peak of conf_cohomology(orientable:64), measured when the budget was set.
+SYMBOLIC_PEAK = 1_608_254
 # validate_surface runs that compute a report rather than return the one kept on the complex: one per distinct
 # complex the sweep builds, its three shipped pieces, four connected sums and three reductions.
 VALIDATIONS = 10
@@ -155,6 +163,16 @@ def test_product_path_does_not_solve_stacked_systems(sweep_counts, name):
 
 def test_sweep_does_not_apply_the_product_face_rule(sweep_counts):
     assert FACE_RULE not in sweep_counts
+
+
+def test_symbolic_side_stays_within_its_memory_budget():
+    tracemalloc.start()
+    try:
+        conf_cohomology(SurfaceKind.orientable(64))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= int(1.1 * SYMBOLIC_PEAK), f"peak {peak} bytes, budget {int(1.1 * SYMBOLIC_PEAK)}"
 
 
 @pytest.mark.parametrize("label", SWEEP)

@@ -9,20 +9,32 @@ from conf2.gf2 import (
     from_ones,
     invert,
     ones,
+    permute,
     rank,
     rref,
     select_independent_rows,
     solve_many,
     xor_rows,
 )
-from gf2_reference import bits, entries, from_dense, from_rows, is_echelon_form_of, mul_vec, reference_rref, to_dense
+from gf2_reference import (
+    bits,
+    echelon,
+    entries,
+    from_dense,
+    from_rows,
+    is_echelon_form_of,
+    is_table_of,
+    mul_vec,
+    reference_rref,
+    to_dense,
+)
 from sym_reference import Subspace, quotient_map_with_section, subspace_equal
 
 
 def rank_and_kernel(m: Mat2) -> tuple[int, Mat2]:
     """Rank of m and a basis of {v : m v = 0}: the left kernel of the transpose, from one elimination."""
-    _, pivots, kernel, _ = eliminate(m.transpose(), Mat2.identity(m.cols))
-    return len(pivots), kernel
+    basis, kernel = eliminate(m.transpose(), Mat2.identity(m.cols))
+    return len(basis), echelon(kernel, m.cols)
 
 
 def solve_one(m: Mat2, b) -> np.ndarray | None:
@@ -31,26 +43,20 @@ def solve_one(m: Mat2, b) -> np.ndarray | None:
 
 
 def test_rref_collapses_equal_rows():
-    m = from_rows([[1, 1], [1, 1]])
-    R, piv = rref(m)
-    assert to_dense(R).tolist() == [[1, 1], [0, 0]]
-    assert piv == [0]
+    assert rref(from_rows([[1, 1], [1, 1]])) == {0: 0b11}
 
 
 def test_rref_identity_is_fixed():
-    m = Mat2.identity(3)
-    R, piv = rref(m)
-    assert R == m
-    assert piv == [0, 1, 2]
+    assert rref(Mat2.identity(3)) == {0: 0b001, 1: 0b010, 2: 0b100}
 
 
 def test_rref_rank_two_example():
-    """Nothing above a pivot is cleared: the first row keeps its one at column 1, the second row's pivot."""
+    """Nothing above a lowest one is cleared: the row keyed 0 keeps its one at column 1, the other row's key."""
     m = from_rows([[0, 1, 1], [1, 1, 0], [1, 0, 1]])
-    R, piv = rref(m)
-    assert piv == [0, 1]
-    assert to_dense(R).tolist() == [[1, 1, 0], [0, 1, 1], [0, 0, 0]]
-    assert is_echelon_form_of(R, piv, m)
+    table = rref(m)
+    assert table == {0: 0b011, 1: 0b110}
+    assert to_dense(echelon(table, 3)).tolist() == [[1, 1, 0], [0, 1, 1]]
+    assert is_table_of(table, m)
 
 
 def test_rank_and_kernel_zero_matrix():
@@ -203,8 +209,7 @@ def test_rref_matches_the_column_loop_reference(rows, cols, inner, seed):
     rng = np.random.default_rng(seed)
     left = rng.integers(0, 2, size=(rows, inner)) * (rng.random((rows, 1)) < 0.8)
     m = from_dense(left @ rng.integers(0, 2, size=(inner, cols)) % 2)
-    R, piv = rref(m)
-    assert is_echelon_form_of(R, piv, m)
+    assert is_table_of(rref(m), m)
 
 
 @settings(deadline=None, max_examples=100)
@@ -219,9 +224,8 @@ def test_hstack_matches_dense(rows, left_cols, right_cols, seed):
 @settings(deadline=None, max_examples=150)
 @given(mat2s())
 def test_rref_is_idempotent(m):
-    R, piv = rref(m)
-    R2, piv2 = rref(R)
-    assert R == R2 and piv == piv2
+    table = rref(m)
+    assert rref(Mat2(len(table), m.cols, list(table.values()))) == table
 
 
 @settings(deadline=None, max_examples=150)
@@ -253,8 +257,7 @@ def test_solve_recovers_consistent_systems(m):
 @given(mat2s(max_rows=6, max_cols=6))
 def test_quotient_projection_kills_exactly_the_subspace(m):
     sub = Subspace.spanned_by(m.cols, m)
-    R, piv = rref(m)
-    assert sub.basis == R.take_rows(range(len(piv))) and is_echelon_form_of(sub.basis, piv, m)
+    assert sub.basis == echelon(rref(m), m.cols) and is_echelon_form_of(sub.basis, m)
     proj, _, qdim = quotient_map_with_section(m.cols, sub)
     assert qdim == m.cols - sub.dim
     for row in to_dense(m):
@@ -313,26 +316,19 @@ def test_mul_matches_dense_product(rows, inner, cols, seed):
     assert from_dense(a).mul(from_dense(b)) == from_dense(expected)
 
 
-@settings(deadline=None, max_examples=100)
-@given(mat2s(max_rows=9, max_cols=70), st.data())
-def test_take_cols_matches_dense(m, data):
-    idx = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=9)) if m.cols else []
-    assert m.take_cols(idx) == from_dense(to_dense(m)[:, idx])
-
-
 @settings(deadline=None, max_examples=150)
 @given(mat2s(max_rows=8, max_cols=70), st.data())
 def test_eliminate_splits_row_space_and_left_kernel(m, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=m.rows * 5, max_size=m.rows * 5))
     transform = from_dense(np.array(bits, dtype=np.uint8).reshape(m.rows, 5))
-    basis, pivots, kernel, kernel_pivots = eliminate(m, Mat2.identity(m.rows))
-    R, piv = rref(m)
-    assert pivots == piv and basis == R.take_rows(range(len(piv))) and is_echelon_form_of(basis, pivots, m)
-    assert kernel.rows == m.rows - len(piv) and rref(kernel) == (kernel, kernel_pivots)
-    assert kernel.mul(m).is_zero()
-    # with a transform T the kernel part is an echelon basis of {z T : z m = 0}
-    _, _, image, image_pivots = eliminate(m, transform)
-    assert is_echelon_form_of(image, image_pivots, kernel.mul(transform))
+    basis, kernel = eliminate(m, Mat2.identity(m.rows))
+    assert basis == rref(m) and is_table_of(basis, m)
+    Z = echelon(kernel, m.rows)
+    assert len(kernel) == m.rows - len(basis) and rref(Z) == kernel
+    assert Z.mul(m).is_zero()
+    # with a transform T the kernel part is a table of {z T : z m = 0}
+    image = eliminate(m, transform)[1]
+    assert is_table_of(image, Z.mul(transform))
 
 
 # -- the int-row code against numpy on dense 0/1 arrays -----------------------
@@ -365,17 +361,12 @@ def test_transpose_matches_numpy(rows, cols, seed):
 
 @settings(deadline=None, max_examples=100)
 @given(*SHAPES, st.data())
-def test_take_cols_matches_numpy_with_repeats(rows, cols, seed, data):
+def test_permute_matches_numpy(rows, cols, seed, data):
+    """The one at column i moves to perm[i]: numpy's columns taken by the inverse permutation."""
     a = random_bits(seed, rows, cols)
-    idx = data.draw(st.lists(st.integers(0, cols - 1), max_size=150)) if cols else []
-    assert from_dense(a).take_cols(idx) == from_dense(a[:, idx])
-
-
-@settings(deadline=None, max_examples=100)
-@given(st.lists(st.integers(0, 5), min_size=1, max_size=4), st.integers(0, 140), st.integers(0, 2**32 - 1))
-def test_vstack_matches_numpy(heights, cols, seed):
-    parts = [random_bits(seed + k, rows, cols) for k, rows in enumerate(heights)]
-    assert Mat2.vstack([from_dense(p) for p in parts]) == from_dense(np.vstack(parts))
+    perm = data.draw(st.permutations(range(cols)))
+    moved = [permute(x, perm) for x in from_dense(a).data]
+    assert Mat2(rows, cols, moved) == from_dense(a[:, np.argsort(perm)])
 
 
 @settings(deadline=None, max_examples=100)

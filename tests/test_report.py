@@ -1,8 +1,15 @@
 """Pipeline reports: cross-checks, stated-table comparison, emitters, CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conf2 import report as report_module
 from conf2 import simplicial
@@ -29,7 +36,7 @@ from conf2.report import (
     _oracle_side,
     run_pipeline,
 )
-from conf2.simplicial import builtin_triangulation
+from conf2.simplicial import builtin_triangulation, connected_sum
 from conf2.surfaces import SurfaceKind
 from tri_reference import barycentric_subdivide, format_triangulation, relabelled
 
@@ -97,15 +104,11 @@ VALUE_RECORDS = {
         CohomologyResult,
         {
             "cocycle_basis": [Mat2.identity(1)],
-            "class_pivots": [[0]],
-            "coboundary_basis": [Mat2.zeros(0, 1)],
-            "coboundary_pivots": [[]],
+            "coboundaries": [{}],
         },
         {
             "cocycle_basis": [Mat2.zeros(0, 1)],
-            "class_pivots": [[]],
-            "coboundary_basis": [Mat2.identity(1)],
-            "coboundary_pivots": [[0]],
+            "coboundaries": [{0: 1}],
         },
     ),
     "CheckRecord": (
@@ -195,6 +198,43 @@ def test_oracle_and_closed_form_give_equal_rows(label):
     kind = SurfaceKind.from_label(label)
     rows, _, _ = _oracle_side(builtin_triangulation(kind), kind.euler)
     assert rows == conf_cohomology(kind).rows
+
+
+@lru_cache(maxsize=None)
+def _builtin_oracle_uconf(label: str) -> UConfSummary:
+    kind = SurfaceKind.from_label(label)
+    return _oracle_side(builtin_triangulation(kind), kind.euler)[1]
+
+
+def assert_oracle_matches(K, label: str) -> None:
+    """On K, a triangulation of the surface `label`, the oracle's conf rows are the closed form's, its unordered
+    summary is the one it gives on the builtin triangulation, and every check passes."""
+    kind = SurfaceKind.from_label(label)
+    rows, uconf, checks = _oracle_side(K, K.euler)
+    assert rows == conf_cohomology(kind).rows
+    assert uconf == _builtin_oracle_uconf(label)
+    assert all(c.passed for c in checks)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from(["sphere", "orientable:1", "nonorientable:1", "nonorientable:2"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_oracle_is_invariant_under_relabelling_and_subdivision(label, subdivide, seed):
+    """The sphere, the torus, RP^2 and the Klein bottle, subdivided or not, under a random vertex labelling."""
+    K = builtin_triangulation(SurfaceKind.from_label(label))
+    assert_oracle_matches(relabelled(barycentric_subdivide(K) if subdivide else K, seed), label)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.booleans(), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_oracle_is_invariant_under_connected_sum_order(torus_first, torus_seed, rp2_seed):
+    """Torus # RP^2 and RP^2 # torus, glued at facets a random labelling picks, are the builtin RP^2 # RP^2 # RP^2."""
+    torus = relabelled(builtin_triangulation(SurfaceKind.orientable(1)), torus_seed)
+    rp2 = relabelled(builtin_triangulation(SurfaceKind.nonorientable(1)), rp2_seed)
+    assert_oracle_matches(connected_sum(torus, rp2) if torus_first else connected_sum(rp2, torus), "nonorientable:3")
 
 
 @pytest.mark.parametrize("label", ["sphere", "nonorientable:1", "orientable:1"])
@@ -324,14 +364,14 @@ def test_miscounted_rank_fails_the_quotient_dims_record(monkeypatch):
     from conf2.cells import cohomology_f2
 
     def miscounting(C):
-        # A coboundary table with one pivot too many and a zero row for it:
+        # A coboundary table with one key too many, a representative's lowest one, and a zero row for it:
         # the rank count is off by one while the classes and every solve stay right.
         H = cohomology_f2(C)
         d = max(n for n, dim in enumerate(H.dims) if dim)
-        bases, pivots = list(H.coboundary_basis), list(H.coboundary_pivots)
-        bases[d] = Mat2.vstack([bases[d], Mat2.zeros(1, bases[d].cols)])
-        pivots[d] = pivots[d] + H.class_pivots[d][:1]
-        return H._replace(coboundary_basis=bases, coboundary_pivots=pivots)
+        rep = H.cocycle_basis[d].data[0]
+        tables = list(H.coboundaries)
+        tables[d] = {**tables[d], (rep & -rep).bit_length() - 1: 0}
+        return H._replace(coboundaries=tables)
 
     monkeypatch.setattr(report_module, "cohomology_f2", miscounting)
     (r,) = _run(("kind", "sphere"))
@@ -618,3 +658,23 @@ def test_cli_unwritable_output_is_usage_error(tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("conf2: ") and str(target) in lines[0]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+def test_cli_writes_utf8_under_an_ascii_locale(tmp_path, to_file):
+    """An error record quoting a non-ASCII directive is written as UTF-8, whatever the locale says; exit 2."""
+    path = tmp_path / "u.tri"
+    path.write_text("vertices 3\n\u00fc 0 1 2\n", encoding="utf-8")
+    out = tmp_path / "report.md"
+    argv = ["--triangulation", str(path), "--format", "md"] + (["--output", str(out)] if to_file else [])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"} | {
+        "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+        "LC_ALL": "C",
+        "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+    }
+    proc = subprocess.run([sys.executable, "-m", "conf2", *argv], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr.decode("utf-8", "replace")
+    assert proc.stderr == b""
+    text = (out.read_bytes() if to_file else proc.stdout).decode("utf-8")
+    assert f"error: {path}: line 2: unknown directive '\u00fc'" in text

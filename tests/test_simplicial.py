@@ -351,6 +351,14 @@ MALFORMED = {
     "vertices 3\nf 0 1 1\n": "line 1: 'vertices 3' declares vertices no facet uses",
     "vertices 3\nf\n": "line 2: facet size out of range: 0 vertices",
     LONG_FACET: "line 2: facet size out of range: 64 vertices",
+    # ids and counts are ASCII decimal digits only, however int() would read them
+    "vertices 3\nf 1 2 +3\n": "line 2: bad facet indices",
+    "vertices 3\nf 1 2 0_3\n": "line 2: bad facet indices",
+    "vertices 3\nf 1 2 \u0663\n": "line 2: bad facet indices",
+    "vertices 3\nf 0 1 -1\n": "line 2: bad facet indices",
+    "vertices \u0664\nf 0 1 2\n": "line 1: expected 'vertices N'",
+    "vertices " + "9" * 5000 + "\nf 0 1 2\n": "line 1: expected 'vertices N'",
+    "vertices 3\nf 0 1 " + "9" * 5000 + "\n": "line 2: bad facet indices",
 }
 
 
