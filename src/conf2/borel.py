@@ -58,13 +58,14 @@ class AlphaModule:
 
     alpha_maps[n] maps degree n to degree n+1 in the representative
     bases; the module vanishes above its last degree.  The composite
-    ranks every reader of the module needs are computed once, here.
+    ranks every reader of the module needs, and the towers they cut it
+    into, are computed once, here; maps that are no module's action
+    raise RuntimeError (`module_decompose`).
     """
 
     def __init__(self, dims: list[int], alpha_maps: list[Mat2]):
         self.dims = dims
         self.alpha_maps = alpha_maps
-        self.towers: list[Tower] = []  # equivariant_cohomology_with_alpha assigns module_decompose(self)
         self._ranks: dict[tuple[int, int], int] = {}
         N = len(dims) - 1
         for n in range(N + 1):
@@ -74,6 +75,7 @@ class AlphaModule:
                 step = self.alpha_maps[n + ell - 1]
                 comp = step if comp is None else step.mul(comp)
                 self._ranks[(n, ell)] = rank(comp)
+        self.towers: list[Tower] = module_decompose(self)
 
     def rank(self, n: int, ell: int) -> int:
         """Rank of alpha^ell out of degree n; 0 outside the module."""
@@ -115,10 +117,7 @@ def equivariant_cohomology_with_alpha(phi: list[Mat2], H: CohomologyResult) -> A
     when one is not a cocycle.
     """
     alpha_maps = [H.solve(n + 1, H.cocycle_basis[n].mul(phi[n])).transpose() for n in range(len(H.dims) - 1)]
-
-    module = AlphaModule(dims=list(H.dims), alpha_maps=alpha_maps)
-    module.towers = module_decompose(module)
-    return module
+    return AlphaModule(dims=list(H.dims), alpha_maps=alpha_maps)
 
 
 def module_decompose(A: AlphaModule) -> list[Tower]:
@@ -164,7 +163,9 @@ def check_norm_map(
     """Per degree, the rank of the norm classes; RuntimeError unless they span ker alpha.
 
     HK is the cohomology of `simplicial_cell_complex(K)`, Q the orbit
-    complex and HQ its cohomology.  Cocycles a, b of K give the Q-cochain
+    complex, whose cells are pairs of K's simplex numbers, and HQ its
+    cohomology; a p-cocycle of K, shifted up by K.offsets[p], is a mask
+    over those numbers.  Cocycles a, b of K give the Q-cochain
     {s, t} -> a(s)b(t) + a(t)b(s), the transfer of the cross product a x b
     restricted to the deleted product.  For a closed manifold K,
     restriction from K x K onto the deleted product is onto in cohomology
@@ -178,17 +179,16 @@ def check_norm_map(
     for n, cells in enumerate(Q.cells):
         if not cells:
             continue
-        # on_s[p][k] (on_t[p][k]): the cells whose s (t) is the p-simplex k, as a mask over the cells
-        on_s = [[[] for _ in K.simplices(p)] for p in range(len(reps))]
-        on_t = [[[] for _ in K.simplices(p)] for p in range(len(reps))]
+        # on_s[a] (on_t[a]): the cells whose s (t) is simplex number a, as a mask over the cells
+        on_s, on_t = [[] for _ in range(K.offsets[-1])], [[] for _ in range(K.offsets[-1])]
         for c, (s, t) in enumerate(cells):
-            on_s[len(s) - 1][K.simplex_index(s)].append(c)
-            on_t[len(t) - 1][K.simplex_index(t)].append(c)
-        on_s = [[from_ones(c) for c in level] for level in on_s]
-        on_t = [[from_ones(c) for c in level] for level in on_t]
+            on_s[s].append(c)
+            on_t[t].append(c)
+        on_s = [from_ones(c) for c in on_s]
+        on_t = [from_ones(c) for c in on_t]
         # S[p][i] (T[p][i]): the cells {s, t} with the p-cocycle i equal to 1 on s (on t)
-        S = [[xor_rows(on_s[p], a) for a in reps[p]] for p in range(len(reps))]
-        T = [[xor_rows(on_t[p], a) for a in reps[p]] for p in range(len(reps))]
+        S = [[xor_rows(on_s, a << K.offsets[p]) for a in reps[p]] for p in range(len(reps))]
+        T = [[xor_rows(on_t, a << K.offsets[p]) for a in reps[p]] for p in range(len(reps))]
         rows = []
         # norm(a, b) = norm(b, a) and norm(a, a) = 0: take p <= n - p, and i < j when p = n - p.
         for p in range(max(0, n - len(reps) + 1), n // 2 + 1):

@@ -4,22 +4,23 @@ The deleted product of a simplicial complex K, of any dimension, has
 one cell per ordered pair of disjoint simplices, and the factor swap is
 a cellwise free involution.  Its orbit complex Q, with one cell per
 unordered pair, is what the oracle computes with: `quotient_complex`
-builds it straight from `K.levels`, in K's own simplex numbering, in
-one walk, which also records the faces the quotient folded, so that the
+builds it in one walk over the numbering `SimplicialComplex` gives K
+(vertex masks and face numbers), labels each cell by a pair of simplex
+numbers, and records the faces the quotient folded, so that the
 connecting map of the transfer sequence is the rest of the boundary.
 Cohomology is computed with explicit cocycle representatives: one
 elimination per boundary matrix gives the coboundaries, the cocycles
 and the classes.  The result keeps the representatives and the
 lowest-one table of the coboundaries, and solves later cocycles for
-their classes against the two.  The deleted product itself, built by the
-product face rule and carrying the swap, stays as the reference route
-the tests compare with; its callers push the swap onto its cohomology
-with `induced_involution`.
+their classes against the two.  The deleted product itself, labelled by
+vertex tuples, built by the product face rule and carrying the swap,
+stays as the reference route the tests compare with; its callers push
+the swap onto its cohomology with `induced_involution`.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import NamedTuple
 
 from .gf2 import (  # select_independent_rows, solve_many: not run here; kept importable under their traced names
@@ -39,6 +40,7 @@ __all__ = [
     "quotient_complex",
     "deleted_product",
     "deleted_product_euler",
+    "predicted_quotient_cells",
     "simplicial_cell_complex",
     "cohomology_f2",
     "induced_involution",
@@ -129,12 +131,6 @@ def product_faces(s: tuple, t: tuple) -> list[tuple]:
     return faces
 
 
-def _numbered(K: SimplicialComplex) -> tuple[list[tuple], list[int]]:
-    """K's simplices by dimension, then in `K.levels` order, and the vertex mask of each."""
-    simplices = [s for level in K.levels for s in level]
-    return simplices, [sum(1 << v for v in s) for s in simplices]
-
-
 def _disjoint_pairs(K: SimplicialComplex, d: int):
     """Ordered pairs (s, t) of disjoint simplices with dim s + dim t = d.
 
@@ -165,15 +161,16 @@ def _pair_boundaries(cells: list[list[tuple]]) -> list[Mat2]:
 
 
 def quotient_complex(K: SimplicialComplex) -> CellComplex:
-    """Orbit complex of the deleted product, built from K alone in one walk over integer keys.
+    """Orbit complex of the deleted product, built from K's numbering alone in one walk over integer keys.
 
-    With K's N simplices numbered by (dim, index), one cell per unordered
-    pair {s, t} of disjoint simplices is stored as (s, t) with s < t, the
-    member of its swap orbit the deleted product lists first, and keyed
-    s * N + t.  Each face of the product cell is replaced by its orbit:
-    (f, t), f a facet of s, is a cell, and (s, f), f a facet of t, is the
-    cell (s, f) when s < f and (f, s) otherwise.  Cells and boundaries
-    equal the orbit complex of `deleted_product(K)` under its swap.
+    One cell per unordered pair {s, t} of disjoint simplices is labelled
+    (s, t) by their numbers in K, with s < t, the member of its swap
+    orbit the deleted product lists first, and keyed s * N + t, N the
+    number of simplices.  Each face of the product cell is replaced by
+    its orbit: (f, t), f a face of s, is a cell, and (s, f), f a face of
+    t, is the cell (s, f) when s < f and (f, s) otherwise.  Cells and
+    boundaries equal the orbit complex of `deleted_product(K)` under its
+    swap, with each simplex written as its number.
 
     The walk owns the fold: the faces (f, s) it stores for a face (s, f),
     f < s, are the ones the quotient folded, and it records them as the
@@ -182,11 +179,8 @@ def quotient_complex(K: SimplicialComplex) -> CellComplex:
     sequence (`borel.equivariant_cochain_complex`).
     """
     top = len(K.levels) - 1
-    simplices, masks = _numbered(K)
-    N = len(simplices)
-    number = {s: a for a, s in enumerate(simplices)}
-    facets = [[number[f] for f in combinations(s, len(s) - 1)] if len(s) > 1 else [] for s in simplices]
-    start = [0, *accumulate(map(len, K.levels))]
+    start, masks, faces = K.offsets, K.masks, K.faces
+    N = len(masks)
     cells, boundaries, folded, row_of = [], [], [], {}
     for d in range(2 * top + 1):
         # by (dim s, s, t), with dim s <= dim t and s < t: the deleted product's cell order
@@ -199,9 +193,9 @@ def quotient_complex(K: SimplicialComplex) -> CellComplex:
         for j, key in enumerate(keys):
             s, t = divmod(key, N)
             bit = 1 << j
-            for f in facets[s]:
+            for f in faces[s]:
                 kept[row_of[f * N + t]] ^= bit
-            for f in facets[t]:
+            for f in faces[t]:
                 if s < f:
                     kept[row_of[s * N + f]] ^= bit
                 else:
@@ -209,14 +203,26 @@ def quotient_complex(K: SimplicialComplex) -> CellComplex:
         boundaries.append(Mat2(len(row_of), len(keys), [a ^ b for a, b in zip(kept, fold)]))
         folded.append(Mat2(len(row_of), len(keys), fold))
         row_of = {key: i for i, key in enumerate(keys)}
-        cells.append([(simplices[key // N], simplices[key % N]) for key in keys])
+        cells.append([divmod(key, N) for key in keys])
     return CellComplex(cells, boundaries, folded=folded)
+
+
+def predicted_quotient_cells(vertices: int, chi: int) -> int:
+    """The cells of `quotient_complex` on a closed surface triangulation of `vertices` vertices and
+    Euler characteristic chi whose vertices all have one degree; no such triangulation has more.
+
+    With V = vertices and n = V - chi there are E = 3n edges and T = 2n triangles.  The ordered pairs of
+    simplices that meet number V + E - 2T + 4 sum deg(v)^2, so the disjoint ones, twice Q's cells,
+    number (V + 5n)^2 + n - V - 4 sum deg(v)^2.  The degrees sum to 6n, so sum deg(v)^2 >= 36n^2 / V,
+    with equality when all are equal.
+    """
+    n = vertices - chi
+    return (vertices * ((vertices + 5 * n) ** 2 + n - vertices) - 144 * n * n) // (2 * vertices)
 
 
 def deleted_product_euler(K: SimplicialComplex) -> int:
     """Euler characteristic of the deleted product, counted over all ordered disjoint pairs of K."""
-    simplices, masks = _numbered(K)
-    signed = [(1 - 2 * (len(s) & 1), m) for s, m in zip(simplices, masks)]
+    signed = [(1 - 2 * (d & 1), m) for d in range(len(K.levels)) for m in K.masks[K.offsets[d] : K.offsets[d + 1]]]
     return sum(x * y for x, m in signed for y, n in signed if not m & n)
 
 

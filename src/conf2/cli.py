@@ -55,16 +55,11 @@ def main(argv: list[str] | None = None) -> int:
     if not args.surfaces:
         parser.error("at least one --surface or --triangulation is required")
     try:
-        cfg = RunConfig(
-            surfaces=tuple(args.surfaces),
-            oracle_enabled=not args.no_oracle,
-            output_format=args.output_format,
-            paper_check=args.paper_check,
-        )
+        cfg = RunConfig(surfaces=tuple(args.surfaces), oracle_enabled=not args.no_oracle, paper_check=args.paper_check)
     except ValueError as exc:
         parser.error(str(exc))
     reports = run_pipeline(cfg)
-    data = emit_report(reports, cfg.output_format).encode("utf-8")  # an error may quote any character of a file
+    data = emit_report(reports, args.output_format).encode("utf-8")  # an error may quote any character of a file
     if args.output:
         try:
             Path(args.output).write_bytes(data)

@@ -6,7 +6,9 @@ for everything the two sides can compare, and renders the result as JSON
 or markdown.  The oracle works on the orbit complex Q of the deleted
 product alone: the unordered space is H*(Q) with alpha, and the ordered
 space's rows come from the transfer sequence, as the same `ConfRow`s the
-closed form gives.  A report holds only what it emits: the closed-form
+closed form gives.  Before the oracle builds anything, a surface whose
+orbit complex is predicted past MAX_QUOTIENT_CELLS becomes an error
+record.  A report holds only what it emits: the closed-form
 rows (the oracle's for an unclassified file), the unordered summary with
 its integer height, and the check records, which carry both sides.
 `paper_check` additionally compares the computed multiplicities against
@@ -33,36 +35,45 @@ from .cells import (
     cohomology_f2,
     deleted_product,  # not run here; kept importable under its traced name
     deleted_product_euler,
+    predicted_quotient_cells,
     quotient_complex,
     simplicial_cell_complex,
 )
 from .conf_symbolic import TOP_DEGREE, ConfCohomology, ConfRow, conf_cohomology, kernel_ideal_check
-from .simplicial import SimplicialComplex, builtin_triangulation, irreducible, read_triangulation, validate_surface
+from .simplicial import (
+    SimplicialComplex,
+    builtin_triangulation,
+    irreducible,
+    is_orientable,
+    read_triangulation,
+    validate_surface,
+    vertex_bound,
+)
 from .surfaces import SurfaceKind
 
 SCHEMA = "conf2-report/1"
 # The uconf-top-degree-vanishes record of conf2-report/1 lists H^4..H^8 of
 # the unordered space; the orbit complex has no cells above degree 4.
 UCONF_TAIL_DEGREES = range(TOP_DEGREE, 9)
+# The most orbit-complex cells the oracle takes on.  Its peak RSS grows as the square of the cells:
+# 652 MB at orientable:32 (80,857 cells) and 2,660 MB at orientable:48 (165,249), so 200,000 cells
+# come to about 3.9 GB, half of an 8 GB machine.
+MAX_QUOTIENT_CELLS = 200_000
 
 
-class RunConfig(namedtuple("RunConfig", "surfaces oracle_enabled output_format paper_check")):
+class RunConfig(namedtuple("RunConfig", "surfaces oracle_enabled paper_check")):
     """What to run: surfaces as ("kind", label) or ("file", path) pairs."""
 
     __slots__ = ()
 
-    def __new__(
-        cls, surfaces, oracle_enabled: bool = True, output_format: str = "json", paper_check: bool = False
-    ) -> "RunConfig":
+    def __new__(cls, surfaces, oracle_enabled: bool = True, paper_check: bool = False) -> "RunConfig":
         surfaces = tuple((s, v) for s, v in surfaces)
         if not surfaces:
             raise ValueError("at least one surface is required")
         for source, _ in surfaces:
             if source not in ("kind", "file"):
                 raise ValueError(f"unknown surface source: {source!r}")
-        if output_format not in ("json", "md"):
-            raise ValueError(f"unknown output format: {output_format!r}")
-        return super().__new__(cls, surfaces, oracle_enabled, output_format, paper_check)
+        return super().__new__(cls, surfaces, oracle_enabled, paper_check)
 
 
 class CheckRecord(NamedTuple):
@@ -163,6 +174,8 @@ def _surface_report(source: str, value: str, cfg: RunConfig) -> SurfaceReport:
 
 
 def _kind_report(kind: SurfaceKind, label: str, K: SimplicialComplex | None, cfg: RunConfig) -> SurfaceReport:
+    if cfg.oracle_enabled:
+        _check_oracle_size(kind.euler, kind.family != "nonorientable")
     sym = conf_cohomology(kind)
     chi = kind.euler
     checks = _symbolic_checks(sym, chi)
@@ -189,6 +202,7 @@ def _kind_report(kind: SurfaceKind, label: str, K: SimplicialComplex | None, cfg
 
 def _ambiguous_report(label: str, K: SimplicialComplex, b1: int) -> SurfaceReport:
     chi = K.euler
+    _check_oracle_size(chi, is_orientable(K))
     rows, uconf, checks = _oracle_side(K, chi)
     note = (
         f"Betti numbers (1, {b1}, 1) fit both orientable:{b1 // 2} and "
@@ -207,6 +221,17 @@ def _symbolic_checks(sym: ConfCohomology, chi: int) -> list[CheckRecord]:
     kernel = [kernel_ideal_check(sym.square, q) for q in range(TOP_DEGREE + 1)]
     checks.append(CheckRecord("gysin-kernel-is-diagonal-ideal", all(kernel), [True] * len(kernel), kernel))
     return checks
+
+
+def _check_oracle_size(chi: int, orientable: bool) -> None:
+    """ValueError, before any triangulation is built or reduced, when the oracle's orbit complex would
+    exceed MAX_QUOTIENT_CELLS at the surface's vertex bound, where `irreducible` aims."""
+    cells = predicted_quotient_cells(vertex_bound(chi, orientable), chi)
+    if cells > MAX_QUOTIENT_CELLS:
+        raise ValueError(
+            f"the oracle's orbit complex would have about {cells} cells, more than {MAX_QUOTIENT_CELLS};"
+            " --no-oracle runs the closed form alone"
+        )
 
 
 def _oracle_side(K: SimplicialComplex, chi: int) -> tuple[list[ConfRow], UConfSummary, list[CheckRecord]]:

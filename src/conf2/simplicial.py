@@ -1,8 +1,10 @@
 """Finite simplicial complexes and shipped surface triangulations.
 
-Complexes are given by facets of any size and closed downward; the
-simplices of each dimension, in sorted order, number K for everything
-built on it.  Triangulation files take facets of one to three vertices
+Complexes are given by facets of any size and closed downward.  K is
+numbered here, once, on first use: its simplices by dimension, then in
+sorted order, with the vertex mask and the codimension-one face numbers
+of each, which the boundary matrix and every construction on K read.
+Triangulation files take facets of one to three vertices
 only, as a facet of k vertices has 2^k faces.  The surface check (every
 vertex link a single cycle, connected) gates the command line, connected
 sums and the oracle's reduction, which contracts edges and makes seeded
@@ -14,9 +16,9 @@ counts come by connected sum.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
-from itertools import chain, combinations, count
+from itertools import accumulate, chain, combinations, count
 from pathlib import Path
 from random import Random
 
@@ -29,6 +31,7 @@ __all__ = [
     "builtin_triangulation",
     "connected_sum",
     "is_orientable",
+    "vertex_bound",
     "irreducible",
     "parse_triangulation",
     "read_triangulation",
@@ -42,10 +45,13 @@ class SimplicialComplex:
     """Downward closure of a facet list on vertices 0..vertex_count-1.
 
     Facets may have any positive number of vertices.  levels[d] holds
-    the d-simplices in sorted order, every vertex among the 0-simplices,
-    and that numbering is the one every construction on K uses.  A
-    closed surface has pure triangle facets, which validate_surface
-    enforces.
+    the d-simplices in sorted order, every vertex among the 0-simplices.
+    K's one numbering runs over the levels in turn: the d-simplices are
+    numbers offsets[d] to offsets[d + 1] - 1, and simplex a has the
+    vertex mask masks[a] and the codimension-one faces numbered
+    faces[a] (none for a vertex), each table computed once, when first
+    read.  Every construction on K uses this numbering.  A closed
+    surface has pure triangle facets, which validate_surface enforces.
     """
 
     def __init__(self, vertex_count: int, facets):
@@ -65,21 +71,32 @@ class SimplicialComplex:
             raise ValueError("duplicate facets")
         self.vertex_count = vertex_count
         self.facets: tuple[tuple[int, ...], ...] = tuple(sorted(canon))
-        faces = [{(v,) for v in range(vertex_count)}] + [set() for _ in range(max(map(len, canon), default=1) - 1)]
+        levels = [{(v,) for v in range(vertex_count)}] + [set() for _ in range(max(map(len, canon), default=1) - 1)]
         for face in canon:
             for d in range(1, len(face)):
-                faces[d].update(combinations(face, d + 1))
-        self.levels: tuple[tuple[tuple[int, ...], ...], ...] = tuple(tuple(sorted(level)) for level in faces)
-        self._index = [{s: i for i, s in enumerate(level)} for level in self.levels]
+                levels[d].update(combinations(face, d + 1))
+        self.levels: tuple[tuple[tuple[int, ...], ...], ...] = tuple(tuple(sorted(level)) for level in levels)
         self._surface: dict | None = None
+
+    # -- numbering, made on first use: a complex only glued or validated never needs it
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        return (0, *accumulate(map(len, self.levels)))
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        return tuple(sum(1 << v for v in s) for level in self.levels for s in level)
+
+    @cached_property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        number = {s: a for a, s in enumerate(s for level in self.levels for s in level)}
+        return tuple(tuple(number[f] for f in combinations(s, len(s) - 1)) if len(s) > 1 else () for s in number)
 
     # -- structure ---------------------------------------------------------
 
     def simplices(self, d: int) -> tuple[tuple[int, ...], ...]:
         return self.levels[d] if 0 <= d < len(self.levels) else ()
-
-    def simplex_index(self, s: tuple[int, ...]) -> int:
-        return self._index[len(s) - 1][s]
 
     def counts(self) -> tuple[int, ...]:
         """The number of simplices in each dimension."""
@@ -90,12 +107,12 @@ class SimplicialComplex:
         return sum((-1) ** d * n for d, n in enumerate(self.counts()))
 
     def boundary_matrix(self, d: int) -> Mat2:
-        """Boundary from d-chains to (d-1)-chains; d = 0 maps to nothing."""
+        """Boundary from d-chains to (d-1)-chains, read off the face numbers; d = 0 maps to nothing."""
         cols = self.simplices(d)
         i, j = [], []
-        for k, s in enumerate(cols if d >= 1 else ()):
-            for face in combinations(s, d):
-                i.append(self._index[d - 1][face])
+        for k in range(len(cols)):
+            for f in self.faces[self.offsets[d] + k]:
+                i.append(f - self.offsets[d - 1])
                 j.append(k)
         return Mat2.from_entries(len(self.simplices(d - 1)), len(cols), i, j)
 
@@ -373,27 +390,33 @@ def _flip(nbrs: list[set[int]], star: list[set[tuple[int, ...]]], rng: Random) -
     return None
 
 
+def vertex_bound(chi: int, orientable: bool) -> int:
+    """The fewest vertices a triangulation of the closed surface with Euler characteristic chi can have.
+
+    It is the least n >= 4 with n(n-1)/2 >= 3(n - chi) (Heawood), plus one for the orientable chi = -2
+    and the nonorientable chi = 0 and -1 (Ringel; Jungerman and Ringel).
+    """
+    bound = next(m for m in count(4) if m * (m - 1) >= 6 * (m - chi))
+    return bound + ((chi, orientable) in ((0, False), (-1, False), (-2, True)))
+
+
 def irreducible(K: SimplicialComplex) -> SimplicialComplex:
     """An irreducible triangulation of the closed surface K, with as few vertices as a seeded search finds.
 
-    Edges contract under the link condition.  Above the surface's vertex bound, seeds 0, 1, ... each run
-    from there, alternating a 2-2 flip with contraction from the four flipped vertices (only their edges
-    can have become contractible) up to the bound or a step budget; the first seed at the bound, else the
-    fewest vertices, wins.  The bound is the least n >= 4 with n(n-1)/2 >= 3(n - chi) (Heawood), plus one
-    for the orientable chi = -2 and the nonorientable chi = 0 and -1 (Ringel; Jungerman and Ringel), so
-    orientability is computed only above it.  K comes back when nothing contracts; otherwise the result
-    must be a closed connected surface with K's Euler characteristic and orientability, or RuntimeError.
+    Edges contract under the link condition.  Above the surface's `vertex_bound`, seeds 0, 1, ... each
+    run from there, alternating a 2-2 flip with contraction from the four flipped vertices (only their
+    edges can have become contractible) up to the bound or a step budget; the first seed at the bound,
+    else the fewest vertices, wins.  K comes back when nothing contracts; otherwise the result must be a
+    closed connected surface with K's Euler characteristic and orientability, or RuntimeError.
     """
-    n, chi = K.vertex_count, K.euler
+    n, chi, orientable = K.vertex_count, K.euler, is_orientable(K)
     star: list[set[tuple[int, ...]]] = [set() for _ in range(n)]
     for t in K.simplices(2):
         for v in t:
             star[v].add(t)
     nbrs = [{w for t in s for w in t} - {v} for v, s in enumerate(star)]
     best = (alive := _contract(nbrs, star, range(n), n), nbrs, star)
-    bound = next(m for m in count(4) if m * (m - 1) >= 6 * (m - chi))
-    orientable = is_orientable(K) if alive > bound else None
-    bound += (chi, orientable) in ((0, False), (-1, False), (-2, True))
+    bound = vertex_bound(chi, orientable)
     for seed in range(FLIP_SEEDS if alive > bound else 0):
         rng, nb, st, left = Random(seed), [set(s) for s in nbrs], [set(s) for s in star], alive
         for _ in range(FLIPS_PER_VERTEX * (alive - bound)):
@@ -410,7 +433,6 @@ def irreducible(K: SimplicialComplex) -> SimplicialComplex:
     new = {v: i for i, v in enumerate(v for v in range(n) if nbrs[v])}
     out = SimplicialComplex(len(new), [tuple(new[v] for v in t) for t in set().union(*star)])
     info = validate_surface(out)
-    orientable = is_orientable(K) if orientable is None else orientable
     if not (info["closed"] and info["connected"] and out.euler == chi and is_orientable(out) == orientable):
         raise RuntimeError(f"edge contraction changed the surface ({n} vertices to {len(new)})")
     return out

@@ -109,10 +109,10 @@ def transfer_phi(C: CellComplex, Q: CellComplex) -> list[Mat2]:
 def folded_by_label(Q: CellComplex) -> list[Mat2]:
     """The folded part of each boundary matrix of Q = `quotient_complex(K)`, read off its cell labels.
 
-    Q stores a face (s, f) of the representative (s, t) as (f, s) when
-    f < s, so a face (a, b) of (s, t) is folded exactly when b = s: row
-    (a, b) of F keeps the boundary's ones in the columns whose first
-    member is b.
+    Q's cells are pairs of K's simplex numbers.  Q stores a face (s, f)
+    of the representative (s, t) as (f, s) when f < s, so a face (a, b)
+    of (s, t) is folded exactly when b = s: row (a, b) of F keeps the
+    boundary's ones in the columns whose first member is b.
     """
     folded = [Q.boundaries[0]]
     for d in range(1, len(Q.cells)):

@@ -21,7 +21,6 @@ from conf2.borel import (
     AlphaModule,
     equivariant_cochain_complex,
     equivariant_cohomology_with_alpha,
-    module_decompose,
     sw_height,
 )
 from conf2.cells import CellComplex, cohomology_f2, deleted_product, quotient_complex
@@ -116,9 +115,7 @@ def bicomplex_alpha_module(C: CellComplex, window: int) -> AlphaModule:
             assert sol is not None, f"shifted representative left the span in degree {n}"
             cols[:, j] = sol
         alpha_maps.append(from_dense(cols))
-    module = AlphaModule(dims=result.dims[: window + 1], alpha_maps=alpha_maps)
-    module.towers = module_decompose(module)
-    return module
+    return AlphaModule(dims=result.dims[: window + 1], alpha_maps=alpha_maps)
 
 
 def transfer_alpha_module(case: SimplicialComplex | CellComplex) -> AlphaModule:

@@ -234,22 +234,23 @@ def test_decompose_full_tower():
 
 
 def test_decompose_rejects_inconsistent_maps():
+    """The module cuts its towers when it is built, so maps that are no module's action never make one."""
     # the map claims rank two out of a one-dimensional degree
-    module = AlphaModule(dims=[1, 1, 0, 0, 0], alpha_maps=[
-        Mat2.identity(2),
-        Mat2.zeros(0, 2),
-        Mat2.zeros(0, 0),
-        Mat2.zeros(0, 0),
-    ])
-    with pytest.raises(RuntimeError):
-        module_decompose(module)
+    with pytest.raises(RuntimeError, match="^negative tower count at start 0 length 1: inconsistent action maps$"):
+        AlphaModule(dims=[1, 1, 0, 0, 0], alpha_maps=[
+            Mat2.identity(2),
+            Mat2.zeros(0, 2),
+            Mat2.zeros(0, 0),
+            Mat2.zeros(0, 0),
+        ])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_decomposed_towers_always_cover_the_dims(data):
     """The tower counts telescope to r(m, 0) - r(-1, m + 1) = dims[m] in degree m, so whenever
-    module_decompose returns, even on dims that disagree with the maps' shapes, coverage equals dims."""
+    module_decompose returns (the module calls it when built), even on dims that disagree with the
+    maps' shapes, coverage equals dims."""
     widths = data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=6))
     n = len(widths)
     dims = data.draw(st.one_of(st.just(widths), st.lists(st.integers(0, 3), min_size=n, max_size=n)))
@@ -258,7 +259,7 @@ def test_decomposed_towers_always_cover_the_dims(data):
         for cols, rows in zip(widths, widths[1:])
     ]
     try:
-        towers = module_decompose(AlphaModule(dims=dims, alpha_maps=maps))
+        towers = AlphaModule(dims=dims, alpha_maps=maps).towers
     except RuntimeError:
         return
     assert [sum(t.start <= m < t.start + t.length for t in towers) for m in range(len(dims))] == dims

@@ -11,12 +11,13 @@ from conf2.cells import (
     cohomology_f2,
     deleted_product,
     induced_involution,
+    predicted_quotient_cells,
     product_faces,
     quotient_complex,
 )
 from conf2.conf_symbolic import conf_cohomology, rep_decompose
 from conf2.gf2 import Mat2, eliminate, invert, rank
-from conf2.simplicial import SimplicialComplex, builtin_triangulation
+from conf2.simplicial import SimplicialComplex, builtin_triangulation, irreducible, vertex_bound
 from conf2.surfaces import SurfaceKind
 from dp_reference import orbit_quotient, reference_classes
 from gf2_reference import (
@@ -135,6 +136,29 @@ def test_quotient_of_sphere_product():
     assert Q.cell_counts() == (6, 12, 7, 0, 0)
     assert Q.euler == 1
     assert cohomology_f2(Q).dims == [1, 1, 1, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["sphere", "orientable:1", "orientable:2", "nonorientable:1", "nonorientable:2", "nonorientable:3", "orientable:16"],
+)
+def test_predicted_quotient_cells_bound_the_counted_ones(label):
+    """At the vertex bound, where `irreducible` takes these surfaces, the prediction from chi alone is at
+    least the unordered disjoint pairs of the reduced K, and within 4% of them (equal where every vertex
+    has one degree); with the actual degrees the pair count the prediction rests on is exact."""
+    kind = SurfaceKind.from_label(label)
+    K = irreducible(builtin_triangulation(kind))
+    V, chi = K.vertex_count, K.euler
+    assert V == vertex_bound(chi, kind.family != "nonorientable")
+    counted = sum(1 for a in K.masks for b in K.masks if not a & b) // 2
+    if label != "orientable:16":  # the count needs no Q; the sweep's small ones confirm it
+        assert sum(quotient_complex(K).cell_counts()) == counted
+    degrees = [sum(v in e for e in K.simplices(1)) for v in range(V)]
+    n = V - chi
+    assert (V + 5 * n) ** 2 + n - V - 4 * sum(d * d for d in degrees) == 2 * counted
+    predicted = predicted_quotient_cells(V, chi)
+    assert counted <= predicted <= 1.04 * counted
+    assert (predicted == counted) == (len(set(degrees)) == 1)
 
 
 def test_quotient_of_edge_product():

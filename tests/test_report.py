@@ -6,6 +6,7 @@ import subprocess
 import sys
 from functools import lru_cache
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from conf2.cli import main
 from conf2.conf_symbolic import ConfCohomology, ConfRow, conf_cohomology
 from conf2.gf2 import Mat2
 from conf2.report import (
+    MAX_QUOTIENT_CELLS,
     CheckRecord,
     MismatchRecord,
     RunConfig,
@@ -33,6 +35,7 @@ from conf2.report import (
     emit_report,
     exit_code,
     paper_check,
+    _check_oracle_size,
     _oracle_side,
     run_pipeline,
 )
@@ -68,10 +71,13 @@ def test_config_requires_surfaces():
         RunConfig(surfaces=())
 
 
-def test_config_rejects_unknown_format():
+def test_cli_rejects_unknown_format(capsys):
+    """The format goes from the command line straight to emit_report; argparse refuses any other first."""
     for output_format in ("xml", "markdown"):
-        with pytest.raises(ValueError, match=f"^unknown output format: '{output_format}'$"):
-            RunConfig(surfaces=(("kind", "sphere"),), output_format=output_format)
+        with pytest.raises(SystemExit) as exc:
+            main(["--surface", "sphere", "--format", output_format])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{output_format}'" in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_source():
@@ -80,10 +86,10 @@ def test_config_rejects_unknown_source():
 
 
 def test_config_takes_keywords_and_normalises_surfaces():
-    cfg = RunConfig(surfaces=[["kind", "sphere"], ["file", "t.tri"]], output_format="md", paper_check=True)
+    cfg = RunConfig(surfaces=[["kind", "sphere"], ["file", "t.tri"]], paper_check=True)
     assert cfg.surfaces == (("kind", "sphere"), ("file", "t.tri"))
     assert all(type(pair) is tuple for pair in cfg.surfaces)
-    assert (cfg.oracle_enabled, cfg.output_format, cfg.paper_check) == (True, "md", True)
+    assert (cfg.oracle_enabled, cfg.paper_check) == (True, True)
 
 
 # -- record semantics ------------------------------------------------------------
@@ -129,8 +135,8 @@ VALUE_RECORDS = {
     "SurfaceKind": (SurfaceKind, {"family": "orientable", "param": 2}, {"family": "nonorientable", "param": 3}),
     "RunConfig": (
         RunConfig,
-        {"surfaces": (("kind", "sphere"),), "oracle_enabled": True, "output_format": "json", "paper_check": False},
-        {"surfaces": (("file", "t.tri"),), "oracle_enabled": False, "output_format": "md", "paper_check": True},
+        {"surfaces": (("kind", "sphere"),), "oracle_enabled": True, "paper_check": False},
+        {"surfaces": (("file", "t.tri"),), "oracle_enabled": False, "paper_check": True},
     ),
 }
 
@@ -237,6 +243,23 @@ def test_oracle_is_invariant_under_connected_sum_order(torus_first, torus_seed, 
     assert_oracle_matches(connected_sum(torus, rp2) if torus_first else connected_sum(rp2, torus), "nonorientable:3")
 
 
+@settings(deadline=None, max_examples=25)
+@given(
+    st.sampled_from(["orientable:2", "orientable:3", "nonorientable:2", "nonorientable:3"]),
+    st.integers(1, 2**32 - 1),
+)
+def test_oracle_is_invariant_under_the_flip_seeds(label, offset):
+    """irreducible's flip search run from seeds offset, offset + 1, ... instead of 0, 1, ...: other flips,
+    another reduced triangulation, the same answers.  Contraction alone leaves these builtins above their
+    vertex bound, so every example flips."""
+    _builtin_oracle_uconf(label)  # the reference summary, under the usual seeds
+    seeds = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplicial, "Random", lambda seed: seeds.append(offset + seed) or Random(offset + seed))
+        assert_oracle_matches(builtin_triangulation(SurfaceKind.from_label(label)), label)
+    assert seeds
+
+
 @pytest.mark.parametrize("label", ["sphere", "nonorientable:1", "orientable:1"])
 def test_oracle_side_on_the_contraction_equals_the_stages_on_the_file(label):
     """_oracle_side contracts K first; the stages run on K itself must give the same answers."""
@@ -248,6 +271,36 @@ def test_oracle_side_on_the_contraction_equals_the_stages_on_the_file(label):
     assert rows == [ConfRow(q, dim, dim - 2 * free, free) for q, (dim, free) in enumerate(counts[:5])]
     assert uconf == UConfSummary(dims=tuple(A.dims[:5]), towers=tuple(A.towers), height=sw_height(A))
     assert all(c.passed for c in checks)
+
+
+def test_oracle_size_is_refused_before_anything_is_built(tmp_path, monkeypatch):
+    """A surface whose orbit complex would pass MAX_QUOTIENT_CELLS is an error record naming the predicted
+    size; the stubs show that no builtin triangulation, reduction or orbit complex was made for it."""
+    path = tmp_path / "genus64.tri"
+    path.write_text(format_triangulation(builtin_triangulation(SurfaceKind.orientable(64))))
+
+    def refuse(*args):
+        raise AssertionError("the oracle started on a surface past its size limit")
+
+    for name in ("builtin_triangulation", "irreducible", "quotient_complex"):
+        monkeypatch.setattr(report_module, name, refuse)
+    too_large = (
+        "the oracle's orbit complex would have about {} cells, more than 200000;"
+        " --no-oracle runs the closed form alone"
+    )
+    reports = _run(("kind", "orientable:64"), ("kind", "nonorientable:200"), ("file", str(path)))
+    assert [r.error for r in reports] == [too_large.format(281736), too_large.format(645490), too_large.format(281736)]
+    assert exit_code(reports) == 2
+    (report,) = _run(("kind", "orientable:64"), oracle_enabled=False)
+    assert report.error is None and report.uconf is None
+
+
+@pytest.mark.parametrize("kind", ["orientable:32", "orientable:48", "nonorientable:96"])
+def test_oracle_size_admits_the_measured_surfaces(kind):
+    """The limit was set from peak RSS at orientable:32 and orientable:48, which must keep running."""
+    kind = SurfaceKind.from_label(kind)
+    assert MAX_QUOTIENT_CELLS == 200_000
+    assert _check_oracle_size(kind.euler, kind.family != "nonorientable") is None
 
 
 def test_corrupted_contraction_is_error_record(tmp_path, monkeypatch):

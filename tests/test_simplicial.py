@@ -46,10 +46,13 @@ def tetrahedron() -> SimplicialComplex:
 
 
 def test_constructor_normalizes_and_indexes():
+    """One numbering by dimension, then sorted order: vertices 0-2, edges 01, 02, 12 as 3-5, the triangle 6."""
     K = SimplicialComplex(3, [(2, 1, 0)])
     assert K.facets == ((0, 1, 2),)
     assert K.counts() == (3, 3, 1)
-    assert K.simplex_index((1, 2)) == 2
+    assert K.offsets == (0, 3, 6, 7)
+    assert K.masks == (0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
+    assert K.faces == ((), (), (), (0, 1), (0, 2), (1, 2), (3, 4, 5))
 
 
 def test_constructor_rejects_bad_facets():
