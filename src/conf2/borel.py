@@ -5,16 +5,15 @@ pulling back along the quotient map and summing over each orbit give
 the exact sequence 0 -> C*(Q) -> C*(dp) -> C*(Q) -> 0.  Over F2 its
 connecting map H^n(Q) -> H^{n+1}(Q) is multiplication by alpha, the
 first Stiefel-Whitney class of the double cover.  On cochains it is
-Phi_n: lift a Q-cochain onto the representative pair (s, t) of each
-orbit, take the coboundary in dp, and read the result back on the
-representatives.  Q's cells are those representatives, so Phi comes
-from Q alone: it is Q's boundary without the faces the quotient
-folded, which the walk that builds Q records: Phi = boundary - F.
+Q's boundary without the faces the quotient folded, which the walk
+that builds Q records as F.  On a cocycle z, z boundary = 0, so the
+class alpha [z] is [z F]: F alone carries alpha, and it is a cochain
+map because the connecting map is.
 Composite ranks of alpha cut H*(Q) into truncated polynomial towers,
 whose head tower measures the height; Q has no cells above its top
 dimension, so the towers are exact.  Exactness also gives
 the cohomology of dp with its swap (`cover_counts`), and the norm map
-from H*(K) x H*(K) checks alpha without using Phi (`check_norm_map`).
+from H*(K) x H*(K) checks alpha without using F (`check_norm_map`).
 Both alpha and the norm check solve their cocycles for classes with
 `CohomologyResult.solve`, by reduction against the lowest-one pivot
 tables that computing H*(Q) left behind, never by a new elimination.
@@ -87,36 +86,36 @@ class AlphaModule:
 
 
 def equivariant_cochain_complex(Q: CellComplex) -> list[Mat2]:
-    """Connecting maps Phi_n : C^n(Q) -> C^{n+1}(Q) of the transfer sequence.
+    """The folded faces F_n : C^n(Q) -> C^{n+1}(Q), a cochain map that carries alpha on cocycles.
 
     Q is `quotient_complex(K)`, whose walk recorded the folded part F of
     each boundary matrix: the faces (s, f) of the representatives (s, t)
-    that Q stores as (f, s).  Entry n is Phi_n = d_{n+1} - F_{n+1}, the
-    faces that are representatives themselves, and a row cochain z maps
-    to z.mul(entry n).  Phi commutes with Q's coboundary,
-    Phi_n d_{n+2} = d_{n+1} Phi_{n+1}; as d = Phi + F, that is
-    Phi_n F_{n+2} = F_{n+1} Phi_{n+1}, checked in this form because F is
-    sparser than d.  Raises ValueError when Q carries no folded part and
-    RuntimeError when the check fails.
+    that Q stores as (f, s).  Entry n is F_{n+1}, and a row cochain z maps
+    to z.mul(entry n).  The connecting map of the transfer sequence is
+    d - F, and it commutes with Q's coboundary exactly when F does,
+    d_{n+1} F_{n+2} = F_{n+1} d_{n+2}, which is checked.  Raises
+    ValueError when Q carries no folded part and RuntimeError when the
+    check fails.
     """
     if Q.folded is None:
         raise ValueError("the connecting map needs the folded faces that quotient_complex records")
-    phi = [B ^ F for B, F in zip(Q.boundaries[1:], Q.folded[1:])]
-    for n in range(len(phi) - 1):
-        if phi[n].mul(Q.folded[n + 2]) != Q.folded[n + 1].mul(phi[n + 1]):
+    B, F = Q.boundaries, Q.folded
+    for n in range(len(F) - 2):
+        if B[n + 1].mul(F[n + 2]) != F[n + 1].mul(B[n + 2]):
             raise RuntimeError(f"connecting map fails to commute with the coboundary at degree {n}")
-    return phi
+    return F[1:]
 
 
-def equivariant_cohomology_with_alpha(phi: list[Mat2], H: CohomologyResult) -> AlphaModule:
-    """H*(Q) with the action alpha_n = [Phi_n] and its towers.
+def equivariant_cohomology_with_alpha(F: list[Mat2], H: CohomologyResult) -> AlphaModule:
+    """H*(Q) with the action alpha_n [z] = [z F_n] and its towers.
 
-    H is the cohomology of the orbit complex and phi its connecting maps.
-    The images Phi_n z of the cocycle representatives are solved for
-    their degree-(n+1) classes with `H.solve`, which raises RuntimeError
-    when one is not a cocycle.
+    H is the cohomology of the orbit complex and F the maps from
+    `equivariant_cochain_complex`; the connecting map d - F agrees with
+    them on cocycles and may stand in for them.  The images of the
+    cocycle representatives are solved for their degree-(n+1) classes
+    with `H.solve`, which raises RuntimeError when one is not a cocycle.
     """
-    alpha_maps = [H.solve(n + 1, H.cocycle_basis[n].mul(phi[n])).transpose() for n in range(len(H.dims) - 1)]
+    alpha_maps = [H.solve(n + 1, H.cocycle_basis[n].mul(F[n])).transpose() for n in range(len(H.dims) - 1)]
     return AlphaModule(dims=list(H.dims), alpha_maps=alpha_maps)
 
 
@@ -172,7 +171,7 @@ def check_norm_map(
     and the transfer's image is ker alpha, so these classes span ker
     alpha_n in every degree n; on other K (the theta graph) they need not.
     Each one is solved for its class with `HQ.solve`, which raises
-    RuntimeError when it is no cocycle.  Phi is not used.
+    RuntimeError when it is no cocycle.  F is not used.
     """
     reps = [HK.cocycle_basis[p].data for p in range(len(HK.dims))]
     ranks = [0] * len(Q.cells)

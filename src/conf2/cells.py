@@ -6,8 +6,8 @@ a cellwise free involution.  Its orbit complex Q, with one cell per
 unordered pair, is what the oracle computes with: `quotient_complex`
 builds it in one walk over the numbering `SimplicialComplex` gives K
 (vertex masks and face numbers), labels each cell by a pair of simplex
-numbers, and records the faces the quotient folded, so that the
-connecting map of the transfer sequence is the rest of the boundary.
+numbers, and records the faces the quotient folded, which carry the
+connecting map of the transfer sequence on cocycles.
 Cohomology is computed with explicit cocycle representatives: one
 elimination per boundary matrix gives the coboundaries, the cocycles
 and the classes.  The result keeps the representatives and the
@@ -175,8 +175,8 @@ def quotient_complex(K: SimplicialComplex) -> CellComplex:
     The walk owns the fold: the faces (f, s) it stores for a face (s, f),
     f < s, are the ones the quotient folded, and it records them as the
     complex's `folded` part F of each boundary.  The rest of the
-    boundary, Phi = boundary - F, is the connecting map of the transfer
-    sequence (`borel.equivariant_cochain_complex`).
+    boundary is the connecting map of the transfer sequence, so on
+    cocycles F is that map (`borel.equivariant_cochain_complex`).
     """
     top = len(K.levels) - 1
     start, masks, faces = K.offsets, K.masks, K.faces

@@ -8,9 +8,10 @@ the group algebra of the swap sigma.  No quotient is built: with c the
 number of 2-cycles of sigma on the square's basis,
 f = dim((1 + sigma)V + K) - dim K = c - dim(K meet im(1 + sigma)), and
 im(1 + sigma) is the set of sigma-fixed vectors that vanish on sigma's
-fixed basis elements.  sigma moves the ones of K's rows (`gf2.permute`),
-and the meet is the kernel of k -> k + sigma k + (k on the fixed basis
-elements), whose two parts have disjoint supports.  Each degree is one
+fixed basis elements.  As (x cross 1) d = (1 cross x) d, sigma fixes
+every row of K, not only its span; sigma moves the ones of a row
+(`gf2.permute`), and each row is checked.  So K meets im(1 + sigma) in
+the kernel of k -> (k on the fixed basis elements).  Each degree is one
 `ConfRow(q, dim, t, f)`, the row type the oracle's transfer route
 builds too.
 """
@@ -103,7 +104,7 @@ def rep_decompose(dim: int, swap: Mat2) -> tuple[int, int]:
         raise ValueError("swap matrix does not match the stated dimension")
     if swap.mul(swap) != Mat2.identity(dim):
         raise ValueError("swap is not an involution")
-    f = rank(swap ^ Mat2.identity(dim))
+    f = rank(Mat2(dim, dim, [x ^ 1 << i for i, x in enumerate(swap.data)]))
     t = dim - 2 * f
     if t < 0:
         raise RuntimeError("trivial multiplicity came out negative")
@@ -113,8 +114,8 @@ def rep_decompose(dim: int, swap: Mat2) -> tuple[int, int]:
 def conf_cohomology(kind: SurfaceKind) -> ConfCohomology:
     """Per-degree dimensions of the quotient of the square by the kernel, with their swap decomposition.
 
-    Raises RuntimeError when internal consistency fails: a kernel that
-    is not swap-stable or a negative trivial multiplicity.  A nonzero
+    Raises RuntimeError when internal consistency fails: a kernel row
+    that the swap moves or a negative trivial multiplicity.  A nonzero
     degree-4 quotient is left to the report's conf-top-degree-vanishes
     record.
     """
@@ -123,13 +124,12 @@ def conf_cohomology(kind: SurfaceKind) -> ConfCohomology:
     for q in range(TOP_DEGREE + 1):
         K = gysin_kernel(square, q)
         perm = square.swap_perm[q]
-        swapped = [permute(k, perm) for k in K.data]
-        if rank(Mat2(2 * K.rows, K.cols, K.data + swapped)) != K.rows:
-            raise RuntimeError(f"restriction kernel is not swap-stable in degree {q}")
+        if any(permute(k, perm) != k for k in K.data):
+            raise RuntimeError(f"restriction kernel is not swap-fixed in degree {q}")
         fixed = from_ones(i for i, j in enumerate(perm) if i == j)
         cycles = (len(perm) - fixed.bit_count()) // 2
-        # k lies in im(1 + sigma) iff k + sigma k = 0 and k is 0 on the fixed basis elements, where k + sigma k is 0
-        meet = K.rows - rank(Mat2(K.rows, K.cols, [k ^ s ^ (k & fixed) for k, s in zip(K.data, swapped)]))
+        # k + sigma k = 0 on every row, so k lies in im(1 + sigma) iff k is 0 on the fixed basis elements
+        meet = K.rows - rank(Mat2(K.rows, K.cols, [k & fixed for k in K.data]))
         dim = len(perm) - K.rows
         f = cycles - meet
         if dim - 2 * f < 0:

@@ -152,11 +152,6 @@ class Mat2:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __xor__(self, other: "Mat2") -> "Mat2":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Mat2(self.rows, self.cols, [a ^ b for a, b in zip(self.data, other.data)])
-
     def transpose(self) -> "Mat2":
         """Collects the row index of each one per column; costs the ones and the new widths."""
         cols: list[list[int]] = [[] for _ in range(self.cols)]

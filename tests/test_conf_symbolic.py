@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from conf2 import conf_symbolic
 from conf2.conf_symbolic import (
     conf_cohomology,
     gysin_kernel,
     kernel_ideal_check,
     rep_decompose,
 )
-from conf2.gf2 import Mat2
+from conf2.gf2 import Mat2, permute
 from conf2.surfaces import SurfaceKind, build_kunneth, build_surface_ring
 from gf2_reference import from_dense
 from sym_reference import Subspace, add, cross, element, quotient_degrees, subspace_equal
@@ -148,6 +149,23 @@ def test_projection_kills_kernel():
         ker = gysin_kernel(square, q)
         assert ker.rows
         assert degrees[q].projection.mul(ker.transpose()).is_zero()
+
+
+def test_kernel_row_moved_by_the_swap_is_rejected(monkeypatch):
+    """A lone x_1|x_2 added to the torus's degree-2 kernel is moved to x_2|x_1, and the degree is named."""
+    kernel = conf_symbolic.gysin_kernel
+
+    def with_moved_row(square, q):
+        K = kernel(square, q)
+        if q != 2:
+            return K
+        row = 1 << square.offset[2][1] + 1  # x_i|x_j sits at offset + i dim_1 + j: here i = 0, j = 1
+        assert permute(row, square.swap_perm[2]) != row
+        return Mat2(K.rows + 1, K.cols, K.data + [row])
+
+    monkeypatch.setattr(conf_symbolic, "gysin_kernel", with_moved_row)
+    with pytest.raises(RuntimeError, match="not swap-fixed in degree 2"):
+        conf_cohomology(TORUS)
 
 
 REFERENCE_KINDS = [SPHERE] + [SurfaceKind(family, n) for family in ("orientable", "nonorientable") for n in range(1, 5)]

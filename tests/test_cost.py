@@ -44,10 +44,11 @@ import workloads  # noqa: E402
 
 SWEEP = ("sphere", "orientable:1", "orientable:2", "nonorientable:1", "nonorientable:2", "nonorientable:3")
 # (calls, operand bits) measured on the sweep when the budgets were set.
-# rref's bits fell from 990,683 when conf_cohomology's meet matrix lost its columns at the fixed basis elements.
-MEASURED = {"rref": (272, 990_665), "mul": (132, 4_981_789)}
+# rref's bits fell from 990,683 when conf_cohomology's meet matrix lost its columns at the fixed basis elements,
+# and its calls from 272 when a row-by-row swap check replaced the rank of the stacked kernel and its swap.
+MEASURED = {"rref": (242, 990_425), "mul": (132, 4_981_789)}
 # Bytes at the tracemalloc peak of conf_cohomology(orientable:64), measured when the budget was set.
-SYMBOLIC_PEAK = 1_608_254
+SYMBOLIC_PEAK = 992_094
 # validate_surface runs that compute a report rather than return the one kept on the complex: one per distinct
 # complex the sweep builds, its three shipped pieces, four connected sums and three reductions.
 VALIDATIONS = 10

@@ -1,11 +1,13 @@
 """The orbit-complex route against the deleted-product reference, number for number.
 
-`quotient_complex(K)`, the connecting map built from the folded faces
-its walk records, the conf rows read off the transfer sequence and the
-pair count must equal what the deleted product gives: its orbit complex
-folded from its boundary, its boundary on the orbit representatives,
-its cohomology with the induced swap, and its Euler characteristic.
-The folded faces must also be those the cell labels name.  Q labels
+`quotient_complex(K)`, the connecting map d - F formed from the folded
+faces F its walk records, the conf rows read off the transfer sequence
+and the pair count must equal what the deleted product gives: its orbit
+complex folded from its boundary, its boundary on the orbit
+representatives, its cohomology with the induced swap, and its Euler
+characteristic.  The folded faces must also be those the cell labels
+name, and on every cocycle representative F must agree with d - F,
+which is why alpha needs F alone.  Q labels
 its cells by pairs of K's simplex numbers and the reference by pairs of
 vertex tuples, so the comparison writes each number as its simplex.  Besides the
 builtin surfaces up to genus and crosscap count 3, three files run:
@@ -28,6 +30,7 @@ import pytest
 
 from conf2.borel import cover_counts, equivariant_cochain_complex, equivariant_cohomology_with_alpha
 from conf2.cells import cohomology_f2, deleted_product, deleted_product_euler, quotient_complex
+from conf2.gf2 import Mat2
 from conf2.simplicial import SimplicialComplex, builtin_triangulation, read_triangulation
 from conf2.surfaces import SurfaceKind
 from dp_reference import (
@@ -113,16 +116,38 @@ def test_walk_folds_the_faces_the_labels_name(label, tmp_dir):
     assert Q.folded == folded_by_label(Q)
 
 
+@lru_cache(maxsize=None)
+def quotient_cohomology(label: str, tmp_dir):
+    return cohomology_f2(case(label, tmp_dir)[3])
+
+
+def boundary_without_fold(Q) -> list[Mat2]:
+    """d - F on each boundary of Q past the first: the connecting map of the transfer sequence."""
+    return [Mat2(B.rows, B.cols, [b ^ f for b, f in zip(B.data, F.data)]) for B, F in zip(Q.boundaries[1:], Q.folded[1:])]
+
+
 @pytest.mark.parametrize("label", LABELS)
 def test_connecting_map_matches_deleted_product(label, tmp_dir):
     _, dp, _, Q, ref = case(label, tmp_dir)
-    assert equivariant_cochain_complex(Q) == transfer_phi(dp, ref)
+    assert boundary_without_fold(Q) == transfer_phi(dp, ref)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_folded_faces_agree_with_the_connecting_map_on_cocycles(label, tmp_dir):
+    """z F = z (d - F) for every cocycle representative z, as z d = 0: the folded faces alone carry alpha."""
+    Q = case(label, tmp_dir)[3]
+    H = quotient_cohomology(label, tmp_dir)
+    F = equivariant_cochain_complex(Q)
+    phi = boundary_without_fold(Q)
+    assert len(F) == len(phi) == len(H.dims) - 1
+    for n in range(len(F)):
+        assert H.cocycle_basis[n].mul(F[n]) == H.cocycle_basis[n].mul(phi[n])
 
 
 @pytest.mark.parametrize("label", LABELS)
 def test_gysin_conf_rows_match_deleted_product_cohomology(label, tmp_dir):
     _, _, rows, Q, _ = case(label, tmp_dir)
-    A = equivariant_cohomology_with_alpha(equivariant_cochain_complex(Q), cohomology_f2(Q))
+    A = equivariant_cohomology_with_alpha(equivariant_cochain_complex(Q), quotient_cohomology(label, tmp_dir))
     gysin = [(dim, dim - 2 * free, free) for dim, free in cover_counts(A)]
     assert gysin == rows
     check_smith_gysin(A, [dim for dim, _, _ in rows], [f for _, _, f in rows])

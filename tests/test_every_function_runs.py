@@ -43,15 +43,24 @@ ALLOWED = {
 
 
 def defined_functions() -> dict[tuple[str, int], str]:
-    """(file, first line) -> module.qualname of each function and method defined in src/conf2."""
+    """(file, first line) -> module.qualname of each function and method defined in src/conf2.
+
+    Code objects have no co_qualname before Python 3.11, so the walk
+    builds the name: a class body adds its name, a function its name and
+    `<locals>`.  Where co_qualname exists, the two must agree.
+    """
     out = {}
     for path in sorted(SRC.glob("*.py")):
-        stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+        stack = [(compile(path.read_text(encoding="utf-8"), str(path), "exec"), "")]
         while stack:
-            code = stack.pop()
-            stack.extend(c for c in code.co_consts if inspect.iscode(c))
-            if code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<"):
-                out[(str(path), code.co_firstlineno)] = f"{path.stem}.{code.co_qualname}"
+            code, prefix = stack.pop()
+            is_function = code.co_flags & inspect.CO_NEWLOCALS
+            qualname = prefix + code.co_name
+            inner = "" if code.co_name == "<module>" else qualname + (".<locals>." if is_function else ".")
+            stack.extend((c, inner) for c in code.co_consts if inspect.iscode(c))
+            if is_function and not code.co_name.startswith("<"):
+                assert getattr(code, "co_qualname", qualname) == qualname
+                out[(str(path), code.co_firstlineno)] = f"{path.stem}.{qualname}"
     return out
 
 

@@ -371,13 +371,6 @@ def test_permute_matches_numpy(rows, cols, seed, data):
 
 @settings(deadline=None, max_examples=100)
 @given(*SHAPES)
-def test_xor_matches_numpy(rows, cols, seed):
-    a, b = random_bits(seed, rows, cols), random_bits(seed + 1, rows, cols)
-    assert from_dense(a) ^ from_dense(b) == from_dense(a ^ b)
-
-
-@settings(deadline=None, max_examples=100)
-@given(*SHAPES)
 def test_vector_products_match_numpy(rows, cols, seed):
     a = random_bits(seed, rows, cols)
     x, v = random_bits(seed + 1, 1, rows)[0], random_bits(seed + 2, 1, cols)[0]
