@@ -21,13 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .gf2 import Mat2, from_ones, permute, rank, rref
-from .surfaces import (
-    KunnethAlgebra,
-    SurfaceKind,
-    build_kunneth,
-    build_surface_ring,
-    diagonal_class,
-)
+from .surfaces import KunnethAlgebra, SurfaceKind, build_kunneth, build_surface_ring
 
 __all__ = [
     "ConfRow",
@@ -66,8 +60,7 @@ def _times_diagonal(square: KunnethAlgebra, q: int) -> tuple[Mat2, Mat2]:
     """The matrix of y -> y d from degree q-2 into degree q, and its rows at the x|1 basis elements."""
     if not 0 <= q <= TOP_DEGREE:
         raise ValueError(f"degree out of range: {q}")
-    d = square.diagonal if square.diagonal is not None else diagonal_class(square)
-    rows = square.times(q - 2, d)
+    rows = square.times(q - 2, square.diagonal)
     if q < 2:
         return rows, rows
     start = square.offset[q - 2][q - 2]

@@ -39,7 +39,7 @@ from .cells import (
     quotient_complex,
     simplicial_cell_complex,
 )
-from .conf_symbolic import TOP_DEGREE, ConfCohomology, ConfRow, conf_cohomology, kernel_ideal_check
+from .conf_symbolic import TOP_DEGREE, ConfRow, conf_cohomology, kernel_ideal_check
 from .simplicial import (
     SimplicialComplex,
     builtin_triangulation,
@@ -77,12 +77,15 @@ class RunConfig(namedtuple("RunConfig", "surfaces oracle_enabled paper_check")):
 
 
 class CheckRecord(NamedTuple):
-    """One named cross-check; failed checks keep both compared values."""
+    """One named cross-check: it passes exactly when the two values it keeps are equal."""
 
     name: str
-    passed: bool
     expected: object
     got: object
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.got
 
 
 class MismatchRecord(NamedTuple):
@@ -115,9 +118,8 @@ class SurfaceReport:
         self.checks: list[CheckRecord] = [] if checks is None else checks
         self.notes: list[str] = [] if notes is None else notes
         self.error: str | None = error
-        # run_pipeline sets these when it runs the stated-table comparison.
-        self.paper_checked = False
-        self.discrepancies: list[MismatchRecord] = []
+        # None until run_pipeline runs the stated-table comparison.
+        self.discrepancies: list[MismatchRecord] | None = None
 
 
 # -- pipeline ----------------------------------------------------------------
@@ -139,7 +141,6 @@ def run_pipeline(cfg: RunConfig) -> list[SurfaceReport]:
         except Exception as exc:
             report = SurfaceReport(surface=value, error=f"{type(exc).__name__}: {exc}")
         if cfg.paper_check and report.error is None:
-            report.paper_checked = True
             report.discrepancies = paper_check(report)
         reports.append(report)
     return reports
@@ -148,7 +149,7 @@ def run_pipeline(cfg: RunConfig) -> list[SurfaceReport]:
 def _surface_report(source: str, value: str, cfg: RunConfig) -> SurfaceReport:
     if source == "kind":
         kind = SurfaceKind.from_label(value)
-        return _kind_report(kind, kind.label, None, cfg)
+        return _report(kind.label, kind, None, cfg)
 
     K = read_triangulation(value)
     info = validate_surface(K)
@@ -160,67 +161,53 @@ def _surface_report(source: str, value: str, cfg: RunConfig) -> SurfaceReport:
     # Mod-2 Poincare duality: a closed connected surface has Betti numbers (1, 2 - euler, 1).
     b1 = 2 - info["euler"]
     if b1 == 0:
-        return _kind_report(SurfaceKind.sphere(), value, K, cfg)
+        return _report(value, SurfaceKind.sphere(), K, cfg)
     if b1 % 2 == 1:
-        return _kind_report(SurfaceKind.nonorientable(b1), value, K, cfg)
+        return _report(value, SurfaceKind.nonorientable(b1), K, cfg)
     # Even b1 fits both an orientable and a nonorientable surface, and the
     # Betti numbers cannot tell them apart; report oracle output only.
+    fits = f"Betti numbers (1, {b1}, 1) fit both orientable:{b1 // 2} and nonorientable:{b1}"
     if not cfg.oracle_enabled:
-        raise ValueError(
-            f"{value}: Betti numbers (1, {b1}, 1) fit both orientable:{b1 // 2} "
-            f"and nonorientable:{b1}; nothing to report with the oracle disabled"
-        )
-    return _ambiguous_report(value, K, b1)
+        raise ValueError(f"{value}: {fits}; nothing to report with the oracle disabled")
+    return _report(value, None, K, cfg, [f"{fits}; closed-form comparison skipped"])
 
 
-def _kind_report(kind: SurfaceKind, label: str, K: SimplicialComplex | None, cfg: RunConfig) -> SurfaceReport:
+def _report(
+    label: str, kind: SurfaceKind | None, K: SimplicialComplex | None, cfg: RunConfig, notes: list[str] | None = None
+) -> SurfaceReport:
+    """The closed form's rows and records when `kind` is known, the oracle's when it is on, and the
+    comparison of the two when both run.  An unclassified surface reports the oracle's rows."""
+    chi = K.euler if kind is None else kind.euler
     if cfg.oracle_enabled:
-        _check_oracle_size(kind.euler, kind.family != "nonorientable")
-    sym = conf_cohomology(kind)
-    chi = kind.euler
-    checks = _symbolic_checks(sym, chi)
-    if K is not None:
-        checks.append(CheckRecord("euler-matches-classification", K.euler == chi, chi, K.euler))
-
-    uconf = None
+        _check_oracle_size(chi, is_orientable(K) if kind is None else kind.family != "nonorientable")
+    rows, uconf, checks = [], None, []
+    if kind is not None:
+        sym = conf_cohomology(kind)
+        rows, dims = sym.rows, sym.dims()
+        checks = [
+            CheckRecord("conf-top-degree-vanishes", 0, dims[TOP_DEGREE]),
+            CheckRecord("conf-euler-identity", chi * chi - chi, sym.euler()),
+            CheckRecord("conf-dimension-accounting", dims, [r.t + 2 * r.f for r in rows]),
+            CheckRecord(
+                "gysin-kernel-is-diagonal-ideal",
+                [True] * (TOP_DEGREE + 1),
+                [kernel_ideal_check(sym.square, q) for q in range(TOP_DEGREE + 1)],
+            ),
+        ]
+        if K is not None:
+            checks.append(CheckRecord("euler-matches-classification", chi, K.euler))
     if cfg.oracle_enabled:
-        if K is None:
-            K = builtin_triangulation(kind)
-        oracle_rows, uconf, oracle_checks = _oracle_side(K, chi)
-        checks.extend(oracle_checks)
-        sym_dims = sym.dims()
-        ora_dims = [r.dim for r in oracle_rows]
-        checks.append(CheckRecord("oracle-conf-dims", ora_dims == sym_dims, sym_dims, ora_dims))
-        sym_tf = [[r.t, r.f] for r in sym.rows]
-        ora_tf = [[r.t, r.f] for r in oracle_rows]
-        checks.append(CheckRecord("oracle-conf-decomposition", ora_tf == sym_tf, sym_tf, ora_tf))
-        expected_h = 2 if kind.family in ("sphere", "orientable") else 3
-        checks.append(CheckRecord("sw-height-by-family", uconf.height == expected_h, expected_h, uconf.height))
-
-    return SurfaceReport(surface=label, kind=kind, conf=sym.rows, uconf=uconf, checks=checks)
-
-
-def _ambiguous_report(label: str, K: SimplicialComplex, b1: int) -> SurfaceReport:
-    chi = K.euler
-    _check_oracle_size(chi, is_orientable(K))
-    rows, uconf, checks = _oracle_side(K, chi)
-    note = (
-        f"Betti numbers (1, {b1}, 1) fit both orientable:{b1 // 2} and "
-        f"nonorientable:{b1}; closed-form comparison skipped"
-    )
-    return SurfaceReport(surface=label, kind=None, conf=rows, uconf=uconf, checks=checks, notes=[note])
-
-
-def _symbolic_checks(sym: ConfCohomology, chi: int) -> list[CheckRecord]:
-    dims = sym.dims()
-    checks = [CheckRecord("conf-top-degree-vanishes", dims[TOP_DEGREE] == 0, 0, dims[TOP_DEGREE])]
-    expected = chi * chi - chi
-    checks.append(CheckRecord("conf-euler-identity", sym.euler() == expected, expected, sym.euler()))
-    accounted = [r.t + 2 * r.f for r in sym.rows]
-    checks.append(CheckRecord("conf-dimension-accounting", accounted == dims, dims, accounted))
-    kernel = [kernel_ideal_check(sym.square, q) for q in range(TOP_DEGREE + 1)]
-    checks.append(CheckRecord("gysin-kernel-is-diagonal-ideal", all(kernel), [True] * len(kernel), kernel))
-    return checks
+        oracle_rows, uconf, oracle_checks = _oracle_side(K or builtin_triangulation(kind), chi)
+        checks += oracle_checks
+        if kind is None:
+            rows = oracle_rows
+        else:
+            checks += [
+                CheckRecord("oracle-conf-dims", dims, [r.dim for r in oracle_rows]),
+                CheckRecord("oracle-conf-decomposition", [[r.t, r.f] for r in rows], [[r.t, r.f] for r in oracle_rows]),
+                CheckRecord("sw-height-by-family", 3 if kind.family == "nonorientable" else 2, uconf.height),
+            ]
+    return SurfaceReport(surface=label, kind=kind, conf=rows, uconf=uconf, checks=checks, notes=notes)
 
 
 def _check_oracle_size(chi: int, orientable: bool) -> None:
@@ -244,11 +231,10 @@ def _oracle_side(K: SimplicialComplex, chi: int) -> tuple[list[ConfRow], UConfSu
     """
     K = irreducible(K)
     conf_chi = chi * chi - chi
-    dp_euler = deleted_product_euler(K)
-    checks = [CheckRecord("deleted-product-euler", dp_euler == conf_chi, conf_chi, dp_euler)]
+    checks = [CheckRecord("deleted-product-euler", conf_chi, deleted_product_euler(K))]
 
     quotient = quotient_complex(K)
-    checks.append(CheckRecord("quotient-euler-halves", quotient.euler == conf_chi // 2, conf_chi // 2, quotient.euler))
+    checks.append(CheckRecord("quotient-euler-halves", conf_chi // 2, quotient.euler))
     Q = cohomology_f2(quotient)
     # Rank-nullity from the sizes of the coboundary tables, against the number of classes.
     ranks = [len(table) for table in Q.coboundaries] + [0] * (TOP_DEGREE + 2)
@@ -259,16 +245,17 @@ def _oracle_side(K: SimplicialComplex, chi: int) -> tuple[list[ConfRow], UConfSu
     # The transfer sequence gives H*(Conf) with its swap from Q and alpha.
     counts = cover_counts(A) + [(0, 0)] * (TOP_DEGREE + 1)
     rows = [ConfRow(q, dim, dim - 2 * free, free) for q, (dim, free) in enumerate(counts[: TOP_DEGREE + 1])]
-    height = sw_height(A)
     dims = A.dims[: TOP_DEGREE + 1]
-    checks.append(CheckRecord("uconf-dims-match-quotient", dims == rank_nullity, rank_nullity, dims))
     tail = [A.dims[n] if n < len(A.dims) else 0 for n in UCONF_TAIL_DEGREES]
-    checks.append(CheckRecord("uconf-top-degree-vanishes", not any(tail), [0] * len(tail), tail))
     coverage = [sum(1 for t in A.towers if t.start <= n < t.start + t.length) for n in range(TOP_DEGREE + 1)]
-    checks.append(CheckRecord("tower-reconstruction", coverage == dims, dims, coverage))
-    checks.append(CheckRecord("uconf-euler-halves-conf", A.euler == conf_chi // 2, conf_chi // 2, A.euler))
+    checks += [
+        CheckRecord("uconf-dims-match-quotient", rank_nullity, dims),
+        CheckRecord("uconf-top-degree-vanishes", [0] * len(tail), tail),
+        CheckRecord("tower-reconstruction", dims, coverage),
+        CheckRecord("uconf-euler-halves-conf", conf_chi // 2, A.euler),
+    ]
 
-    uconf = UConfSummary(dims=tuple(dims), towers=tuple(A.towers), height=height)
+    uconf = UConfSummary(dims=tuple(dims), towers=tuple(A.towers), height=sw_height(A))
     return rows, uconf, checks
 
 
@@ -286,14 +273,12 @@ def paper_check(report: SurfaceReport) -> list[MismatchRecord]:
     if report.error is not None or report.kind is None:
         return []
     rows = {r.q: r for r in report.conf}
-    towers = list(report.uconf.towers) if report.uconf is not None else None
+    uconf = report.uconf
     comparisons: list[tuple[str, object, object, object]] = []
 
     if report.kind.family == "sphere":
-        if towers is not None:
-            comparisons.append(("sphere-module-head", "F_2[alpha] (no truncation)", 3, _head_length(towers)))
-        if report.uconf is not None:
-            comparisons.append(("corollary-sw-height", 2, 2, report.uconf.height))
+        if uconf is not None:
+            comparisons.append(("sphere-module-head", "F_2[alpha] (no truncation)", 3, _head_length(uconf.towers)))
     elif report.kind.family == "orientable":
         g = report.kind.param
         comparisons += [
@@ -302,17 +287,15 @@ def paper_check(report: SurfaceReport) -> list[MismatchRecord]:
             ("theorem-1.1-degree-2-free", 2 * g * g + g, 2 * g * g - g, rows[2].f),
             ("theorem-1.1-degree-3-trivial", 2 * g, 2 * g, rows[3].t),
         ]
-        if towers is not None:
+        if uconf is not None:
             comparisons += [
-                ("theorem-1.2-head-length", 3, 3, _head_length(towers)),
-                ("theorem-1.2-x-count", g, 2 * g, _tower_count(towers, start=1, length=1)),
-                ("theorem-1.2-z-count", 2 * g, 2 * g, _tower_count(towers, length=2)),
+                ("theorem-1.2-head-length", 3, 3, _head_length(uconf.towers)),
+                ("theorem-1.2-x-count", g, 2 * g, _tower_count(uconf.towers, start=1, length=1)),
+                ("theorem-1.2-z-count", 2 * g, 2 * g, _tower_count(uconf.towers, length=2)),
             ]
-            zdeg = _length_two_start(towers)
+            zdeg = _length_two_start(uconf.towers)
             if zdeg is not None:
                 comparisons.append(("theorem-1.2-z-degree", 3, 2, zdeg))
-        if report.uconf is not None:
-            comparisons.append(("corollary-sw-height", 2, 2, report.uconf.height))
     else:
         k = report.kind.param
         comparisons += [
@@ -321,16 +304,17 @@ def paper_check(report: SurfaceReport) -> list[MismatchRecord]:
             ("theorem-1.3-degree-2-free", k * (k + 1) // 2 + 1, k * (k - 1) // 2 + 1, rows[2].f),
             ("theorem-1.3-degree-3-trivial", k, k, rows[3].t),
         ]
-        if towers is not None:
+        if uconf is not None:
             # The z-degree slip is recorded once, under the orientable
             # statement; both statements place z_i in degree 3.
             comparisons += [
-                ("theorem-1.4-head-length", 4, 4, _head_length(towers)),
-                ("theorem-1.4-x-count", k, k, _tower_count(towers, start=1, length=1)),
-                ("theorem-1.4-z-count", k - 1, k - 1, _tower_count(towers, length=2)),
+                ("theorem-1.4-head-length", 4, 4, _head_length(uconf.towers)),
+                ("theorem-1.4-x-count", k, k, _tower_count(uconf.towers, start=1, length=1)),
+                ("theorem-1.4-z-count", k - 1, k - 1, _tower_count(uconf.towers, length=2)),
             ]
-        if report.uconf is not None:
-            comparisons.append(("corollary-sw-height", 3, 3, report.uconf.height))
+    if uconf is not None:
+        height = 3 if report.kind.family == "nonorientable" else 2
+        comparisons.append(("corollary-sw-height", height, height, uconf.height))
 
     return [
         MismatchRecord(name=name, stated=stated, consistent=consistent, computed=computed)
@@ -339,11 +323,11 @@ def paper_check(report: SurfaceReport) -> list[MismatchRecord]:
     ]
 
 
-def _head_length(towers: list[Tower]) -> int:
+def _head_length(towers: tuple[Tower, ...]) -> int:
     return max((t.length for t in towers if t.start == 0), default=0)
 
 
-def _tower_count(towers: list[Tower], start: int | None = None, length: int | None = None) -> int:
+def _tower_count(towers: tuple[Tower, ...], start: int | None = None, length: int | None = None) -> int:
     return sum(
         1
         for t in towers
@@ -351,7 +335,7 @@ def _tower_count(towers: list[Tower], start: int | None = None, length: int | No
     )
 
 
-def _length_two_start(towers: list[Tower]):
+def _length_two_start(towers: tuple[Tower, ...]):
     starts = sorted({t.start for t in towers if t.length == 2})
     if not starts:
         return None
@@ -381,7 +365,7 @@ def report_to_dict(report: SurfaceReport) -> dict:
         {"name": c.name, "pass": c.passed, "expected": c.expected, "got": c.got}
         for c in report.checks
     ]
-    if report.paper_checked:
+    if report.discrepancies is not None:
         d["discrepancies"] = [
             {"name": m.name, "stated": m.stated, "consistent": m.consistent, "computed": m.computed}
             for m in report.discrepancies
@@ -435,7 +419,7 @@ def _markdown(reports: list[SurfaceReport]) -> str:
                     f"| {c.name} | {status} | {_compact(c.expected)} | {_compact(c.got)} |"
                 )
             lines.append("")
-        if r.paper_checked:
+        if r.discrepancies is not None:
             if r.discrepancies:
                 lines.append("| stated value | as printed | per generator list | computed |")
                 lines.append("| --- | --- | --- | --- |")

@@ -119,8 +119,8 @@ VALUE_RECORDS = {
     ),
     "CheckRecord": (
         CheckRecord,
-        {"name": "c", "passed": True, "expected": [1, 2], "got": [1, 2]},
-        {"name": "d", "passed": False, "expected": 1, "got": 2},
+        {"name": "c", "expected": [1, 2], "got": [1, 2]},
+        {"name": "d", "expected": 1, "got": 2},
     ),
     "MismatchRecord": (
         MismatchRecord,
@@ -161,10 +161,10 @@ def test_frozen_records_reject_assignment(name):
 
 def test_surface_reports_get_fresh_lists():
     a, b = SurfaceReport(surface="a"), SurfaceReport(surface="b")
-    for field in ("conf", "checks", "discrepancies", "notes"):
+    for field in ("conf", "checks", "notes"):
         getattr(a, field).append(None)
         assert getattr(b, field) == [], field
-    assert (b.kind, b.uconf, b.paper_checked, b.error) == (None, None, False, None)
+    assert (b.kind, b.uconf, b.discrepancies, b.error) == (None, None, None, None)
 
 
 # -- pipeline content ----------------------------------------------------------
@@ -342,7 +342,7 @@ def test_unexpected_exception_is_error_record(monkeypatch):
     monkeypatch.setattr(report_module, "quotient_complex", fails_on_the_torus)
     reports = _run(("kind", "orientable:1"), ("kind", "sphere"), paper_check=True)
     assert reports[0].error == "KeyError: 'no such cell'"
-    assert not reports[0].paper_checked
+    assert reports[0].discrepancies is None
     assert reports[1].error is None and all(c.passed for c in reports[1].checks)
     # a surface ran clean, so the run exits 0; a run whose only surface failed exits 2
     assert exit_code(reports) == 0
@@ -435,6 +435,30 @@ def test_miscounted_rank_fails_the_quotient_dims_record(monkeypatch):
     assert all(c.passed for c in r.checks if c is not record)
 
 
+def test_miscounted_deleted_product_fails_its_euler_record(monkeypatch):
+    from conf2.cells import deleted_product_euler
+
+    monkeypatch.setattr(report_module, "deleted_product_euler", lambda K: deleted_product_euler(K) + 2)
+    reports = _run(("kind", "sphere"))
+    (r,) = reports
+    assert r.error is None
+    (record,) = [c for c in r.checks if not c.passed]
+    assert record == CheckRecord("deleted-product-euler", 2, 4)
+    assert exit_code(reports) == 1
+
+
+def test_failed_kernel_check_fails_the_gysin_record(monkeypatch):
+    from conf2.conf_symbolic import kernel_ideal_check
+
+    monkeypatch.setattr(report_module, "kernel_ideal_check", lambda square, q: q != 2 and kernel_ideal_check(square, q))
+    reports = _run(("kind", "sphere"))
+    (r,) = reports
+    assert r.error is None
+    (record,) = [c for c in r.checks if not c.passed]
+    assert record == CheckRecord("gysin-kernel-is-diagonal-ideal", [True] * 5, [True, True, False, True, True])
+    assert exit_code(reports) == 1
+
+
 def test_nonvanishing_top_degree_fails_its_record(monkeypatch, tmp_path):
     """With the degree-4 Gysin kernel emptied, H^4(M x M) survives: the record fails and the surface is reported."""
     from conf2 import conf_symbolic
@@ -491,8 +515,8 @@ def test_ambiguous_file_without_oracle_is_error(tmp_path):
 
 
 def test_exit_code_flags_failed_checks():
-    bad = SurfaceReport(surface="x", checks=[CheckRecord("c", False, 1, 2)])
-    good = SurfaceReport(surface="y", checks=[CheckRecord("c", True, 1, 1)])
+    bad = SurfaceReport(surface="x", checks=[CheckRecord("c", 1, 2)])
+    good = SurfaceReport(surface="y", checks=[CheckRecord("c", 1, 1)])
     assert exit_code([bad, good]) == 1
     assert exit_code([good]) == 0
     assert exit_code([SurfaceReport(surface="z", error="boom")]) == 2
@@ -636,7 +660,7 @@ def test_error_record_serialization():
 
 
 def test_failed_check_keeps_both_values():
-    r = SurfaceReport(surface="x", conf=[ConfRow(0, 1, 1, 0)], checks=[CheckRecord("c", False, [1, 2], [3, 4])])
+    r = SurfaceReport(surface="x", conf=[ConfRow(0, 1, 1, 0)], checks=[CheckRecord("c", [1, 2], [3, 4])])
     doc = json.loads(emit_report([r], "json"))
     rec = doc["reports"][0]["checks"][0]
     assert rec["pass"] is False and rec["expected"] == [1, 2] and rec["got"] == [3, 4]
