@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cells import CellComplex, CohomologyResult
+from .cells import CellComplex, CohomologyResult, incidence
 from .gf2 import (  # solve_many: not run here; kept importable under its traced name
     Mat2,
     from_ones,
@@ -88,22 +88,27 @@ class AlphaModule:
 def equivariant_cochain_complex(Q: CellComplex) -> list[Mat2]:
     """The folded faces F_n : C^n(Q) -> C^{n+1}(Q), a cochain map that carries alpha on cocycles.
 
-    Q is `quotient_complex(K)`, whose walk recorded the folded part F of
-    each boundary matrix: the faces (s, f) of the representatives (s, t)
-    that Q stores as (f, s).  Entry n is F_{n+1}, and a row cochain z maps
-    to z.mul(entry n).  The connecting map of the transfer sequence is
-    d - F, and it commutes with Q's coboundary exactly when F does,
-    d_{n+1} F_{n+2} = F_{n+1} d_{n+2}, which is checked.  Raises
-    ValueError when Q carries no folded part and RuntimeError when the
-    check fails.
+    Q is `quotient_complex(K)`, whose walk recorded the folded faces F
+    of each cell: the faces (s, f) of the representatives (s, t) that Q
+    stores as (f, s).  Entry n is the matrix of F on the (n+1)-cells, and
+    a row cochain z maps to z.mul(entry n).  The connecting map of the
+    transfer sequence is d - F, and it commutes with Q's coboundary
+    exactly when F does, d F = F d, which is checked cell by cell before
+    any matrix is built: the faces of the folded faces of a cell and the
+    folded faces of its faces must pair off.  Raises ValueError when Q
+    carries no folded faces and RuntimeError when the check fails.
     """
     if Q.folded is None:
         raise ValueError("the connecting map needs the folded faces that quotient_complex records")
-    B, F = Q.boundaries, Q.folded
-    for n in range(len(F) - 2):
-        if B[n + 1].mul(F[n + 2]) != F[n + 1].mul(B[n + 2]):
-            raise RuntimeError(f"connecting map fails to commute with the coboundary at degree {n}")
-    return F[1:]
+    faces, folded = Q.faces, Q.folded
+    for d in range(2, len(faces)):
+        low, low_folded = faces[d - 1], folded[d - 1]
+        for fs, fo in zip(faces[d], folded[d]):
+            met = [g for f in fo for g in low[f]] + [g for f in fs for g in low_folded[f]]
+            met.sort()
+            if met[0::2] != met[1::2]:
+                raise RuntimeError(f"connecting map fails to commute with the coboundary at degree {d - 2}")
+    return [incidence(folded[d], Q.n_cells(d - 1)) for d in range(1, len(folded))]
 
 
 def equivariant_cohomology_with_alpha(F: list[Mat2], H: CohomologyResult) -> AlphaModule:

@@ -7,7 +7,9 @@ unordered pair, is what the oracle computes with: `quotient_complex`
 builds it in one walk over the numbering `SimplicialComplex` gives K
 (vertex masks and face numbers), labels each cell by a pair of simplex
 numbers, and records the faces the quotient folded, which carry the
-connecting map of the transfer sequence on cocycles.
+connecting map of the transfer sequence on cocycles.  Every complex
+here holds each cell's faces as a tuple of cell indices, as K does;
+a boundary matrix is built only for the elimination that reads it.
 Cohomology is computed with explicit cocycle representatives: one
 elimination per boundary matrix gives the coboundaries, the cocycles
 and the classes.  The result keeps the representatives and the
@@ -36,6 +38,7 @@ from .simplicial import SimplicialComplex
 __all__ = [
     "CellComplex",
     "CohomologyResult",
+    "incidence",
     "product_faces",
     "quotient_complex",
     "deleted_product",
@@ -48,31 +51,38 @@ __all__ = [
 
 
 class CellComplex:
-    """Chain complex of F2 vector spaces with labeled cells per dimension.
+    """Chain complex of F2 vector spaces with labeled cells per dimension, each cell with its faces.
 
-    boundaries[d] maps d-chains to (d-1)-chains; boundaries[0] has no
-    rows.  involution, when given, is one permutation (a sequence of
-    cell indices) per dimension; it must square to the identity and
-    commute with the boundary, both checked here.  folded, when given,
-    is one matrix per dimension: the part of boundaries[d] that an
-    orbit complex folded (see `quotient_complex`), which must lie in
-    the boundary, also checked here.
+    faces[d][j] is the tuple of (d-1)-cell indices on the boundary of
+    d-cell j; a 0-cell has none.  The boundary is held as these lists
+    only: `boundary(d)` builds its matrix on each call and keeps none.
+    involution, when given, is one permutation (a sequence of cell
+    indices) per dimension; it must square to the identity and carry
+    each cell's faces onto the faces of its image, both checked here.
+    folded, when given, lists per cell the faces an orbit complex folded
+    (see `quotient_complex`), which must be among its faces, also
+    checked here.
     """
 
-    def __init__(self, cells, boundaries, involution=None, folded=None):
+    def __init__(self, cells, faces, involution=None, folded=None):
         self.cells = [list(level) for level in cells]
-        self.boundaries = list(boundaries)
+        self.faces = [list(level) for level in faces]
         self.involution = None
         self.folded = None
-        if len(self.boundaries) != len(self.cells):
-            raise ValueError("one boundary matrix per dimension is required")
-        for d, B in enumerate(self.boundaries):
-            prev = len(self.cells[d - 1]) if d >= 1 else 0
-            if B.shape != (prev, len(self.cells[d])):
-                raise ValueError(f"boundary {d} has shape {B.shape}, expected {(prev, len(self.cells[d]))}")
-        for d in range(1, len(self.boundaries)):
-            if not self.boundaries[d - 1].mul(self.boundaries[d]).is_zero():
-                raise RuntimeError(f"boundary squared is nonzero at dimension {d}")
+        if len(self.faces) != len(self.cells):
+            raise ValueError("one face list per dimension is required")
+        low: list = []
+        for d, level in enumerate(self.faces):
+            named = list(filter(None, level))  # the cells with faces
+            lo, hi = (min(map(min, named)), max(map(max, named))) if named else (0, -1)
+            if len(level) != len(self.cells[d]) or lo < 0 or hi >= len(low):
+                raise ValueError(f"faces at dimension {d} do not list one tuple of (d-1)-cells per cell")
+            # Each face of a face must be met an even number of times: sorted, the list pairs off.
+            for fs in level if d > 1 else ():
+                met = sorted([g for f in fs for g in low[f]])
+                if met[0::2] != met[1::2]:
+                    raise RuntimeError(f"boundary squared is nonzero at dimension {d}")
+            low = level
         if involution is not None:
             involution = [[int(i) for i in perm] for perm in involution]
             if len(involution) != len(self.cells):
@@ -84,17 +94,16 @@ class CellComplex:
                 if any(not 0 <= i < n for i in perm) or [perm[i] for i in perm] != list(range(n)):
                     raise ValueError(f"involution at dimension {d} does not square to the identity")
             for d in range(1, len(self.cells)):
-                # The ones of the boundary, as a set, must be fixed by the involution on rows and columns.
-                B = self.boundaries[d]
-                if [permute(x, involution[d]) for x in B.take_rows(involution[d - 1]).data] != B.data:
+                lower, level = involution[d - 1], self.faces[d]
+                if any(sorted(lower[f] for f in fs) != sorted(level[i]) for fs, i in zip(level, involution[d])):
                     raise RuntimeError(f"involution does not commute with the boundary at dimension {d}")
             self.involution = involution
         if folded is not None:
-            folded = list(folded)
-            if [F.shape for F in folded] != [B.shape for B in self.boundaries]:
-                raise ValueError("one folded part per boundary matrix, of its shape, is required")
-            for d, (F, B) in enumerate(zip(folded, self.boundaries)):
-                if any(f | b != b for f, b in zip(F.data, B.data)):
+            folded = [list(level) for level in folded]
+            if [len(level) for level in folded] != [len(level) for level in self.faces]:
+                raise ValueError("one folded list per cell is required")
+            for d, (level, faces) in enumerate(zip(folded, self.faces)):
+                if any(f not in fs for fo, fs in zip(level, faces) for f in fo):
                     raise ValueError(f"folded faces at dimension {d} are not faces of the boundary")
             self.folded = folded
 
@@ -107,6 +116,13 @@ class CellComplex:
             return len(self.cells[d])
         return 0
 
+    def boundary(self, d: int) -> Mat2:
+        """The boundary from d-chains to (d-1)-chains, one int row per (d-1)-cell, built on each call.
+
+        Above the top dimension it has no columns.
+        """
+        return incidence(self.faces[d] if 0 <= d <= self.top_dim else [], self.n_cells(d - 1))
+
     def cell_counts(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.cells)
 
@@ -116,6 +132,16 @@ class CellComplex:
 
     def is_free(self) -> bool:
         return self.involution is not None and all(i != j for perm in self.involution for i, j in enumerate(perm))
+
+
+def incidence(faces, rows: int) -> Mat2:
+    """The rows x len(faces) matrix with a one at (f, j) for each f in faces[j], one int row per f."""
+    data = [0] * rows
+    for j, fs in enumerate(faces):
+        bit = 1 << j
+        for f in fs:
+            data[f] ^= bit
+    return Mat2(rows, len(faces), data)
 
 
 def product_faces(s: tuple, t: tuple) -> list[tuple]:
@@ -146,20 +172,6 @@ def _disjoint_pairs(K: SimplicialComplex, d: int):
                     yield s, t
 
 
-def _pair_boundaries(cells: list[list[tuple]]) -> list[Mat2]:
-    """Boundary matrices of the deleted product's ordered pair cells by the product face rule."""
-    index = {c: i for level in cells for i, c in enumerate(level)}
-    boundaries = [Mat2.zeros(0, len(cells[0]))]
-    for d in range(1, len(cells)):
-        rows, cols = [], []
-        for j, (s, t) in enumerate(cells[d]):
-            for face in product_faces(s, t):
-                rows.append(index[face])
-                cols.append(j)
-        boundaries.append(Mat2.from_entries(len(cells[d - 1]), len(cells[d]), rows, cols))
-    return boundaries
-
-
 def quotient_complex(K: SimplicialComplex) -> CellComplex:
     """Orbit complex of the deleted product, built from K's numbering alone in one walk over integer keys.
 
@@ -174,37 +186,37 @@ def quotient_complex(K: SimplicialComplex) -> CellComplex:
 
     The walk owns the fold: the faces (f, s) it stores for a face (s, f),
     f < s, are the ones the quotient folded, and it records them as the
-    complex's `folded` part F of each boundary.  The rest of the
+    complex's `folded` part F of each cell's faces.  The rest of the
     boundary is the connecting map of the transfer sequence, so on
     cocycles F is that map (`borel.equivariant_cochain_complex`).
     """
     top = len(K.levels) - 1
     start, masks, faces = K.offsets, K.masks, K.faces
     N = len(masks)
-    cells, boundaries, folded, row_of = [], [], [], {}
+    cells, q_faces, folded, row_of = [], [], [], {}
     for d in range(2 * top + 1):
         # by (dim s, s, t), with dim s <= dim t and s < t: the deleted product's cell order
-        keys = []
+        pairs, level, fold_level = [], [], []
         for ds in range(max(0, d - top), d // 2 + 1):
             for s in range(start[ds], start[ds + 1]):
-                m = masks[s]
-                keys.extend(s * N + t for t in range(max(s + 1, start[d - ds]), start[d - ds + 1]) if not m & masks[t])
-        kept, fold = [0] * len(row_of), [0] * len(row_of)
-        for j, key in enumerate(keys):
-            s, t = divmod(key, N)
-            bit = 1 << j
-            for f in faces[s]:
-                kept[row_of[f * N + t]] ^= bit
-            for f in faces[t]:
-                if s < f:
-                    kept[row_of[s * N + f]] ^= bit
-                else:
-                    fold[row_of[f * N + s]] ^= bit
-        boundaries.append(Mat2(len(row_of), len(keys), [a ^ b for a, b in zip(kept, fold)]))
-        folded.append(Mat2(len(row_of), len(keys), fold))
-        row_of = {key: i for i, key in enumerate(keys)}
-        cells.append([divmod(key, N) for key in keys])
-    return CellComplex(cells, boundaries, folded=folded)
+                m, sN = masks[s], s * N
+                for t in range(max(s + 1, start[d - ds]), start[d - ds + 1]):
+                    if m & masks[t]:
+                        continue
+                    kept, fold = [row_of[f * N + t] for f in faces[s]], []
+                    for f in faces[t]:
+                        if s < f:
+                            kept.append(row_of[sN + f])
+                        else:
+                            fold.append(row_of[f * N + s])
+                    pairs.append((s, t))
+                    level.append((*kept, *fold))
+                    fold_level.append(tuple(fold))
+        row_of = {s * N + t: i for i, (s, t) in enumerate(pairs)}
+        cells.append(pairs)
+        q_faces.append(level)
+        folded.append(fold_level)
+    return CellComplex(cells, q_faces, folded=folded)
 
 
 def predicted_quotient_cells(vertices: int, chi: int) -> int:
@@ -235,7 +247,8 @@ def deleted_product(K: SimplicialComplex) -> CellComplex:
     cells = [list(_disjoint_pairs(K, d)) for d in range(2 * len(K.levels) - 1)]
     index = [{c: i for i, c in enumerate(level)} for level in cells]
     involution = [[index[d][(t, s)] for (s, t) in cells[d]] for d in range(len(cells))]
-    out = CellComplex(cells, _pair_boundaries(cells), involution)
+    faces = [[tuple(index[d - 1][f] for f in product_faces(s, t)) for s, t in level] for d, level in enumerate(cells)]
+    out = CellComplex(cells, faces, involution)
     if not out.is_free():
         raise RuntimeError("deleted product involution has a fixed cell")
     return out
@@ -243,7 +256,9 @@ def deleted_product(K: SimplicialComplex) -> CellComplex:
 
 def simplicial_cell_complex(K: SimplicialComplex) -> CellComplex:
     """K as a cell complex: cells are its simplices in K's own order."""
-    return CellComplex(K.levels, [K.boundary_matrix(d) for d in range(len(K.levels))])
+    start = K.offsets
+    faces = [K.faces[start[d] : start[d + 1]] for d in range(len(K.levels))]
+    return CellComplex(K.levels, [[tuple(f - start[d - 1] for f in fs) for fs in lv] for d, lv in enumerate(faces)])
 
 
 class CohomologyResult(NamedTuple):
@@ -305,9 +320,8 @@ def cohomology_f2(C: CellComplex) -> CohomologyResult:
         n = C.n_cells(d)
         cobs.append(E)
         keep = [i for i in reversed(range(n)) if i not in E]
-        boundary = C.boundaries[d + 1] if d < C.top_dim else Mat2.zeros(n, 0)
         transform = Mat2(len(keep), n, [1 << i for i in keep])
-        E, classes = eliminate(boundary.take_rows(keep), transform)
+        E, classes = eliminate(C.boundary(d + 1).take_rows(keep), transform)
         reps.append(Mat2(len(classes), n, [classes[p] for p in sorted(classes)]))
     return CohomologyResult(reps, cobs)
 

@@ -98,19 +98,15 @@ def rep_decompose(dim: int, swap: Mat2) -> tuple[int, int]:
     if swap.mul(swap) != Mat2.identity(dim):
         raise ValueError("swap is not an involution")
     f = rank(Mat2(dim, dim, [x ^ 1 << i for i, x in enumerate(swap.data)]))
-    t = dim - 2 * f
-    if t < 0:
-        raise RuntimeError("trivial multiplicity came out negative")
-    return t, f
+    return dim - 2 * f, f
 
 
 def conf_cohomology(kind: SurfaceKind) -> ConfCohomology:
     """Per-degree dimensions of the quotient of the square by the kernel, with their swap decomposition.
 
-    Raises RuntimeError when internal consistency fails: a kernel row
-    that the swap moves or a negative trivial multiplicity.  A nonzero
-    degree-4 quotient is left to the report's conf-top-degree-vanishes
-    record.
+    Raises RuntimeError when a kernel row is not fixed by the swap.  A
+    nonzero degree-4 quotient is left to the report's
+    conf-top-degree-vanishes record.
     """
     square = build_kunneth(build_surface_ring(kind))
     rows = []
@@ -125,7 +121,5 @@ def conf_cohomology(kind: SurfaceKind) -> ConfCohomology:
         meet = K.rows - rank(Mat2(K.rows, K.cols, [k & fixed for k in K.data]))
         dim = len(perm) - K.rows
         f = cycles - meet
-        if dim - 2 * f < 0:
-            raise RuntimeError("trivial multiplicity came out negative")
         rows.append(ConfRow(q, dim, dim - 2 * f, f))
     return ConfCohomology(kind=kind, square=square, rows=rows)

@@ -111,20 +111,8 @@ class Mat2:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Mat2":
-        return cls(rows, cols)
-
-    @classmethod
     def identity(cls, n: int) -> "Mat2":
         return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, i, j) -> "Mat2":
-        """The sum of the unit matrices at (i[k], j[k]): a position listed an even number of times is 0."""
-        data = [0] * rows
-        for r, c in zip(i, map(int, j)):
-            data[r] ^= 1 << c
-        return cls(rows, cols, data)
 
     @classmethod
     def hstack(cls, left: "Mat2", right: "Mat2") -> "Mat2":
@@ -137,9 +125,6 @@ class Mat2:
     def take_rows(self, idx) -> "Mat2":
         data = [self.data[i] for i in idx]
         return Mat2(len(data), self.cols, data)
-
-    def is_zero(self) -> bool:
-        return not any(self.data)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -56,8 +56,8 @@ SCHEMA = "conf2-report/1"
 # the unordered space; the orbit complex has no cells above degree 4.
 UCONF_TAIL_DEGREES = range(TOP_DEGREE, 9)
 # The most orbit-complex cells the oracle takes on.  Its peak RSS grows as the square of the cells:
-# 652 MB at orientable:32 (80,857 cells) and 2,660 MB at orientable:48 (165,249), so 200,000 cells
-# come to about 3.9 GB, half of an 8 GB machine.
+# 539 MB at orientable:32 (80,857 cells) and 2,168 MB at orientable:48 (165,249), so 200,000 cells
+# come to about 3.2 GB, under half of an 8 GB machine.
 MAX_QUOTIENT_CELLS = 200_000
 
 

@@ -3,7 +3,7 @@
 Complexes are given by facets of any size and closed downward.  K is
 numbered here, once, on first use: its simplices by dimension, then in
 sorted order, with the vertex mask and the codimension-one face numbers
-of each, which the boundary matrix and every construction on K read.
+of each, which every construction on K reads.
 Triangulation files take facets of one to three vertices
 only, as a facet of k vertices has 2^k faces.  The surface check (every
 vertex link a single cycle, connected) gates the command line, connected
@@ -22,7 +22,6 @@ from itertools import accumulate, chain, combinations, count
 from pathlib import Path
 from random import Random
 
-from .gf2 import Mat2
 from .surfaces import SurfaceKind
 
 __all__ = [
@@ -105,16 +104,6 @@ class SimplicialComplex:
     @property
     def euler(self) -> int:
         return sum((-1) ** d * n for d, n in enumerate(self.counts()))
-
-    def boundary_matrix(self, d: int) -> Mat2:
-        """Boundary from d-chains to (d-1)-chains, read off the face numbers; d = 0 maps to nothing."""
-        cols = self.simplices(d)
-        i, j = [], []
-        for k in range(len(cols)):
-            for f in self.faces[self.offsets[d] + k]:
-                i.append(f - self.offsets[d - 1])
-                j.append(k)
-        return Mat2.from_entries(len(self.simplices(d - 1)), len(cols), i, j)
 
 
 def _connected(graph: dict) -> bool:

@@ -245,8 +245,6 @@ class KunnethAlgebra(_GradedBasis):
                 # x_i|y_j sits at start + i dq + j, its swap y_j|x_i in block (q, p) at offset' + j dp + i
                 for i in range(dp):
                     perm[start + i * dq : start + (i + 1) * dq] = range(offset[n - p] + i, offset[n - p] + dq * dp, dp)
-            if any(perm[k] != i for i, k in enumerate(perm)):
-                raise RuntimeError("swap is not an involution")
             sizes.append(size)
             self.offset.append(offset)
             self.swap_perm.append(perm)

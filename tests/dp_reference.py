@@ -18,12 +18,12 @@ from functools import lru_cache
 import numpy as np
 
 from conf2.borel import AlphaModule, equivariant_cohomology_with_alpha
-from conf2.cells import CellComplex, CohomologyResult, cohomology_f2, deleted_product, induced_involution
+from conf2.cells import CellComplex, CohomologyResult, cohomology_f2, deleted_product, incidence, induced_involution
 from conf2.conf_symbolic import rep_decompose
 from conf2.gf2 import Mat2, rank, solve_many
 from conf2.simplicial import builtin_triangulation
 from conf2.surfaces import SurfaceKind
-from gf2_reference import bits, echelon, entries, stack
+from gf2_reference import bits, echelon, entries, from_boundaries, from_entries, stack
 
 
 def reference_classes(H: CohomologyResult, d: int, cochains: Mat2) -> list[np.ndarray | None]:
@@ -76,13 +76,13 @@ def orbit_quotient(C: CellComplex) -> CellComplex:
         idx[perm[reps]] = np.arange(len(reps))
         orbit_of.append(idx)
     cells = [[C.cells[d][i] for i in rep_lists[d]] for d in range(C.top_dim + 1)]
-    boundaries = [Mat2.zeros(0, len(cells[0]))]
+    boundaries = [Mat2(0, len(cells[0]))]
     for d in range(1, C.top_dim + 1):
-        i, j = entries(C.boundaries[d])
+        i, j = entries(C.boundary(d))
         col = _positions(rep_lists[d], C.n_cells(d))[j]
         on_rep = col >= 0
-        boundaries.append(Mat2.from_entries(len(cells[d - 1]), len(cells[d]), orbit_of[d - 1][i[on_rep]], col[on_rep]))
-    return CellComplex(cells, boundaries)
+        boundaries.append(from_entries(len(cells[d - 1]), len(cells[d]), orbit_of[d - 1][i[on_rep]], col[on_rep]))
+    return from_boundaries(cells, boundaries)
 
 
 def transfer_phi(C: CellComplex, Q: CellComplex) -> list[Mat2]:
@@ -95,13 +95,13 @@ def transfer_phi(C: CellComplex, Q: CellComplex) -> list[Mat2]:
     reps = orbit_representatives(C)
     phi = []
     for n in range(C.top_dim):
-        i, j = entries(C.boundaries[n + 1])
+        i, j = entries(C.boundary(n + 1))
         row = _positions(reps[n], C.n_cells(n))[i]
         col = _positions(reps[n + 1], C.n_cells(n + 1))[j]
         both = (row >= 0) & (col >= 0)
-        phi.append(Mat2.from_entries(len(reps[n]), len(reps[n + 1]), row[both], col[both]))
+        phi.append(from_entries(len(reps[n]), len(reps[n + 1]), row[both], col[both]))
     for n in range(C.top_dim - 1):
-        if phi[n].mul(Q.boundaries[n + 2]) != Q.boundaries[n + 1].mul(phi[n + 1]):
+        if phi[n].mul(Q.boundary(n + 2)) != Q.boundary(n + 1).mul(phi[n + 1]):
             raise RuntimeError(f"connecting map fails to commute with the coboundary at degree {n}")
     return phi
 
@@ -114,14 +114,20 @@ def folded_by_label(Q: CellComplex) -> list[Mat2]:
     of (s, t) is folded exactly when b = s: row (a, b) of F keeps the
     boundary's ones in the columns whose first member is b.
     """
-    folded = [Q.boundaries[0]]
+    folded = [Q.boundary(0)]
     for d in range(1, len(Q.cells)):
         first: dict = {}
         for j, (s, _) in enumerate(Q.cells[d]):
             first[s] = first.get(s, 0) | 1 << j
-        B = Q.boundaries[d]
+        B = Q.boundary(d)
         folded.append(Mat2(B.rows, B.cols, [row & first.get(b, 0) for row, (_, b) in zip(B.data, Q.cells[d - 1])]))
     return folded
+
+
+def matrices(Q: CellComplex) -> tuple[list[Mat2], list[Mat2]]:
+    """Q's boundary matrices, one per dimension, and the matrices of its folded faces, of the same shapes."""
+    folded = [incidence(level, Q.n_cells(d - 1)) for d, level in enumerate(Q.folded)]
+    return [Q.boundary(d) for d in range(len(Q.cells))], folded
 
 
 def alpha_module(C: CellComplex) -> AlphaModule:

@@ -4,9 +4,10 @@
 at bit c, and imports no numpy.  The tests build their inputs and check
 their answers with numpy arrays, so the dense conversions live here:
 `from_dense`/`to_dense` between a 0/1 array and a `Mat2`, `from_rows` for
-nested 0/1 rows, `bits` for one
-int vector, `entries` for the ones of a matrix and `mul_vec` for a
-matrix-vector product on arrays.  `stack` puts matrices of one width
+nested 0/1 rows, `bits` for one int vector, `entries` for the ones of a
+matrix, `from_entries` back, and `mul_vec` for a matrix-vector product
+on arrays.  `from_boundaries` turns boundary matrices, one per
+dimension, into the face lists a `CellComplex` holds.  `stack` puts matrices of one width
 one above another, and `echelon` lists the rows of a lowest-one table.
 
 `reference_rref` is the column-loop elimination `gf2.rref` replaced: it
@@ -21,6 +22,7 @@ gives.
 
 import numpy as np
 
+from conf2.cells import CellComplex
 from conf2.gf2 import Mat2, ones, pack
 
 _ONE = np.uint64(1)
@@ -75,6 +77,28 @@ def entries(m: Mat2) -> tuple[np.ndarray, np.ndarray]:
         i += [r] * len(cols)
         j += cols
     return np.array(i, dtype=np.int64), np.array(j, dtype=np.int64)
+
+
+def from_entries(rows: int, cols: int, i, j) -> Mat2:
+    """The sum of the unit matrices at (i[k], j[k]): a position listed an even number of times is 0."""
+    data = [0] * rows
+    for r, c in zip(i, map(int, j)):
+        data[r] ^= 1 << c
+    return Mat2(rows, cols, data)
+
+
+def from_boundaries(cells, boundaries, involution=None, folded=None) -> CellComplex:
+    """The cell complex whose d-cell j has the faces at the ones of column j of boundaries[d].
+
+    folded, when given, is one matrix per dimension of the same shape, read the same way.
+    """
+
+    def faces(B: Mat2) -> list[tuple[int, ...]]:
+        return [tuple(ones(x)) for x in B.transpose().data]
+
+    return CellComplex(
+        cells, [faces(B) for B in boundaries], involution, None if folded is None else [faces(F) for F in folded]
+    )
 
 
 def mul_vec(m: Mat2, vec) -> np.ndarray:

@@ -93,7 +93,7 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Mat2.zeros(0, ambient_dim))
+        return Subspace(ambient_dim, Mat2(0, ambient_dim))
 
     @staticmethod
     def spanned_by(ambient_dim: int, vectors) -> "Subspace":

@@ -26,8 +26,8 @@ from conf2.cells import (
 from conf2.gf2 import Mat2, ones, rank
 from conf2.simplicial import SimplicialComplex, builtin_triangulation
 from conf2.surfaces import SurfaceKind
-from gf2_reference import from_dense
-from dp_reference import alpha_module, check_smith_gysin, orbit_quotient, transfer_phi
+from gf2_reference import from_boundaries, from_dense
+from dp_reference import alpha_module, check_smith_gysin, matrices, orbit_quotient, transfer_phi
 
 
 def borel_module(K: SimplicialComplex) -> AlphaModule:
@@ -47,15 +47,15 @@ def norm_check(K: SimplicialComplex, A: AlphaModule | None = None, HK: Cohomolog
     return check_norm_map(K, HK, Q, HQ, A)
 
 
-POINT = CellComplex([["p"]], [Mat2.zeros(0, 1)])
+POINT = from_boundaries([["p"]], [Mat2(0, 1)])
 
 
 def antipodal_circle() -> CellComplex:
     """Square circle with the antipode: two vertices, two edges, free swap."""
     boundary = from_dense(np.array([[1, 1], [1, 1]], dtype=np.uint8))
-    return CellComplex(
+    return from_boundaries(
         [["p", "q"], ["a", "b"]],
-        [Mat2.zeros(0, 2), boundary],
+        [Mat2(0, 2), boundary],
         involution=[np.array([1, 0]), np.array([1, 0])],
     )
 
@@ -75,9 +75,9 @@ def test_antipodal_circle_gives_circle():
 
 
 def test_fixed_point_action_rejected():
-    fixed = CellComplex(
+    fixed = from_boundaries(
         [["p", "q"]],
-        [Mat2.zeros(0, 2)],
+        [Mat2(0, 2)],
         involution=[np.array([0, 1])],
     )
     with pytest.raises(ValueError):
@@ -134,27 +134,29 @@ def test_euler_identity_on_module():
 def test_connecting_map_rejects_every_incidence_moved_between_fold_and_phi():
     """One incidence of the torus's Q moved from F to Phi or back, the boundary kept, fails the chain-map check."""
     Q = quotient_complex(builtin_triangulation(SurfaceKind.orientable(1)))
+    boundaries, fold = matrices(Q)
     moves = 0
-    for d, B in enumerate(Q.boundaries):
+    for d, B in enumerate(boundaries):
         for i, row in enumerate(B.data):
             for j in ones(row):
-                data = list(Q.folded[d].data)
+                data = list(fold[d].data)
                 data[i] ^= 1 << j
-                folded = Q.folded[:d] + [Mat2(B.rows, B.cols, data)] + Q.folded[d + 1 :]
+                folded = fold[:d] + [Mat2(B.rows, B.cols, data)] + fold[d + 1 :]
                 with pytest.raises(RuntimeError, match="fails to commute"):
-                    equivariant_cochain_complex(CellComplex(Q.cells, Q.boundaries, folded=folded))
+                    equivariant_cochain_complex(from_boundaries(Q.cells, boundaries, folded=folded))
                 moves += 1
     assert moves == 1260
 
 
 def test_connecting_map_needs_the_folded_faces():
     Q = quotient_complex(builtin_triangulation(SurfaceKind.sphere()))
+    boundaries, _ = matrices(Q)
     with pytest.raises(ValueError, match="folded faces"):
-        equivariant_cochain_complex(CellComplex(Q.cells, Q.boundaries))
+        equivariant_cochain_complex(from_boundaries(Q.cells, boundaries))
     # a folded face must be a face: the complement of each boundary row has ones at cells that are none
-    off = [Mat2(B.rows, B.cols, [~b & (1 << B.cols) - 1 for b in B.data]) for B in Q.boundaries]
+    off = [Mat2(B.rows, B.cols, [~b & (1 << B.cols) - 1 for b in B.data]) for B in boundaries]
     with pytest.raises(ValueError, match="not faces of the boundary"):
-        CellComplex(Q.cells, Q.boundaries, folded=off)
+        from_boundaries(Q.cells, boundaries, folded=off)
 
 
 def test_alpha_rejects_an_image_off_the_cocycles():
@@ -211,7 +213,7 @@ def test_norm_check_rejects_a_corrupted_alpha():
     K = builtin_triangulation(SurfaceKind.orientable(1))
     module = borel_module(K)
     maps = list(module.alpha_maps)
-    maps[1] = Mat2.zeros(*maps[1].shape)
+    maps[1] = Mat2(*maps[1].shape)
     with pytest.raises(RuntimeError, match="norm map check fails in degree 1"):
         norm_check(K, A=AlphaModule(dims=module.dims, alpha_maps=maps))
 
@@ -228,7 +230,7 @@ def test_norm_check_rejects_a_norm_class_off_the_cocycles():
 
 
 def test_decompose_full_tower():
-    maps = [Mat2.identity(1), Mat2.identity(1), Mat2.zeros(0, 1), Mat2.zeros(0, 0)]
+    maps = [Mat2.identity(1), Mat2.identity(1), Mat2(0, 1), Mat2(0, 0)]
     module = AlphaModule(dims=[1, 1, 1, 0, 0], alpha_maps=maps)
     assert module_decompose(module) == [Tower(0, 3)]
 
@@ -239,9 +241,9 @@ def test_decompose_rejects_inconsistent_maps():
     with pytest.raises(RuntimeError, match="^negative tower count at start 0 length 1: inconsistent action maps$"):
         AlphaModule(dims=[1, 1, 0, 0, 0], alpha_maps=[
             Mat2.identity(2),
-            Mat2.zeros(0, 2),
-            Mat2.zeros(0, 0),
-            Mat2.zeros(0, 0),
+            Mat2(0, 2),
+            Mat2(0, 0),
+            Mat2(0, 0),
         ])
 
 
@@ -267,7 +269,7 @@ def test_decomposed_towers_always_cover_the_dims(data):
 
 def test_height_requires_connected_degree_zero():
     module = AlphaModule(dims=[2, 0, 0, 0, 0], alpha_maps=[
-        Mat2.zeros(0, 2), Mat2.zeros(0, 0), Mat2.zeros(0, 0), Mat2.zeros(0, 0),
+        Mat2(0, 2), Mat2(0, 0), Mat2(0, 0), Mat2(0, 0),
     ])
     with pytest.raises(ValueError):
         sw_height(module)

@@ -1,5 +1,10 @@
 """Orbit complexes, deleted products, their cohomology, and the swap."""
 
+import sys
+from collections import Counter
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,11 +22,12 @@ from conf2.cells import (
 )
 from conf2.conf_symbolic import conf_cohomology, rep_decompose
 from conf2.gf2 import Mat2, eliminate, invert, rank
-from conf2.simplicial import SimplicialComplex, builtin_triangulation, irreducible, vertex_bound
+from conf2.simplicial import SimplicialComplex, builtin_triangulation, irreducible, read_triangulation, vertex_bound
 from conf2.surfaces import SurfaceKind
 from dp_reference import orbit_quotient, reference_classes
 from gf2_reference import (
     echelon,
+    from_boundaries,
     from_dense,
     is_echelon_form_of,
     is_table_of,
@@ -31,7 +37,13 @@ from gf2_reference import (
     stack,
     to_dense,
 )
+from known_answers import sphere_boundary, staircase_product
 from tri_reference import barycentric_subdivide
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+SWEEP = ("sphere", "orientable:1", "orientable:2", "nonorientable:1", "nonorientable:2", "nonorientable:3")
 
 
 def test_deleted_product_of_tetrahedron():
@@ -77,7 +89,7 @@ def test_representatives_are_cocycles_not_coboundaries():
     C = deleted_product(builtin_triangulation(SurfaceKind.orientable(1)))
     result = cohomology_f2(C)
     for d in range(C.top_dim):
-        delta = C.boundaries[d + 1].transpose()
+        delta = C.boundary(d + 1).transpose()
         reps = result.cocycle_basis[d]
         for row in to_dense(reps):
             assert not mul_vec(delta, row).any()
@@ -161,6 +173,35 @@ def test_predicted_quotient_cells_bound_the_counted_ones(label):
     assert (predicted == counted) == (len(set(degrees)) == 1)
 
 
+def inclusion_exclusion_cells(K: SimplicialComplex) -> int:
+    """Q's cells counted from K's faces alone: (N^2 - sum over faces r of (-1)^dim r st(r)^2) / 2.
+
+    N is the number of simplices and st(r) the number of simplices containing the face r.  Two simplices
+    that meet share a face, and over the nonempty faces of that face the signs sum to 1, so the sum
+    counts the ordered pairs that meet; the disjoint ones pair off under the swap.
+    """
+    simplices = [s for level in K.levels for s in level]
+    star = Counter(r for s in simplices for k in range(1, len(s) + 1) for r in combinations(s, k))
+    meeting = sum((-1) ** (len(r) - 1) * n * n for r, n in star.items())
+    return (len(simplices) ** 2 - meeting) // 2
+
+
+@pytest.mark.parametrize("label", SWEEP)
+def test_walk_counts_the_cells_inclusion_exclusion_does(label):
+    K = builtin_triangulation(SurfaceKind.from_label(label))
+    for L in (K, irreducible(K)):
+        assert sum(quotient_complex(L).cell_counts()) == inclusion_exclusion_cells(L)
+
+
+def test_walk_counts_the_cells_inclusion_exclusion_does_on_files_and_known_answers(tmp_path):
+    invocation = workloads.make_invocation("file_oracle", 3, tmp_path / "inputs", tmp_path)
+    complexes = [read_triangulation(tmp_path / label) for label in invocation.labels]
+    complexes += [sphere_boundary(3), staircase_product(sphere_boundary(2), sphere_boundary(1))]
+    counts = [inclusion_exclusion_cells(K) for K in complexes]
+    assert [sum(quotient_complex(K).cell_counts()) for K in complexes] == counts
+    assert counts[-2:] == [90, 6520]  # the boundary of the 4-simplex, and the 12-vertex S^2 x S^1
+
+
 def test_quotient_of_edge_product():
     Q = quotient_complex(SimplicialComplex(2, [(0, 1)]))
     assert Q.cell_counts() == (1, 0, 0)
@@ -180,9 +221,9 @@ def test_quotient_of_projective_plane_product():
 
 
 def test_quotient_rejects_fixed_cells():
-    circle = CellComplex(
+    circle = from_boundaries(
         [["p", "q"], ["a", "b"]],
-        [Mat2.zeros(0, 2), from_dense(np.array([[1, 1], [1, 1]], dtype=np.uint8))],
+        [Mat2(0, 2), from_dense(np.array([[1, 1], [1, 1]], dtype=np.uint8))],
         involution=[np.array([0, 1]), np.array([1, 0])],
     )
     with pytest.raises(ValueError):
@@ -192,28 +233,28 @@ def test_quotient_rejects_fixed_cells():
 def test_involution_must_commute_with_boundary():
     # boundary sends the edge to p + q; swapping only the vertices breaks it
     with pytest.raises(RuntimeError):
-        CellComplex(
+        from_boundaries(
             [["p", "q"], ["a"]],
-            [Mat2.zeros(0, 2), from_dense(np.array([[1], [0]], dtype=np.uint8))],
+            [Mat2(0, 2), from_dense(np.array([[1], [0]], dtype=np.uint8))],
             involution=[np.array([1, 0]), np.array([0])],
         )
 
 
 def test_involution_must_be_permutation_involution():
     with pytest.raises(ValueError):
-        CellComplex(
+        from_boundaries(
             [["p", "q", "r"]],
-            [Mat2.zeros(0, 3)],
+            [Mat2(0, 3)],
             involution=[np.array([1, 2, 0])],
         )
 
 
 def test_boundary_squared_checked():
     with pytest.raises(RuntimeError):
-        CellComplex(
+        from_boundaries(
             [["v"], ["e"], ["f"]],
             [
-                Mat2.zeros(0, 1),
+                Mat2(0, 1),
                 from_dense(np.array([[1]], dtype=np.uint8)),
                 from_dense(np.array([[1]], dtype=np.uint8)),
             ],
@@ -252,12 +293,12 @@ def chain_complexes(draw, top=3, max_part=2):
     sources = [0] + [draw(st.integers(0, max_part)) for _ in range(top)] + [0]
     sizes = [classes[d] + sources[d] + sources[d + 1] for d in range(top + 1)]
     bases = [_invertible(draw, n) for n in sizes]
-    boundaries = [Mat2.zeros(0, sizes[0])]
+    boundaries = [Mat2(0, sizes[0])]
     for d in range(1, top + 1):
         standard = np.zeros((sizes[d - 1], sizes[d]), dtype=np.uint8)
         standard[sizes[d - 1] - sources[d] :, classes[d] : classes[d] + sources[d]] = np.eye(sources[d], dtype=np.uint8)
         boundaries.append(bases[d - 1].mul(from_dense(standard)).mul(invert(bases[d])))
-    return CellComplex([list(range(n)) for n in sizes], boundaries), classes
+    return from_boundaries([list(range(n)) for n in sizes], boundaries), classes
 
 
 @settings(deadline=None, max_examples=100)
@@ -267,8 +308,8 @@ def test_random_complex_dims_satisfy_rank_nullity(case):
     H = cohomology_f2(C)
     assert H.dims == betti
     for d in range(C.top_dim + 1):
-        rank_next = rank(C.boundaries[d + 1]) if d < C.top_dim else 0
-        assert len(H.coboundaries[d]) == rank(C.boundaries[d])
+        rank_next = rank(C.boundary(d + 1))
+        assert len(H.coboundaries[d]) == rank(C.boundary(d))
         assert H.dims[d] == C.n_cells(d) - rank_next - len(H.coboundaries[d])
 
 
@@ -280,7 +321,7 @@ def test_solve_matches_the_stacked_system_and_rejects_non_cocycles(case):
     for d in range(C.top_dim + 1):
         n = C.n_cells(d)
         cochains = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-        delta = to_dense(C.boundaries[d + 1]) if d < C.top_dim else np.zeros((n, 0), dtype=np.uint8)
+        delta = to_dense(C.boundary(d + 1))
         closed = ~(cochains @ delta % 2).any(axis=1)
         cocycles = from_dense(cochains[closed])
         expected = reference_classes(H, d, cocycles)
@@ -306,8 +347,7 @@ def full_rows_cohomology(C: CellComplex) -> CohomologyResult:
         transform = Mat2.identity(n)
         for p, e in zip(sorted(E), reference_rref(echelon(E, n))[0].data):
             transform.data[p] ^= e
-        boundary = C.boundaries[d + 1] if d < C.top_dim else Mat2.zeros(n, 0)
-        E, classes = eliminate(boundary, transform)
+        E, classes = eliminate(C.boundary(d + 1), transform)
         reps.append(echelon(classes, n))
     return CohomologyResult(reps, cobs)
 

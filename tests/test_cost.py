@@ -14,11 +14,12 @@ that the deleted-product reference applies cell by cell must not run
 either.  The orbit complex's cell counts per degree are pinned exactly.
 Building the builtins parses each shipped file once and validates each
 complex once, as `validate_surface` keeps its report on the complex;
-both counts are pinned, and so is the number of simplicial boundary
-matrices, each built once.  The oracle runs on `irreducible(K)`, a
-triangulation with the fewest vertices its surface allows: the sweep's
-three reducible builtins get there by a few seeded flips, counted
-against a budget, and the benchmark's file inputs by contraction alone.
+both counts are pinned, and so is the number of boundary matrices
+built from the complexes' face lists, each once.  The oracle runs on
+`irreducible(K)`, a triangulation with the fewest vertices its surface
+allows: the sweep's three reducible builtins get there by a few seeded
+flips, counted against a budget, and the benchmark's file inputs by
+contraction alone.
 The symbolic side's memory is counted too: the `tracemalloc` peak of
 `conf_cohomology(orientable:64)`, which a matrix built per basis
 element of the square's degree 2 (4,098 of them) would raise.
@@ -46,7 +47,8 @@ SWEEP = ("sphere", "orientable:1", "orientable:2", "nonorientable:1", "nonorient
 # (calls, operand bits) measured on the sweep when the budgets were set.
 # rref's bits fell from 990,683 when conf_cohomology's meet matrix lost its columns at the fixed basis elements,
 # and its calls from 272 when a row-by-row swap check replaced the rank of the stacked kernel and its swap.
-MEASURED = {"rref": (242, 990_425), "mul": (132, 4_981_789)}
+# mul fell from (132, 4,981,789) when the checks of d d = 0 and d F = F d moved onto the face lists.
+MEASURED = {"rref": (242, 990_425), "mul": (60, 753_259)}
 # Bytes at the tracemalloc peak of conf_cohomology(orientable:64), measured when the budget was set.
 SYMBOLIC_PEAK = 992_094
 # validate_surface runs that compute a report rather than return the one kept on the complex: one per distinct
@@ -106,14 +108,14 @@ def sweep_counts() -> dict[str, tuple[int, int]]:
         counts["validations"] = (computed + (K._surface is None), 0)
         return validate(K)
 
-    def recorded_boundary(K, d):
-        built.append((K, d))  # K itself, not its id, so no complex is freed and its id reused
-        return boundary(K, d)
+    def recorded_boundary(C, d):
+        built.append((C, d))  # C itself, not its id, so no complex is freed and its id reused
+        return boundary(C, d)
 
     parse, validate = simplicial.parse_triangulation, simplicial.validate_surface
-    boundary, built = simplicial.SimplicialComplex.boundary_matrix, []
+    boundary, built = cells.CellComplex.boundary, []
     patch = pytest.MonkeyPatch()
-    patch.setattr(simplicial.SimplicialComplex, "boundary_matrix", recorded_boundary)
+    patch.setattr(cells.CellComplex, "boundary", recorded_boundary)
     patch.setattr(simplicial, "parse_triangulation", counted_parse)
     patch.setattr(simplicial, "validate_surface", counted_validation)
     patch.setattr(gf2, "rref", counted("rref", gf2.rref))
@@ -152,9 +154,10 @@ def test_sweep_validates_each_complex_once(sweep_counts):
 
 
 def test_sweep_builds_each_boundary_of_a_complex_once(sweep_counts):
-    """SimplicialComplex keeps no boundary memo: H*(K) for the norm check reads d = 0, 1, 2 once per surface."""
+    """A cell complex keeps no boundary matrix: each cohomology_f2 builds boundary d + 1 once for each degree d,
+    three per sweep surface for H*(K), which the norm check reads, and five for H*(Q)."""
     built, distinct = sweep_counts["boundaries"]
-    assert built == distinct == 3 * len(SWEEP)
+    assert built == distinct == (3 + 5) * len(SWEEP)
 
 
 @pytest.mark.parametrize("name", UNUSED)

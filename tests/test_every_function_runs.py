@@ -28,7 +28,6 @@ SWEEP = ("sphere", "orientable:1", "orientable:2", "nonorientable:1", "nonorient
 ALLOWED = {
     "cells.deleted_product": "the reference route tests compare the oracle with; perfbench traces it",
     "cells._disjoint_pairs": "builds deleted_product's cells",
-    "cells._pair_boundaries": "builds deleted_product's boundaries",
     "cells.product_faces": "the face rule of deleted_product; tests/test_cost.py checks the CLI never applies it",
     "cells.induced_involution": "pushes deleted_product's swap onto its cohomology; perfbench traces it",
     "cells.CellComplex.is_free": "deleted_product's check that its swap has no fixed cell",
@@ -36,7 +35,9 @@ ALLOWED = {
     "conf_symbolic.rep_decompose": "the swap-module split of the reference routes; perfbench traces it",
     "gf2.select_independent_rows": "perfbench traces it; tests/test_cost.py checks the CLI never calls it",
     "gf2.solve_many": "perfbench traces it; tests/test_cost.py checks the CLI never calls it",
+    "gf2.Mat2.__eq__": "value equality: the involution checks of induced_involution and rep_decompose and the tests",
     "gf2.Mat2.mul_vec": "perfbench traces it as gf2.mul_vec",
+    "gf2.Mat2.shape": "perfbench's and tests/test_cost.py's operand bits read it; __eq__ compares it",
     "surfaces._GradedBasis.dims": "perfbench's size of the surfaces.kunneth span reads it",
     "surfaces.SurfaceKind.orientable": "public constructor beside sphere() and nonorientable(), which the CLI runs",
 }

@@ -113,7 +113,7 @@ VALUE_RECORDS = {
             "coboundaries": [{}],
         },
         {
-            "cocycle_basis": [Mat2.zeros(0, 1)],
+            "cocycle_basis": [Mat2(0, 1)],
             "coboundaries": [{0: 1}],
         },
     ),
@@ -406,7 +406,7 @@ def test_failed_norm_check_is_error_record(monkeypatch):
     monkeypatch.setattr(
         report_module,
         "equivariant_cochain_complex",
-        lambda Q: [Mat2.zeros(*m.shape) for m in equivariant_cochain_complex(Q)],
+        lambda Q: [Mat2(*m.shape) for m in equivariant_cochain_complex(Q)],
     )
     (r,) = _run(("kind", "sphere"))
     assert r.error is not None and "norm map check fails" in r.error

@@ -362,6 +362,10 @@ MALFORMED = {
     "vertices \u0664\nf 0 1 2\n": "line 1: expected 'vertices N'",
     "vertices " + "9" * 5000 + "\nf 0 1 2\n": "line 1: expected 'vertices N'",
     "vertices 3\nf 0 1 " + "9" * 5000 + "\n": "line 2: bad facet indices",
+    # facets the complex itself refuses, wrapped by the parser
+    "vertices 3\nf 0 1 5\n": "bad triangulation: facet vertex out of range: (0, 1, 5)",
+    "vertices 3\nf 0 1 2\nf 0 0 1\n": "bad triangulation: facet repeats a vertex: (0, 0, 1)",
+    "vertices 3\nf 0 1 2\nf 2 1 0\n": "bad triangulation: duplicate facets",
 }
 
 

@@ -181,7 +181,8 @@ def test_square_products_follow_factors():
 
 
 def test_swap_is_involution():
-    for kind in SWEEP:
+    """KunnethAlgebra builds swap_perm as a block transpose and leaves checking it to this test."""
+    for kind in SWEEP + [SurfaceKind.nonorientable(4)]:
         square = build_kunneth(build_surface_ring(kind))
         for n in range(square.top_degree + 1):
             perm = np.asarray(square.swap_perm[n], dtype=np.int64)

@@ -12,6 +12,7 @@ same complex under a seeded vertex permutation and facet order,
 import random
 from itertools import combinations
 
+from conf2.cells import simplicial_cell_complex
 from conf2.gf2 import rank
 from conf2.simplicial import SimplicialComplex
 
@@ -51,8 +52,8 @@ def barycentric_subdivide(K: SimplicialComplex) -> SimplicialComplex:
 
 def betti(K: SimplicialComplex) -> tuple[int, int, int]:
     """F2 Betti numbers (b0, b1, b2) from the ranks of the boundary matrices."""
-    r1 = rank(K.boundary_matrix(1))
-    r2 = rank(K.boundary_matrix(2))
+    C = simplicial_cell_complex(K)
+    r1, r2 = rank(C.boundary(1)), rank(C.boundary(2))
     v, e, t = (len(K.simplices(d)) for d in range(3))
     return (v - r1, e - r1 - r2, t - r2)
 
